@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, TextIO
+from typing import Callable, Optional, TextIO, TypeVar
 
 from .drazin_core import (
     DrazinCertificate,
@@ -41,13 +41,13 @@ from .errors import (
     ZeroLambda,
 )
 from .exact_arith import parse_rational
-from .fixtures import EXAMPLE_IDS, example_matrices, example_quadruple_rational
+from .fixtures import EXAMPLE_IDS, example_matrices
 from .matrix_rings import (
-    RING_Q,
     SquareMatrix,
     gf,
     matrix_from_json,
     matrix_to_json,
+    over_q,
     zmod,
 )
 from .quadruple_lab import (
@@ -67,6 +67,8 @@ EXIT_MALFORMED = 2
 _RING_FLAGS = {"gf2": gf(2), "gf3": gf(3), "zmod4": zmod(4)}
 
 _FLAVOR_CHOICES = tuple(f.value for f in Flavor)
+
+T = TypeVar("T")
 
 
 class _Malformed(Exception):
@@ -91,58 +93,34 @@ def _emit_line(out: TextIO, obj: dict) -> None:
     out.write("\n")
 
 
-def _load_json_file(path: str) -> object:
+def _load(path: str, from_json: Callable[[object], T]) -> T:
+    """Read a JSON file and parse it; any schema error is malformed input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise _Malformed(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _Malformed(f"invalid JSON in {path}: {exc}") from exc
-
-
-def _load_matrix(path: str) -> SquareMatrix:
     try:
-        return matrix_from_json(_load_json_file(path))
-    except (DrazinkitError, ZeroDivisionError) as exc:
-        raise _Malformed(str(exc)) from exc
-
-
-def _load_quad_matrices(path: str) -> dict[str, SquareMatrix]:
-    obj = _load_json_file(path)
-    if not isinstance(obj, dict):
-        raise _Malformed("quadruple JSON must be an object with keys a, b, c, d")
-    extra = set(obj) - {"a", "b", "c", "d"}
-    if extra:
-        raise _Malformed(f"unknown quadruple fields: {sorted(extra)}")
-    missing = {"a", "b", "c", "d"} - set(obj)
-    if missing:
-        raise _Malformed(f"quadruple JSON missing {sorted(missing)}")
-    try:
-        return {k: matrix_from_json(obj[k]) for k in ("a", "b", "c", "d")}
+        return from_json(obj)
     except (DrazinkitError, ZeroDivisionError) as exc:
         raise _Malformed(str(exc)) from exc
 
 
 def _load_quadruple(path: str) -> Quadruple:
     """Parse and validate; rejection carries the intertwining report."""
-    mats = _load_quad_matrices(path)
+    mats = _load(path, Quadruple.matrices_from_json)
     try:
-        return Quadruple(mats["a"], mats["b"], mats["c"], mats["d"])
+        return Quadruple(*mats)
     except RelationViolation as exc:
         raise _Rejected(str(exc), report=exc.report) from exc
     except (RingMismatch, DimensionMismatch) as exc:
         raise _Malformed(str(exc)) from exc
 
 
-def _lift_to_q(q: Quadruple) -> Quadruple:
-    if q.ring.kind == "Q":
-        return q
-    if q.ring.kind == "Z":
-        return Quadruple(
-            *(SquareMatrix(RING_Q, m.entries) for m in (q.a, q.b, q.c, q.d))
-        )
-    raise _Rejected(f"operation needs Q or Z entries, got {q.ring}")
+def _quadruple_over_q(q: Quadruple) -> Quadruple:
+    return Quadruple(*(over_q(m) for m in (q.a, q.b, q.c, q.d)))
 
 
 def _parse_flavor(text: str) -> Flavor:
@@ -192,7 +170,7 @@ def _cmd_demo(args: argparse.Namespace, out: TextIO) -> int:
             "exists": False,
             "reason": no_group_inverse_reason(q.bd),
         }
-        lift = example_quadruple_rational("3.6")
+        lift = _quadruple_over_q(q)
         lift_cline = cline_generalized(lift, Flavor.DRAZIN)
         try:
             group_inverse(lift.bd)
@@ -210,9 +188,9 @@ def _cmd_demo(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    mats = _load_quad_matrices(args.infile)
+    mats = _load(args.infile, Quadruple.matrices_from_json)
     try:
-        report = intertwining_report(mats["a"], mats["b"], mats["c"], mats["d"])
+        report = intertwining_report(*mats)
     except (RingMismatch, DimensionMismatch) as exc:
         raise _Malformed(str(exc)) from exc
     _emit(out, report)
@@ -245,7 +223,7 @@ def _construct_flavor_certificate(
 
 
 def _cmd_drazin(args: argparse.Namespace, out: TextIO) -> int:
-    a = _load_matrix(args.infile)
+    a = _load(args.infile, matrix_from_json)
     cert = _construct_flavor_certificate(a, _parse_flavor(args.flavor))
     _emit(out, cert.to_json())
     return EXIT_OK
@@ -285,7 +263,7 @@ def _cmd_jacobson(args: argparse.Namespace, out: TextIO) -> int:
     if lam == 0:
         raise _Malformed("--lambda must be nonzero")
     if lam != 1:
-        q = scaled_quadruple(_lift_to_q(q), lam)
+        q = scaled_quadruple(_quadruple_over_q(q), lam)
     try:
         inv = jacobson_inverse(q)
     except NotInvertible as exc:
@@ -304,7 +282,7 @@ def _cmd_jacobson(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace, out: TextIO) -> int:
-    q = _lift_to_q(_load_quadruple(args.infile))
+    q = _quadruple_over_q(_load_quadruple(args.infile))
     lambdas = None
     if args.lambdas is not None:
         try:
@@ -317,7 +295,7 @@ def _cmd_spectrum(args: argparse.Namespace, out: TextIO) -> int:
             raise _Malformed("--lambdas entries must be nonzero")
     try:
         report = quadruple_spectrum_report(q, lambdas)
-    except (UnsupportedRing, ZeroLambda) as exc:
+    except ZeroLambda as exc:
         raise _Rejected(str(exc)) from exc
     _emit(out, report)
     transfer_ok = report["transfer"]["all_hold"]  # type: ignore[index]
@@ -348,7 +326,7 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
     ring = _RING_FLAGS[args.ring]
-    a = _load_matrix(args.infile)
+    a = _load(args.infile, matrix_from_json)
     if a.ring != ring:
         # The flag names the enumeration universe; integer entries embed.
         if a.ring.kind == "Z" or (
@@ -494,9 +472,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _Malformed as exc:
         _emit_error("malformed-input", str(exc))
         return EXIT_MALFORMED
-    except _Rejected as exc:
-        if exc.report is not None:
-            _emit(out, exc.report)
+    except (_Rejected, UnsupportedRing) as exc:
+        report = getattr(exc, "report", None)
+        if report is not None:
+            _emit(out, report)
         _emit_error("rejected", str(exc))
         return EXIT_REJECTED
     finally:

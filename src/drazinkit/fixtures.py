@@ -62,15 +62,3 @@ def example_quadruple(example_id: str) -> Quadruple:
     mats = example_matrices(example_id)
     return Quadruple(mats["a"], mats["b"], mats["c"], mats["d"])
 
-
-def example_quadruple_rational(example_id: str) -> Quadruple:
-    """The same instance with entries reinterpreted over Q.
-
-    Integer instances embed in the rationals, where the construction
-    operations (index, inverse building, spectra) are available.
-    """
-    if example_id not in _RAW:
-        raise DrazinkitError(f"unknown example {example_id!r}; choose from {EXAMPLE_IDS}")
-    _, raw = _RAW[example_id]
-    mats = {k: SquareMatrix(RING_Q, rows) for k, rows in raw.items()}
-    return Quadruple(mats["a"], mats["b"], mats["c"], mats["d"])

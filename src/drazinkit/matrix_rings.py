@@ -257,6 +257,19 @@ def zmod(n: int) -> RingSpec:
     return RingSpec("Zmod", n)
 
 
+def over_q(a: SquareMatrix) -> SquareMatrix:
+    """a as a matrix over Q, where index, inverses and spectra are built.
+
+    Q matrices come back unchanged and integer matrices embed; any other
+    ring raises UnsupportedRing.
+    """
+    if a.ring.kind == "Q":
+        return a
+    if a.ring.kind == "Z":
+        return SquareMatrix(RING_Q, a.entries)
+    raise UnsupportedRing(f"operation needs Q or Z entries, got {a.ring}")
+
+
 class SquareMatrix:
     """Immutable n-by-n matrix over a RingSpec, entries in canonical form."""
 
@@ -390,42 +403,99 @@ def _require_field(a: SquareMatrix) -> None:
         raise NotAField(f"operation requires a field, got {a.ring}")
 
 
-def _rref(
-    ring: RingSpec, rows: list[list[Scalar]]
-) -> tuple[list[list[Scalar]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
+def _echelon(
+    ring: RingSpec, rows: Sequence[Sequence[Scalar]], ncols: int
+) -> tuple[list[list[Scalar]], list[int], Scalar]:
+    """Forward elimination over a field, on a copy of rows.
+
+    Pivots are sought in the first ncols columns only, each column taking
+    the first nonzero entry at or below the current row. Returns the echelon
+    rows, the pivot columns, and the product of the pivots signed by the row
+    swaps, which is the determinant of a square input of full rank.
+    """
+    m = ring.modulus
+    rows = [list(r) for r in rows]
     pivots: list[int] = []
+    prod = ring.one
     r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if rows[i][c] != ring.zero:
-                pivot_row = i
-                break
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ring.inv_scalar(rows[r][c])
-        rows[r] = [ring.mul(inv, x) for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != ring.zero:
-                f = rows[i][c]
-                rows[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            prod = -prod
+        top = rows[r]
+        p = top[c]
+        if m is None:
+            prod *= p
+            inv = 1 / p
+        else:
+            prod = prod * p % m
+            inv = pow(p, -1, m)
+        for i in range(r + 1, len(rows)):
+            if rows[i][c] != 0:
+                rows[i] = _sub_multiple(rows[i], rows[i][c] * inv, top, m)
         pivots.append(c)
         r += 1
-        if r == n_rows:
-            break
+    return rows, pivots, prod
+
+
+def reduced_echelon(
+    ring: RingSpec, rows: Sequence[Sequence[Scalar]], ncols: int
+) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced row echelon form over a field, pivoting in the first ncols
+    columns only; returns (rows, pivot columns).
+
+    The forward pass is followed by a backward pass that normalises each
+    pivot row and clears the entries above its pivot. For an augmented
+    system [M | v] with ncols the width of M, a nonzero entry of a row below
+    the pivot rows marks the system inconsistent.
+    """
+    rows, pivots, _ = _echelon(ring, rows, ncols)
+    m = ring.modulus
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        if m is None:
+            inv = 1 / rows[r][c]
+            rows[r] = [inv * x for x in rows[r]]
+        else:
+            inv = pow(rows[r][c], -1, m)
+            rows[r] = [inv * x % m for x in rows[r]]
+        for i in range(r):
+            if rows[i][c] != 0:
+                rows[i] = _sub_multiple(rows[i], rows[i][c], rows[r], m)
     return rows, pivots
+
+
+def _sub_multiple(
+    row: list[Scalar], f: Scalar, other: list[Scalar], m: int | None
+) -> list[Scalar]:
+    """row - f * other, reduced mod m over GF(m)."""
+    if m is None:
+        return [x - f * y for x, y in zip(row, other)]
+    return [(x - f * y) % m for x, y in zip(row, other)]
+
+
+def _reduce_with_identity(a: SquareMatrix) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced echelon form [R | P] of [A | I], pivoting in A's columns only.
+
+    P is invertible and P A = R; the pivot count is the rank of A.
+    """
+    one, zero = a.ring.one, a.ring.zero
+    aug = [
+        list(row) + [one if i == j else zero for j in range(a.n)]
+        for i, row in enumerate(a.entries)
+    ]
+    return reduced_echelon(a.ring, aug, a.n)
 
 
 def rank(a: SquareMatrix) -> int:
     """Row rank by exact elimination; fields only."""
     _require_field(a)
-    rows = [list(r) for r in a.entries]
-    _, pivots = _rref(a.ring, rows)
-    return len(pivots)
+    return len(_echelon(a.ring, a.entries, a.n)[1])
 
 
 def inverse(a: SquareMatrix) -> SquareMatrix:
@@ -437,14 +507,9 @@ def inverse(a: SquareMatrix) -> SquareMatrix:
     ring = a.ring
     n = a.n
     if ring.is_field:
-        aug = [list(r) + [ring.one if i == j else ring.zero for j in range(n)]
-               for i, r in enumerate(a.entries)]
-        rows, pivots = _rref(ring, aug)
-        if pivots != list(range(n)):
-            raise NotInvertible(
-                f"rank {len([p for p in pivots if p < n])} < {n}",
-                reason="rank deficiency",
-            )
+        rows, pivots = _reduce_with_identity(a)
+        if len(pivots) < n:
+            raise NotInvertible(f"rank {len(pivots)} < {n}", reason="rank deficiency")
         return SquareMatrix(ring, [row[n:] for row in rows])
     d = det(a)
     if not ring.is_unit_scalar(d):
@@ -480,10 +545,7 @@ def _adjugate(a: SquareMatrix) -> SquareMatrix:
 
 
 def is_invertible(a: SquareMatrix) -> bool:
-    ring = a.ring
-    if ring.kind == "Q":
-        return det(a) != 0
-    return ring.is_unit_scalar(det(a))
+    return a.ring.is_unit_scalar(det(a))
 
 
 def _bareiss(rows: list[list[Scalar]], div: Callable[[Scalar, Scalar], Scalar]) -> Scalar:
@@ -513,65 +575,23 @@ def _bareiss(rows: list[list[Scalar]], div: Callable[[Scalar, Scalar], Scalar]) 
 def det(a: SquareMatrix) -> Scalar:
     """Exact determinant for every supported ring.
 
-    Fields eliminate with division; the integers run Bareiss directly; Z/n
-    lifts to integer representatives, runs Bareiss over Z, and reduces. The
-    lift is exact because reduction mod n is a ring homomorphism.
+    Fields eliminate with division. Z and Z/n take the Bareiss route of
+    det_bareiss: Z/n lifts to integer representatives, runs Bareiss over Z,
+    and reduces, which is exact because reduction mod n is a ring
+    homomorphism.
     """
-    ring = a.ring
-    n = a.n
-    if ring.kind == "Q":
-        rows = [list(r) for r in a.entries]
-        d = Fraction(1)
-        for c in range(n):
-            pivot = None
-            for i in range(c, n):
-                if rows[i][c] != 0:
-                    pivot = i
-                    break
-            if pivot is None:
-                return Fraction(0)
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                d = -d
-            d *= rows[c][c]
-            inv = 1 / rows[c][c]
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    f = rows[i][c] * inv
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-        return d
-    if ring.kind == "GF":
-        p = ring.modulus
-        rows = [list(r) for r in a.entries]
-        d = 1
-        for c in range(n):
-            pivot = None
-            for i in range(c, n):
-                if rows[i][c] % p != 0:
-                    pivot = i
-                    break
-            if pivot is None:
-                return 0
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                d = -d
-            d = d * rows[c][c] % p
-            inv = pow(rows[c][c], -1, p)
-            for i in range(c + 1, n):
-                if rows[i][c] % p != 0:
-                    f = rows[i][c] * inv % p
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[c])]
-        return d % p
-    lifted = [[int(x) for x in row] for row in a.entries]
-    d = _bareiss(lifted, lambda x, y: x // y)
-    return d if ring.kind == "Z" else d % ring.modulus  # type: ignore[operator]
+    if not a.ring.is_field:
+        return det_bareiss(a)
+    _, pivots, prod = _echelon(a.ring, a.entries, a.n)
+    return prod if len(pivots) == a.n else a.ring.zero
 
 
 def det_bareiss(a: SquareMatrix) -> Scalar:
-    """Independent determinant route, used to cross-check det().
+    """Fraction-free determinant, independent of the elimination in det().
 
     Runs the Bareiss recurrence in the fraction field for Q, directly over
-    Z, and on integer lifts for the modular rings.
+    Z, and on integer lifts for the modular rings. Over Q and GF(p) it
+    cross-checks det(); over Z and Z/n it is the route det() takes.
     """
     ring = a.ring
     if ring.kind == "Q":
@@ -591,35 +611,9 @@ def inner_inverse(a: SquareMatrix) -> SquareMatrix:
     _require_field(a)
     ring = a.ring
     n = a.n
-    # Row stage: track P with the same operations, starting from identity.
-    work = [list(r) for r in a.entries]
-    p_rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-    r = 0
-    pivots: list[int] = []
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, n):
-            if work[i][c] != ring.zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        p_rows[r], p_rows[pivot_row] = p_rows[pivot_row], p_rows[r]
-        inv = ring.inv_scalar(work[r][c])
-        work[r] = [ring.mul(inv, x) for x in work[r]]
-        p_rows[r] = [ring.mul(inv, x) for x in p_rows[r]]
-        for i in range(n):
-            if i != r and work[i][c] != ring.zero:
-                f = work[i][c]
-                work[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(work[i], work[r])]
-                p_rows[i] = [
-                    ring.sub(x, ring.mul(f, y)) for x, y in zip(p_rows[i], p_rows[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
+    rows, pivots = _reduce_with_identity(a)
+    work = [row[:n] for row in rows]
+    p_rows = [row[n:] for row in rows]
     # Column stage: clear non-pivot columns, then move pivots to the front.
     q_rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
     for idx, c in enumerate(pivots):
@@ -630,7 +624,6 @@ def inner_inverse(a: SquareMatrix) -> SquareMatrix:
                     work[t][j] = ring.sub(work[t][j], ring.mul(f, work[t][c]))
                     q_rows[t][j] = ring.sub(q_rows[t][j], ring.mul(f, q_rows[t][c]))
     order = pivots + [c for c in range(n) if c not in pivots]
-    work = [[row[c] for c in order] for row in work]
     q_rows = [[row[c] for c in order] for row in q_rows]
     p_mat = SquareMatrix(ring, p_rows)
     q_mat = SquareMatrix(ring, q_rows)

@@ -30,11 +30,11 @@ from .matrix_rings import (
     RING_Q,
     RingSpec,
     SquareMatrix,
-    _rref,
     all_matrices,
     is_invertible,
     is_nilpotent,
     matrix_to_json,
+    reduced_echelon,
 )
 
 DEFAULT_SEED = 0x5EED
@@ -281,8 +281,8 @@ def _solve_by_elimination(
             ]
             row.append(bac.entries[i][j])
             aug.append(row)
-    rows, pivots = _rref(ring, aug)
-    if nn in pivots:
+    rows, pivots = reduced_echelon(ring, aug, nn)
+    if any(row[nn] != ring.zero for row in rows[len(pivots):]):
         raise NoSolution("b X b = b a c is inconsistent")
     free = [col for col in range(nn) if col not in pivots]
     particular = [ring.zero] * nn
@@ -329,8 +329,6 @@ def _solve_by_elimination(
 class Strategy(Enum):
     EXHAUSTIVE = "exhaustive"
     LINEAR_SOLVE = "linear-solve"
-    CLASSICAL = "classical"
-    FIXTURES = "fixtures"
 
 
 @dataclass(frozen=True)
@@ -387,9 +385,8 @@ def enumerate_quadruples(
 
     Exhaustive: every relation-satisfying (a, b, c, d) over the finite ring
     in lexicographic order, pre-screened through the index tables and then
-    re-validated by the Quadruple constructor. Linear-solve and classical:
-    seeded random sampling, budget counts the samples drawn. Fixtures: the
-    two bundled valid demonstration quadruples.
+    re-validated by the Quadruple constructor. Linear-solve: seeded random
+    sampling of (a, b, c) with d solved for; budget counts the samples drawn.
     """
     if space.strategy is Strategy.EXHAUSTIVE:
         ps = get_space(space.ring, space.n)
@@ -418,19 +415,7 @@ def enumerate_quadruples(
                             continue
                         yield Quadruple(els[ai], els[bi], els[ci], els[di])
         return
-    if space.strategy is Strategy.FIXTURES:
-        from .fixtures import example_quadruple
-
-        yield example_quadruple("2.5")
-        yield example_quadruple("3.6")
-        return
     rng = random.Random(seed)
-    if space.strategy is Strategy.CLASSICAL:
-        for _ in range(space.budget):
-            a = random_matrix(space.ring, space.n, rng)
-            b = random_matrix(space.ring, space.n, rng)
-            yield Quadruple(a, b, b, a)
-        return
     for _ in range(space.budget):
         a = random_matrix(space.ring, space.n, rng)
         b = random_matrix(space.ring, space.n, rng)

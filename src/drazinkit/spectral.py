@@ -18,7 +18,13 @@ from typing import Optional, Sequence
 from .drazin_core import Quadruple, drazin_inverse, jacobson_inverse
 from .errors import UnsupportedRing, ZeroLambda
 from .exact_arith import Poly, rational_roots, squarefree_part
-from .matrix_rings import RING_Q, SquareMatrix, is_invertible, matrix_to_json
+from .matrix_rings import (
+    RING_Q,
+    SquareMatrix,
+    is_invertible,
+    matrix_to_json,
+    over_q,
+)
 
 DEFAULT_LAMBDAS: tuple[Fraction, ...] = (
     Fraction(1),
@@ -31,21 +37,13 @@ DEFAULT_LAMBDAS: tuple[Fraction, ...] = (
 )
 
 
-def _to_rational(a: SquareMatrix) -> SquareMatrix:
-    if a.ring.kind == "Q":
-        return a
-    if a.ring.kind == "Z":
-        return SquareMatrix(RING_Q, [list(row) for row in a.entries])
-    raise UnsupportedRing(f"characteristic polynomial needs Q or Z, got {a.ring}")
-
-
 def char_poly(a: SquareMatrix) -> Poly:
     """Monic characteristic polynomial det(lambda I - a) over Q.
 
     Computed by the Faddeev-LeVerrier trace recurrence, which stays in
     exact rational arithmetic and needs no pivoting.
     """
-    aq = _to_rational(a)
+    aq = over_q(a)
     n = aq.n
     coeffs = [Fraction(1)] + [Fraction(0)] * n  # highest degree first
     m = SquareMatrix.identity(RING_Q, n)
@@ -224,13 +222,11 @@ def quadruple_spectrum_report(
     if lambdas is None:
         lambdas = transfer_lambdas(q)
     transfer = invertibility_transfer(q, lambdas)
-    ac_q = _to_rational(q.ac)
-    bd_q = _to_rational(q.bd)
     return {
         "ac": matrix_to_json(q.ac),
         "bd": matrix_to_json(q.bd),
-        "ac_drazin_invertible": drazin_inverse(ac_q).valid,
-        "bd_drazin_invertible": drazin_inverse(bd_q).valid,
+        "ac_drazin_invertible": drazin_inverse(over_q(q.ac)).valid,
+        "bd_drazin_invertible": drazin_inverse(over_q(q.bd)).valid,
         "comparison": comparison.to_json(),
         "transfer": transfer.to_json(),
     }

@@ -139,6 +139,21 @@ class TestDrazin:
         assert code == 1
         assert "oracle" in json.loads(err)["detail"]
 
+    def test_gdrazin_over_gf5(self, capsys, tmp_path):
+        # GF(5) 2x2 has 625 matrices, past the 512-element enumeration
+        # tables; the g-Drazin core is checked by nilpotency instead.
+        path = write_json(
+            tmp_path / "gf5.json",
+            {"ring": {"GF": 5}, "rows": [["1", "2"], ["2", "4"]]},
+        )
+        code, out, _ = run(capsys, "drazin", "--in", path, "--flavor", "gdrazin")
+        assert code == 0
+        report = json.loads(out)
+        assert report["valid"] is True
+        assert {"check": "core-qnil", "pass": True, "witness": "(a - a^2 x)^2 = 0"} in (
+            report["transcript"]
+        )
+
 
 class TestCline:
     def test_second_instance(self, capsys, tmp_path):
@@ -157,6 +172,22 @@ class TestCline:
         code, out, err = run(capsys, "cline", "--in", quad_file(tmp_path, "2.4"))
         assert code == 1
         assert json.loads(out)["accepted"] is False
+
+    def test_gdrazin_over_gf5(self, capsys, tmp_path):
+        # A classical (a, b, b, a) quadruple over GF(5): both certificates
+        # check the g-Drazin core without the 512-element tables.
+        a = [["1", "2"], ["3", "4"]]
+        b = [["0", "1"], ["1", "1"]]
+        ring = {"GF": 5}
+        path = write_json(
+            tmp_path / "quad_gf5.json",
+            {k: {"ring": ring, "rows": rows} for k, rows in zip("abcd", (a, b, b, a))},
+        )
+        code, out, _ = run(capsys, "cline", "--in", path, "--flavor", "gdrazin")
+        assert code == 0
+        report = json.loads(out)
+        assert report["ac_certificate"]["valid"] is True
+        assert report["bd_certificate"]["valid"] is True
 
 
 class TestJacobson:

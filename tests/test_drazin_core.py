@@ -27,16 +27,26 @@ from drazinkit.errors import (
     NotInvertible,
     RelationViolation,
 )
-from drazinkit.fixtures import (
-    example_matrices,
-    example_quadruple,
-    example_quadruple_rational,
+from drazinkit.fixtures import example_matrices, example_quadruple
+from drazinkit.matrix_rings import (
+    RING_Q,
+    RING_Z,
+    SquareMatrix,
+    gf,
+    inverse,
+    over_q,
+    zmod,
 )
-from drazinkit.matrix_rings import RING_Q, RING_Z, SquareMatrix, gf, inverse, zmod
 
 
 def m(ring, rows) -> SquareMatrix:
     return SquareMatrix(ring, rows)
+
+
+def integer_demo_over_q() -> Quadruple:
+    """Instance 3.6 with its integer entries read over Q."""
+    q = example_quadruple("3.6")
+    return Quadruple(*(over_q(x) for x in (q.a, q.b, q.c, q.d)))
 
 
 def q_matrices(n: int, lo: int = -3, hi: int = 3):
@@ -189,11 +199,12 @@ class TestVerifyAxioms:
         cert = verify_axioms(eye, SquareMatrix.zeros(RING_Q, 2), Flavor.DRAZIN)
         assert not cert.valid
 
-    def test_gdrazin_over_finite_ring_uses_unit_definition(self):
+    def test_gdrazin_over_finite_ring_checks_nilpotency(self):
         two = m(zmod(4), [[2]])
         cert = verify_axioms(two, SquareMatrix.zeros(zmod(4), 1), Flavor.GDRAZIN)
         assert cert.valid
         assert any(c.check == "core-qnil" for c in cert.checks)
+        assert "(a - a^2 x)^2 = 0" in [c.witness for c in cert.checks]
 
 
 class TestQuadruple:
@@ -245,7 +256,7 @@ class TestClineGeneralized:
         assert result.classification == "index-2"
 
     def test_integer_demo_instance_over_q(self):
-        q = example_quadruple_rational("3.6")
+        q = integer_demo_over_q()
         result = cline_generalized(q, Flavor.DRAZIN)
         assert result.h_cert.inverse.is_zero and result.h_cert.index == 1
         assert result.e_cert.inverse.is_zero and result.e_cert.index == 2
@@ -272,7 +283,7 @@ class TestClineGeneralized:
         assert result.e_cert.valid and result.e_cert.inverse.is_zero
 
     def test_group_flavor_classifies_trichotomy(self):
-        q = example_quadruple_rational("3.6")
+        q = integer_demo_over_q()
         result = cline_generalized(q, Flavor.GROUP)
         # ac = 0 has a group inverse; bd is nilpotent of index 2, landing
         # in the third branch of the classification

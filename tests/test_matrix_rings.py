@@ -1,5 +1,6 @@
 """Coefficient rings, exact matrices, elimination, and radical tests."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,24 @@ from drazinkit.matrix_rings import (
 
 def m(ring: RingSpec, rows: list) -> SquareMatrix:
     return SquareMatrix(ring, rows)
+
+
+def leibniz_det(a: SquareMatrix) -> int:
+    """Signed sum over permutations, reduced mod n over Z/n.
+
+    Shares no code with det or det_bareiss, which both run the Bareiss
+    recurrence over Z and Z/n.
+    """
+    total = 0
+    for perm in itertools.permutations(range(a.n)):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(a.n) for j in range(i + 1, a.n)
+        )
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= a.entries[i][j]
+        total += term
+    return total % a.ring.modulus if a.ring.is_finite else total
 
 
 def entries_strategy(ring: RingSpec, n: int):
@@ -210,6 +229,17 @@ class TestDet:
     @given(entries_strategy(RING_Z, 3))
     def test_bareiss_route_agrees_over_z(self, a):
         assert det(a) == det_bareiss(a)
+
+    @given(st.one_of(entries_strategy(gf(5), 3), entries_strategy(gf(7), 3)))
+    def test_bareiss_route_agrees_over_gf(self, a):
+        assert det(a) == det_bareiss(a)
+
+    @pytest.mark.parametrize("ring", [RING_Z, zmod(12)], ids=str)
+    @given(data=st.data())
+    def test_leibniz_expansion_agrees(self, ring, data):
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        a = data.draw(entries_strategy(ring, n))
+        assert det(a) == det_bareiss(a) == leibniz_det(a)
 
 
 class TestInnerInverse:

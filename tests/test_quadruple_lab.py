@@ -16,6 +16,7 @@ from drazinkit.matrix_rings import (
     SquareMatrix,
     all_matrices,
     gf,
+    is_nilpotent,
     zmod,
 )
 from drazinkit.quadruple_lab import (
@@ -96,6 +97,13 @@ class TestQnil:
 
     def test_nilpotent_matrix(self):
         assert is_qnil_by_definition(m(GF2, [[0, 1], [0, 0]]))
+
+    @pytest.mark.parametrize("ring", [GF2, gf(3), Z4], ids=str)
+    def test_nilpotency_matches_the_definition(self, ring):
+        # verify_axioms checks the g-Drazin core by nilpotency; the
+        # definitional sweep over the commutant is the oracle for that.
+        for e in all_matrices(ring, 2):
+            assert is_nilpotent(e)[0] == is_qnil_by_definition(e), e
 
 
 class TestQnilTransfer:
@@ -264,24 +272,6 @@ class TestEnumeration:
                             budget=100)
         with pytest.raises(BudgetExceeded):
             list(enumerate_quadruples(space))
-
-    def test_fixture_strategy_yields_the_two_valid_instances(self):
-        space = SearchSpace(ring=RING_Q, n=2, strategy=Strategy.FIXTURES,
-                            budget=4)
-        quads = list(enumerate_quadruples(space))
-        assert quads == [example_quadruple("2.5"), example_quadruple("3.6")]
-
-    def test_classical_strategy_is_deterministic(self):
-        space = SearchSpace(ring=gf(3), n=2, strategy=Strategy.CLASSICAL,
-                            budget=20)
-        first = list(enumerate_quadruples(space, seed=9))
-        second = list(enumerate_quadruples(space, seed=9))
-        other = list(enumerate_quadruples(space, seed=10))
-        assert first == second
-        assert len(first) == 20
-        assert first != other
-        for q in first:
-            assert q.c == q.b and q.d == q.a
 
     def test_linear_solve_strategy_emits_valid_quadruples(self):
         space = SearchSpace(ring=Z4, n=2, strategy=Strategy.LINEAR_SOLVE,

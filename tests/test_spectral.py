@@ -9,8 +9,15 @@ from hypothesis import strategies as st
 from drazinkit.drazin_core import Quadruple, jacobson_inverse
 from drazinkit.errors import UnsupportedRing, ZeroLambda
 from drazinkit.exact_arith import Poly
-from drazinkit.fixtures import example_quadruple, example_quadruple_rational
-from drazinkit.matrix_rings import RING_Q, RING_Z, SquareMatrix, det_bareiss, gf
+from drazinkit.fixtures import example_quadruple
+from drazinkit.matrix_rings import (
+    RING_Q,
+    RING_Z,
+    SquareMatrix,
+    det_bareiss,
+    gf,
+    over_q,
+)
 from drazinkit.spectral import (
     DEFAULT_LAMBDAS,
     SpectrumSummary,
@@ -25,6 +32,12 @@ from drazinkit.spectral import (
 
 def m(ring, rows) -> SquareMatrix:
     return SquareMatrix(ring, rows)
+
+
+def integer_demo_over_q() -> Quadruple:
+    """Instance 3.6 with its integer entries read over Q."""
+    q = example_quadruple("3.6")
+    return Quadruple(*(over_q(x) for x in (q.a, q.b, q.c, q.d)))
 
 
 def poly(*coeffs) -> Poly:
@@ -104,7 +117,7 @@ class TestNonzeroSpectrumEqual:
         assert report.equal
 
     def test_integer_demo_products_both_nilpotent(self):
-        q = example_quadruple_rational("3.6")
+        q = integer_demo_over_q()
         report = nonzero_spectrum_equal(q.ac, q.bd)
         assert report.equal
         assert report.left.nonzero_part == poly(1)
@@ -153,7 +166,7 @@ class TestScaledQuadruple:
 
 class TestInvertibilityTransfer:
     def test_integer_demo_instance_at_lambda_one(self):
-        q = example_quadruple_rational("3.6")
+        q = integer_demo_over_q()
         report = invertibility_transfer(q, [Fraction(1)])
         row = report.rows[0]
         assert row.ac_side_invertible and row.bd_side_invertible
@@ -201,7 +214,7 @@ class TestTransferLambdas:
         assert Fraction(7) in transfer_lambdas(q)
 
     def test_never_includes_zero(self):
-        q = example_quadruple_rational("3.6")
+        q = integer_demo_over_q()
         assert Fraction(0) not in transfer_lambdas(q)
 
 

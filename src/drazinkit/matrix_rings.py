@@ -15,7 +15,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -257,6 +258,12 @@ def zmod(n: int) -> RingSpec:
     return RingSpec("Zmod", n)
 
 
+def _numerators(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[list[list[int]], int]:
+    """Integer numerators of a Q matrix over the lcm d of its denominators."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
 def over_q(a: SquareMatrix) -> SquareMatrix:
     """a as a matrix over Q, where index, inverses and spectra are built.
 
@@ -293,14 +300,30 @@ class SquareMatrix:
         raise AttributeError("SquareMatrix is immutable")
 
     @classmethod
+    def _trusted(
+        cls, ring: RingSpec, entries: tuple[tuple[Scalar, ...], ...]
+    ) -> "SquareMatrix":
+        """A matrix from entries that are canonical by construction.
+
+        entries must be a square tuple of tuples already in the ring's
+        canonical form (Fraction over Q, int in [0, m) over GF(m) and Z/m);
+        nothing is checked. Outside data goes through SquareMatrix(...).
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "n", len(entries))
+        object.__setattr__(self, "entries", entries)
+        return self
+
+    @classmethod
     def identity(cls, ring: RingSpec, n: int) -> "SquareMatrix":
         one, zero = ring.one, ring.zero
-        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        return cls._trusted(ring, rows)
 
     @classmethod
     def zeros(cls, ring: RingSpec, n: int) -> "SquareMatrix":
-        zero = ring.zero
-        return cls(ring, [[zero] * n for _ in range(n)])
+        return cls._trusted(ring, ((ring.zero,) * n,) * n)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -332,55 +355,64 @@ class SquareMatrix:
             acc = self.ring.add(acc, self.entries[i][i])
         return acc
 
-    def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
+    def _entrywise(
+        self, other: "SquareMatrix", op: Callable[[Scalar, Scalar], Scalar]
+    ) -> "SquareMatrix":
         self._require_compatible(other)
-        add = self.ring.add
-        return SquareMatrix(
+        return SquareMatrix._trusted(
             self.ring,
-            [
-                [add(x, y) for x, y in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
+            tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
         )
 
+    def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
+        return self._entrywise(other, self.ring.add)
+
     def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
-        self._require_compatible(other)
-        sub = self.ring.sub
-        return SquareMatrix(
-            self.ring,
-            [
-                [sub(x, y) for x, y in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
+        return self._entrywise(other, self.ring.sub)
 
     def __neg__(self) -> "SquareMatrix":
         neg = self.ring.neg
-        return SquareMatrix(self.ring, [[neg(x) for x in row] for row in self.entries])
+        return SquareMatrix._trusted(
+            self.ring, tuple(tuple(map(neg, row)) for row in self.entries)
+        )
 
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
+        """Row-by-column integer dot products, one per output entry.
+
+        Over Q each factor is scaled to integer numerators over the lcm of
+        its denominators, so an entry is one integer dot product put over
+        the product of the two common denominators: one normalisation per
+        entry. Over GF(m) and Z/m the dot product is reduced mod m.
+        """
         self._require_compatible(other)
-        n = self.n
-        a = self.entries
-        b = other.entries
-        cols = [tuple(b[k][j] for k in range(n)) for j in range(n)]
-        finite = self.ring.is_finite
-        m = self.ring.modulus
-        out = []
-        for i in range(n):
-            ai = a[i]
-            row = []
-            for j in range(n):
-                cj = cols[j]
-                s = sum(ai[k] * cj[k] for k in range(n))
-                row.append(s % m if finite else s)
-            out.append(row)
-        return SquareMatrix(self.ring, out)
+        ring = self.ring
+        if ring.kind == "Q":
+            a, da = _numerators(self.entries)
+            b, db = _numerators(other.entries)
+            d = da * db
+            cols = tuple(zip(*b))
+            rows = tuple(
+                tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in a
+            )
+        elif ring.is_finite:
+            m = ring.modulus
+            cols = tuple(zip(*other.entries))
+            rows = tuple(
+                tuple(sum(map(mul, row, col)) % m for col in cols) for row in self.entries
+            )
+        else:
+            cols = tuple(zip(*other.entries))
+            rows = tuple(
+                tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries
+            )
+        return SquareMatrix._trusted(ring, rows)
 
     def scalar_mul(self, c: Scalar) -> "SquareMatrix":
         c = self.ring.canon(c)
-        mul = self.ring.mul
-        return SquareMatrix(self.ring, [[mul(c, x) for x in row] for row in self.entries])
+        times = self.ring.mul
+        return SquareMatrix._trusted(
+            self.ring, tuple(tuple(times(c, x) for x in row) for row in self.entries)
+        )
 
     def power(self, k: int) -> "SquareMatrix":
         if k < 0:
@@ -610,6 +642,7 @@ def inner_inverse(a: SquareMatrix) -> SquareMatrix:
     """
     _require_field(a)
     ring = a.ring
+    m = ring.modulus
     n = a.n
     rows, pivots = _reduce_with_identity(a)
     work = [row[:n] for row in rows]
@@ -618,11 +651,12 @@ def inner_inverse(a: SquareMatrix) -> SquareMatrix:
     q_rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
     for idx, c in enumerate(pivots):
         for j in range(n):
-            if j != c and work[idx][j] != ring.zero:
-                f = work[idx][j]
-                for t in range(n):
-                    work[t][j] = ring.sub(work[t][j], ring.mul(f, work[t][c]))
-                    q_rows[t][j] = ring.sub(q_rows[t][j], ring.mul(f, q_rows[t][c]))
+            f = work[idx][j]
+            if j != c and f != 0:
+                for mat in (work, q_rows):
+                    for row in mat:
+                        x = row[j] - f * row[c]
+                        row[j] = x if m is None else x % m
     order = pivots + [c for c in range(n) if c not in pivots]
     q_rows = [[row[c] for c in order] for row in q_rows]
     p_mat = SquareMatrix(ring, p_rows)

@@ -171,10 +171,15 @@ def is_qnil_by_definition(a: SquareMatrix) -> bool:
     return space.is_qnil(space.index[a])
 
 
+def _fits_space_budget(ring: RingSpec, n: int) -> bool:
+    return ring.is_finite and ring.modulus ** (n * n) <= MAX_SPACE_ELEMENTS
+
+
 def _is_qnil_any_ring(a: SquareMatrix) -> bool:
-    # Fields and Z are handled by nilpotency, which coincides with the
-    # definitional property in matrix rings over fields and embeds Z in Q.
-    if a.ring.is_finite:
+    # Small finite spaces use the definitional sweep. Everywhere else
+    # nilpotency decides: the two coincide in matrix rings over finite rings
+    # and fields, and Z embeds in Q (Koliha 1996).
+    if _fits_space_budget(a.ring, a.n):
         return is_qnil_by_definition(a)
     return is_nilpotent(a)[0]
 
@@ -186,7 +191,7 @@ def qnil_transfer_check(q: Quadruple) -> dict[str, object]:
     bd_qnil = _is_qnil_any_ring(q.bd)
     holds = (not ac_qnil) or bd_qnil
     witness: Optional[dict[str, object]] = None
-    if not holds and q.ring.is_finite:
+    if not holds and _fits_space_budget(q.ring, q.n):
         space = get_space(q.ring, q.n)
         bd_idx = space.index[q.bd]
         for x in space.comm_indices(bd_idx):
@@ -233,7 +238,7 @@ def solve_for_d(
     if budget < 1:
         raise DrazinkitError("budget must be >= 1")
     ring = a.ring
-    if ring.is_finite and ring.modulus ** (a.n * a.n) <= MAX_SPACE_ELEMENTS:
+    if _fits_space_budget(ring, a.n):
         return _solve_by_enumeration(a, b, c, budget)
     if ring.is_field:
         return _solve_by_elimination(a, b, c, budget)
@@ -389,13 +394,16 @@ def enumerate_quadruples(
     sampling of (a, b, c) with d solved for; budget counts the samples drawn.
     """
     if space.strategy is Strategy.EXHAUSTIVE:
+        # Count before building the tables; a space over the element budget
+        # is still reported first, by get_space.
+        if _fits_space_budget(space.ring, space.n):
+            total = space.ring.modulus ** (space.n * space.n * 4)
+            if total > space.budget:
+                raise BudgetExceeded(
+                    f"exhaustive sweep needs {total} candidates, budget is {space.budget}"
+                )
         ps = get_space(space.ring, space.n)
         m = len(ps.elements)
-        total = m**4
-        if total > space.budget:
-            raise BudgetExceeded(
-                f"exhaustive sweep needs {total} candidates, budget is {space.budget}"
-            )
         mul = ps.mul
         els = ps.elements
         for ai in range(m):

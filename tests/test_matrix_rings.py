@@ -58,9 +58,9 @@ def leibniz_det(a: SquareMatrix) -> int:
     return total % a.ring.modulus if a.ring.is_finite else total
 
 
-def entries_strategy(ring: RingSpec, n: int):
+def entries_strategy(ring: RingSpec, n: int, max_denominator: int = 4):
     if ring.kind == "Q":
-        cell = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+        cell = st.fractions(min_value=-5, max_value=5, max_denominator=max_denominator)
     elif ring.kind == "Z":
         cell = st.integers(min_value=-5, max_value=5)
     else:
@@ -68,6 +68,47 @@ def entries_strategy(ring: RingSpec, n: int):
     return st.lists(
         st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n
     ).map(lambda rows: SquareMatrix(ring, rows))
+
+
+def reference_product(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
+    """Triple loop through the ring's scalar add and mul, one entry at a time."""
+    ring = a.ring
+    rows = []
+    for i in range(a.n):
+        row = []
+        for j in range(a.n):
+            acc = ring.zero
+            for k in range(a.n):
+                acc = ring.add(acc, ring.mul(a.entries[i][k], b.entries[k][j]))
+            row.append(acc)
+        rows.append(row)
+    return SquareMatrix(ring, rows)
+
+
+def assert_canonical(r: SquareMatrix) -> None:
+    """Entries as SquareMatrix(...) would store them, at the right types."""
+    assert type(r.entries) is tuple and len(r.entries) == r.n
+    for row in r.entries:
+        assert type(row) is tuple and len(row) == r.n
+        for x in row:
+            if r.ring.kind == "Q":
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int
+                if r.ring.is_finite:
+                    assert 0 <= x < r.ring.modulus
+    again = SquareMatrix(r.ring, r.entries)
+    assert r == again and hash(r) == hash(again)
+
+
+# Every ring kind the product kernel branches on; Q with denominators up to
+# 12 so that the two common denominators differ and the result needs reducing.
+KERNEL_RINGS = [RING_Q, RING_Z, gf(5), gf(7), zmod(4), zmod(12)]
+
+
+def kernel_operands(data, ring: RingSpec, count: int) -> list[SquareMatrix]:
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    return [data.draw(entries_strategy(ring, n, max_denominator=12)) for _ in range(count)]
 
 
 class TestRingSpec:
@@ -145,6 +186,25 @@ class TestMatrixBasics:
         n = m(RING_Q, [[0, 1], [0, 0]])
         assert n.power(0) == SquareMatrix.identity(RING_Q, 2)
         assert n.power(2).is_zero
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @given(data=st.data())
+    def test_product_matches_reference(self, ring, data):
+        a, b = kernel_operands(data, ring, 2)
+        assert a * b == reference_product(a, b)
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @given(data=st.data())
+    def test_arithmetic_results_are_canonical(self, ring, data):
+        a, b = kernel_operands(data, ring, 2)
+        c = data.draw(
+            st.fractions(min_value=-5, max_value=5, max_denominator=12)
+            if ring.kind == "Q" else st.integers(min_value=-20, max_value=20)
+        )
+        results = (a * b, a + b, a - b, -a, a.scalar_mul(c),
+                   SquareMatrix.identity(ring, a.n), SquareMatrix.zeros(ring, a.n))
+        for r in results:
+            assert_canonical(r)
 
     def test_hashable_value_semantics(self):
         x = m(gf(2), [[1, 0], [0, 1]])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import drazinkit.quadruple_lab as quadruple_lab
 from drazinkit.drazin_core import Flavor, Quadruple
 from drazinkit.errors import BudgetExceeded, DrazinkitError, NoSolution
 from drazinkit.fixtures import example_matrices, example_quadruple
@@ -118,6 +119,18 @@ class TestQnilTransfer:
     def test_zero_quadruple(self):
         zero = SquareMatrix.zeros(GF2, 2)
         report = qnil_transfer_check(Quadruple(zero, zero, zero, zero))
+        assert report["holds"] and report["witness"] is None
+
+    def test_space_over_the_budget_decides_by_nilpotency(self):
+        # M2(GF(5)) has 625 elements, over the table budget, so the
+        # definitional sweep is out of reach; nilpotency decides instead.
+        gf5 = gf(5)
+        a = m(gf5, [[1, 2], [3, 4]])
+        b = m(gf5, [[0, 1], [1, 1]])
+        q = Quadruple(a, b, b, a)
+        report = qnil_transfer_check(q)
+        assert report["ac_qnil"] == is_nilpotent(q.ac)[0]
+        assert report["bd_qnil"] == is_nilpotent(q.bd)[0]
         assert report["holds"] and report["witness"] is None
 
 
@@ -271,6 +284,25 @@ class TestEnumeration:
         space = SearchSpace(ring=GF2, n=2, strategy=Strategy.EXHAUSTIVE,
                             budget=100)
         with pytest.raises(BudgetExceeded):
+            list(enumerate_quadruples(space))
+
+    def test_budget_checked_before_the_tables_are_built(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("PackedSpace built for a sweep over budget")
+
+        monkeypatch.setattr(quadruple_lab, "_SPACES", {})
+        monkeypatch.setattr(quadruple_lab, "PackedSpace", no_build)
+        space = SearchSpace(ring=GF2, n=3, strategy=Strategy.EXHAUSTIVE,
+                            budget=1_000_000)
+        with pytest.raises(BudgetExceeded, match=(
+            "^exhaustive sweep needs 68719476736 candidates, budget is 1000000$"
+        )):
+            list(enumerate_quadruples(space))
+
+    def test_space_size_error_keeps_its_precedence(self):
+        space = SearchSpace(ring=gf(3), n=3, strategy=Strategy.EXHAUSTIVE,
+                            budget=10)
+        with pytest.raises(BudgetExceeded, match="^GF\\(3\\) dimension 3 has 19683"):
             list(enumerate_quadruples(space))
 
     def test_linear_solve_strategy_emits_valid_quadruples(self):

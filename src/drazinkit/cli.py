@@ -22,7 +22,7 @@ from .drazin_core import (
     Flavor,
     Quadruple,
     cline_generalized,
-    drazin_inverse,
+    flavor_inverse,
     group_inverse,
     intertwining_report,
     jacobson_inverse,
@@ -58,7 +58,7 @@ from .quadruple_lab import (
     enumerate_quadruples,
     qnil_transfer_check,
 )
-from .spectral import quadruple_spectrum_report, scaled_quadruple
+from .spectral import quadruple_spectrum_report
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -100,7 +100,9 @@ def _load(path: str, from_json: Callable[[object], T]) -> T:
             obj = json.load(fh)
     except OSError as exc:
         raise _Malformed(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, and so is
+        # an integer over the digit limit; RecursionError is nesting too deep.
         raise _Malformed(f"invalid JSON in {path}: {exc}") from exc
     try:
         return from_json(obj)
@@ -205,21 +207,10 @@ def _construct_flavor_certificate(
             f"construction requires a field coefficient ring, got {a.ring}; "
             "use the oracle command for finite rings"
         )
-    if flavor is Flavor.GROUP:
-        try:
-            return group_inverse(a)
-        except NoGroupInverse as exc:
-            raise _Rejected(f"no group inverse: {exc}") from exc
-    base = drazin_inverse(a)
-    if flavor is Flavor.DRAZIN:
-        return base
     try:
-        cert = verify_axioms(a, base.inverse, flavor)
-    except BudgetExceeded as exc:
-        raise _Rejected(str(exc)) from exc
-    if not cert.valid:
-        raise _Rejected(f"{flavor.value} verification failed")
-    return cert
+        return flavor_inverse(a, flavor)
+    except NoGroupInverse as exc:
+        raise _Rejected(f"no group inverse: {exc}") from exc
 
 
 def _cmd_drazin(args: argparse.Namespace, out: TextIO) -> int:
@@ -263,9 +254,9 @@ def _cmd_jacobson(args: argparse.Namespace, out: TextIO) -> int:
     if lam == 0:
         raise _Malformed("--lambda must be nonzero")
     if lam != 1:
-        q = scaled_quadruple(_quadruple_over_q(q), lam)
+        q = _quadruple_over_q(q)
     try:
-        inv = jacobson_inverse(q)
+        inv = jacobson_inverse(q, lam)
     except NotInvertible as exc:
         raise _Rejected(
             f"1 - (a/lambda) c is not invertible at lambda = {lam}: {exc}"

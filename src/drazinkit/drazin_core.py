@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -24,8 +25,11 @@ from .errors import (
     NotInvertible,
     RelationViolation,
     RingMismatch,
+    UnsupportedRing,
+    ZeroLambda,
 )
 from .matrix_rings import (
+    Scalar,
     SquareMatrix,
     _nilpotency_bound,
     in_radical,
@@ -210,10 +214,10 @@ def verify_intertwining(
     differing entries. Callers that prefer an exception can construct
     Quadruple directly; it raises RelationViolation carrying this report.
     """
-    report = intertwining_report(a, b, c, d)
-    if not report["accepted"]:
-        return report
-    return Quadruple(a, b, c, d)
+    try:
+        return Quadruple(a, b, c, d)
+    except RelationViolation as exc:
+        return exc.report
 
 
 # -- index and axiom verification -------------------------------------------------
@@ -352,6 +356,27 @@ def group_inverse(
     return regroup
 
 
+def flavor_inverse(a: SquareMatrix, flavor: Flavor) -> DrazinCertificate:
+    """The flavor-inverse of a over a field, constructed and verified once.
+
+    group_inverse raises NoGroupInverse when the index exceeds 1. The other
+    flavors reuse the Drazin certificate; the pdrazin and gdrazin axioms are
+    verified on its inverse, and a failure raises FormulaViolation (always
+    an implementation bug: over a field the Drazin inverse is both).
+    """
+    if flavor is Flavor.GROUP:
+        return group_inverse(a)
+    base = drazin_inverse(a)
+    if flavor is Flavor.DRAZIN:
+        return base
+    cert = verify_axioms(a, base.inverse, flavor)
+    if not cert.valid:
+        raise FormulaViolation(
+            f"constructed inverse fails {flavor.value} re-verification"
+        )
+    return cert
+
+
 def no_group_inverse_reason(a: SquareMatrix) -> Optional[str]:
     """A ring-independent proof that a has no group inverse, when one exists.
 
@@ -417,15 +442,8 @@ def cline_generalized(
             raise DrazinkitError(
                 f"supplied candidate fails the {flavor.value} axioms for ac"
             )
-    elif flavor is Flavor.GROUP:
-        h_cert = group_inverse(ac)
     else:
-        base = drazin_inverse(ac)
-        h_cert = verify_axioms(ac, base.inverse, flavor)
-        if not h_cert.valid:
-            raise FormulaViolation(
-                f"constructed inverse fails {flavor.value} re-verification"
-            )
+        h_cert = flavor_inverse(ac, flavor)
     e = q.b * h_cert.inverse * h_cert.inverse * q.d
     e_flavor = Flavor.DRAZIN if flavor is Flavor.GROUP else flavor
     e_cert = verify_axioms(bd, e, e_flavor)
@@ -456,17 +474,29 @@ def cline_classical(
     return cline_generalized(q, flavor).e_cert
 
 
-def jacobson_inverse(q: Quadruple) -> SquareMatrix:
-    """(1 - bd)^(-1) as 1 + b (1 - ac)^(-1) d.
+def jacobson_inverse(q: Quadruple, lam: Scalar = 1) -> SquareMatrix:
+    """(1 - b (d/lambda))^(-1) as 1 + b (1 - ac/lambda)^(-1) (d/lambda).
 
-    Raises NotInvertible when 1 - ac is singular; the output is verified as
-    a two-sided inverse of 1 - bd before it is returned, and a verification
-    failure raises FormulaViolation (always an implementation bug).
+    The unit transfer: lambda - bd is a unit whenever lambda - ac is. The
+    relations are homogeneous of degree one in (a, d) jointly, so the scaled
+    quadruple (a/lambda, b, c, d/lambda) is valid with q and is never built.
+    Raises ZeroLambda for lambda = 0, UnsupportedRing for lambda != 1
+    outside Q, and NotInvertible when 1 - ac/lambda is singular. The output
+    is verified as a two-sided inverse before it is returned, and a failure
+    raises FormulaViolation (always an implementation bug).
     """
+    if lam == 0:
+        raise ZeroLambda("lambda must be nonzero")
+    ac, d, bd = q.ac, q.d, q.bd
+    if lam != 1:
+        if q.ring.kind != "Q":
+            raise UnsupportedRing(f"scaling needs Q, got {q.ring}")
+        inv = 1 / Fraction(lam)
+        ac, d, bd = ac.scalar_mul(inv), d.scalar_mul(inv), bd.scalar_mul(inv)
     ident = SquareMatrix.identity(q.ring, q.n)
-    u_inv = inverse(ident - q.ac)
-    result = ident + q.b * u_inv * q.d
-    v = ident - q.bd
+    u_inv = inverse(ident - ac)
+    result = ident + q.b * u_inv * d
+    v = ident - bd
     if v * result != ident or result * v != ident:
         raise FormulaViolation("1 + b (1 - ac)^(-1) d failed to invert 1 - bd")
     return result

@@ -29,6 +29,17 @@ RAT_ONE = Fraction(1)
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
 
 
+def int_literal(digits: str) -> int:
+    """int() of a matched integer literal; one over the interpreter's
+    digit limit is a parse error like any other malformed literal."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise DrazinkitError(
+            f"integer literal of {len(digits.strip())} characters is too long"
+        ) from exc
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" into a canonical rational.
 
@@ -38,11 +49,11 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise DrazinkitError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
+    num = int_literal(m.group(1))
     den_text = m.group(2)
     if den_text is None:
         return Fraction(num)
-    den = int(den_text)
+    den = int_literal(den_text)
     if den == 0:
         raise DivisionByZero(f"zero denominator in {text!r}")
     if den < 0:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence
@@ -28,7 +27,7 @@ from .errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from .exact_arith import format_rational, parse_rational
+from .exact_arith import format_rational, int_literal, parse_rational
 
 Scalar = Fraction | int
 
@@ -61,19 +60,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _factorize(n: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
 
 
 @dataclass(frozen=True)
@@ -111,33 +97,6 @@ class RingSpec:
     @property
     def scalar_count(self) -> int | None:
         return self.modulus if self.is_finite else None
-
-    @cached_property
-    def _factorization(self) -> dict[int, int]:
-        if self.modulus is None:
-            return {}
-        return _factorize(self.modulus)
-
-    @property
-    def radical_modulus(self) -> int | None:
-        """Product of the distinct primes dividing the modulus; Zmod only.
-
-        rad(Z/n) = mZ/n for this m, and rad of the matrix ring consists of
-        the matrices with every entry divisible by m.
-        """
-        if self.kind != "Zmod":
-            return None
-        m = 1
-        for p in self._factorization:
-            m *= p
-        return m
-
-    @property
-    def max_prime_exponent(self) -> int:
-        """Largest exponent in the modulus factorization; 1 for fields."""
-        if not self._factorization:
-            return 1
-        return max(self._factorization.values())
 
     # -- scalar arithmetic ----------------------------------------------------
 
@@ -209,10 +168,10 @@ class RingSpec:
         if self.kind == "Z":
             if not _INT_RE.match(text.strip()):
                 raise DrazinkitError(f"not an integer literal: {text!r}")
-            return int(text)
+            return int_literal(text)
         if not _NONNEG_RE.match(text.strip()):
             raise DrazinkitError(f"not a residue literal: {text!r}")
-        v = int(text)
+        v = int_literal(text)
         if v >= self.modulus:  # type: ignore[operator]
             raise DrazinkitError(f"residue {v} out of range for {self}")
         return v
@@ -675,10 +634,11 @@ def inner_inverse(a: SquareMatrix) -> SquareMatrix:
 
 def _nilpotency_bound(a: SquareMatrix) -> int:
     # Over a field or Z the degree of a nilpotent n x n matrix is at most n.
-    # Over Z/n reduce mod each prime power p^e: the matrix is nilpotent mod p,
-    # so its n-th power is divisible by p, and the (n*e)-th by p^e.
+    # Over Z/m reduce mod each prime power p^e: the matrix is nilpotent mod p,
+    # so its n-th power is divisible by p, and the (n*e)-th by p^e. Every
+    # exponent e of m is at most floor(log2 m), so no factorization is needed.
     if a.ring.kind == "Zmod":
-        return a.n * a.ring.max_prime_exponent
+        return a.n * (a.ring.modulus.bit_length() - 1)
     return a.n
 
 
@@ -697,12 +657,15 @@ def is_nilpotent(a: SquareMatrix) -> tuple[bool, int | None]:
 def in_radical(a: SquareMatrix) -> bool:
     """Membership in the Jacobson radical of the matrix ring.
 
-    For Z/n that radical is the matrices with all entries divisible by the
-    product m of the distinct primes of n; over Q, GF(p), and Z it is zero.
+    For Z/m that radical is the matrices whose entries are nilpotent, that
+    is, divisible by every prime dividing m. Every prime exponent of m is at
+    most k = floor(log2 m), so an entry x is nilpotent iff x^k = 0 mod m,
+    which needs no factorization of m. Over Q, GF(p), and Z it is zero.
     """
     if a.ring.kind == "Zmod":
-        m = a.ring.radical_modulus
-        return all(x % m == 0 for row in a.entries for x in row)
+        m = a.ring.modulus
+        k = m.bit_length() - 1
+        return all(pow(x, k, m) == 0 for row in a.entries for x in row)
     return a.is_zero
 
 

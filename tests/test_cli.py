@@ -217,6 +217,41 @@ class TestJacobson:
         assert code == 2
 
 
+_HUGE = "7" * 5000  # over the interpreter's 4300-digit int() limit
+
+# Each of these ended in a Python traceback instead of exit 2.
+UNREADABLE_INPUTS = {
+    "q-entry": (["drazin"], json.dumps({"ring": "Q", "rows": [[_HUGE]]})),
+    "zmod4-entry": (
+        ["drazin"], json.dumps({"ring": {"Zmod": 4}, "rows": [[_HUGE]]}),
+    ),
+    "q-denominator": (
+        ["drazin"], json.dumps({"ring": "Q", "rows": [["1/" + _HUGE]]}),
+    ),
+    "json-integer": (["drazin"], '{"ring": "Q", "rows": [[' + _HUGE + "]]}"),
+    "json-nesting": (["drazin"], "[" * 200_000 + "]" * 200_000),
+    "not-utf8": (["drazin"], b"\xff\xfe{"),
+    "lambda": (
+        ["jacobson", "--lambda", _HUGE],
+        json.dumps(
+            {k: matrix_to_json(SquareMatrix.zeros(RING_Q, 1)) for k in "abcd"}
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, text", UNREADABLE_INPUTS.values(), ids=list(UNREADABLE_INPUTS)
+)
+def test_unreadable_input_is_malformed(command, text, capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    code, out, err = run(capsys, command[0], "--in", str(path), *command[1:])
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "malformed-input"
+
+
 class TestSpectrum:
     def test_second_instance(self, capsys, tmp_path):
         code, out, _ = run(capsys, "spectrum", "--in", quad_file(tmp_path, "2.5"))

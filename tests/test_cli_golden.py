@@ -4,9 +4,13 @@ The invocations cover the routes that the corpus under bench/ does not
 reach: the Z-to-Q lift in spectrum and jacobson, the quadruple loader with
 its rejection report in verify and cline, group-inverse construction over
 Q, and the GF elimination route of solve_for_d (GF(3) 3x3 has 3^9
-matrices, too many for the enumeration tables). The hashes were recorded
-before the field elimination, the lift and the loader were each merged into
-one routine, so a changed byte in any of these reports fails here.
+matrices, too many for the enumeration tables). A second group pins the
+routes that construct a flavor inverse or a unit-transfer inverse: drazin
+with the pdrazin and gdrazin flavors on an index-2 matrix over Q, cline
+with the group and pdrazin flavors on instance 2.5, jacobson at the
+default lambda on a classical (a, b, b, a) quadruple, and spectrum with a
+lambda at which 1 - ac is singular. Every hash was recorded before the code
+it pins was reworked, so a changed byte in any of these reports fails here.
 """
 
 import hashlib
@@ -32,6 +36,21 @@ INPUTS = {
         c=[[1, -1], [0, 0]],
         d=[[0, 1], [0, 1]],
     ),
+    "quad_2.5.json": _quad(
+        "Q",
+        a=[[0, 1], [0, 0]],
+        b=[[0, 0], [0, 1]],
+        c=[[1, 0], [1, 1]],
+        d=[[1, 0], [-1, 0]],
+    ),
+    # The classical case c = b, d = a of the intertwining relations.
+    "quad_classical.json": _quad(
+        "Q",
+        a=[[0, 1], [0, 0]],
+        b=[[0, 0], [2, 0]],
+        c=[[0, 0], [2, 0]],
+        d=[[0, 1], [0, 0]],
+    ),
     "quad_2.4.json": _quad(
         "Q",
         a=[[0, 1], [0, 0]],
@@ -43,6 +62,11 @@ INPUTS = {
     "matrix_q_index1.json": {
         "ring": "Q",
         "rows": [["1/2", "1", "0"], ["1", "2", "0"], ["3", "-1/3", "1"]],
+    },
+    # Ranks 3, 2, 1, 1 for the powers 0..3, so the index is 2.
+    "matrix_q_index2.json": {
+        "ring": "Q",
+        "rows": [["0", "1", "2"], ["0", "0", "3"], ["0", "0", "1"]],
     },
 }
 
@@ -80,10 +104,45 @@ GOLDEN = [
     ),
 ]
 
+FLAVOR_AND_TRANSFER = {
+    "drazin-pdrazin": (
+        ["drazin", "--in", "matrix_q_index2.json", "--flavor", "pdrazin"],
+        0,
+        "21255bde537b5108290e7c55a15c310c3b278137d6bf0fa2cd54ff83865e2200",
+    ),
+    "drazin-gdrazin": (
+        ["drazin", "--in", "matrix_q_index2.json", "--flavor", "gdrazin"],
+        0,
+        "e5936c8b170f4d150dfc4cb23bfc2e31eefde42147ad0e50209a44bd2470c570",
+    ),
+    "cline-group": (
+        ["cline", "--in", "quad_2.5.json", "--flavor", "group"],
+        0,
+        "23b57a480a0de902e3408b005bc390828db3bb3a47fe8f007a3ee762de565f3b",
+    ),
+    "cline-pdrazin": (
+        ["cline", "--in", "quad_2.5.json", "--flavor", "pdrazin"],
+        0,
+        "53ffed27c22102baf33ec83da2c167ca2e4e3a7546dacb3344cdc78b94ab5eb1",
+    ),
+    "jacobson-default-lambda": (
+        ["jacobson", "--in", "quad_classical.json"],
+        0,
+        "66bfe4d73d8a700487d3816ed8c6d29a97df6592910fde11365ca605c57cf68c",
+    ),
+    "spectrum-singular-lambda": (
+        ["spectrum", "--in", "quad_2.5.json", "--lambdas", "1,2,1/2,-1"],
+        0,
+        "150d9d52fac6a89f3865770dc867b75d48fa5244aac951aafe43cc2263cb291c",
+    ),
+}
 
-@pytest.mark.parametrize(
-    "argv, exit_code, sha256", GOLDEN, ids=[g[0][0] for g in GOLDEN]
-)
+CASES = [pytest.param(*g, id=g[0][0]) for g in GOLDEN] + [
+    pytest.param(*g, id=name) for name, g in FLAVOR_AND_TRANSFER.items()
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, sha256", CASES)
 def test_report_bytes_are_pinned(argv, exit_code, sha256, capsys, tmp_path):
     for name, payload in INPUTS.items():
         (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")

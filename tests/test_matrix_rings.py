@@ -1,12 +1,14 @@
 """Coefficient rings, exact matrices, elimination, and radical tests."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from drazinkit.drazin_core import Flavor, verify_axioms
 from drazinkit.errors import (
     DimensionMismatch,
     DrazinkitError,
@@ -132,11 +134,6 @@ class TestRingSpec:
         assert gf(3).scalar_count == 3
         assert zmod(12).scalar_count == 12
         assert RING_Q.scalar_count is None
-
-    def test_radical_modulus(self):
-        assert zmod(4).radical_modulus == 2
-        assert zmod(12).radical_modulus == 6
-        assert zmod(30).radical_modulus == 30
 
     def test_parse_scalar_strict(self):
         assert RING_Q.parse_scalar("3/6") == Fraction(1, 2)
@@ -349,6 +346,37 @@ class TestNilpotency:
 class TestRadical:
     def test_scalar_two_matrix_mod_4(self):
         assert in_radical(m(zmod(4), [[2, 0], [0, 2]]))
+
+    def test_radical_is_divisibility_by_the_distinct_primes(self):
+        # rad(Z/4) = 2Z/4, rad(Z/12) = 6Z/12, and Z/30 is squarefree
+        assert not in_radical(m(zmod(4), [[1]]))
+        assert not in_radical(m(zmod(12), [[2]]))
+        assert not in_radical(m(zmod(12), [[3]]))
+        assert not in_radical(m(zmod(30), [[6]]))
+        assert not in_radical(m(zmod(30), [[15]]))
+        assert in_radical(m(zmod(30), [[0]]))
+
+    @pytest.mark.parametrize("modulus", range(2, 65))
+    def test_matches_the_definition(self, modulus):
+        # x is in rad(Z/m) iff x is nilpotent, and a nilpotent x has
+        # x^j = 0 for some j <= m
+        for x in range(modulus):
+            nilpotent = any(pow(x, j, modulus) == 0 for j in range(1, modulus + 1))
+            assert in_radical(m(zmod(modulus), [[x]])) == nilpotent
+
+    def test_large_composite_modulus_needs_no_factorization(self):
+        # (2^61 - 1)(2^31 - 1) is a product of two large primes; trial
+        # division would take about 2^30 steps.
+        ring = zmod((2**61 - 1) * (2**31 - 1))
+        a = m(ring, [[0, 2**61 - 1], [0, 0]])
+        start = time.perf_counter()
+        assert is_nilpotent(a) == (True, 2)
+        assert not is_nilpotent(SquareMatrix.identity(ring, 2))[0]
+        assert not in_radical(a)
+        assert in_radical(m(zmod((2**61 - 1) ** 2), [[2**61 - 1]]))
+        cert = verify_axioms(a, SquareMatrix.zeros(ring, 2), Flavor.PDRAZIN)
+        assert cert.valid and cert.index == 2
+        assert time.perf_counter() - start < 0.5
 
     def test_mod_12_needs_divisibility_by_6(self):
         assert in_radical(m(zmod(12), [[6, 0], [0, 0]]))

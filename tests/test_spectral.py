@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from drazinkit.drazin_core import Quadruple, jacobson_inverse
-from drazinkit.errors import UnsupportedRing, ZeroLambda
+from drazinkit.errors import NotInvertible, UnsupportedRing, ZeroLambda
 from drazinkit.exact_arith import Poly
 from drazinkit.fixtures import example_quadruple
 from drazinkit.matrix_rings import (
@@ -16,6 +16,8 @@ from drazinkit.matrix_rings import (
     SquareMatrix,
     det_bareiss,
     gf,
+    inverse,
+    is_invertible,
     over_q,
 )
 from drazinkit.spectral import (
@@ -25,7 +27,6 @@ from drazinkit.spectral import (
     invertibility_transfer,
     nonzero_spectrum_equal,
     quadruple_spectrum_report,
-    scaled_quadruple,
     transfer_lambdas,
 )
 
@@ -140,28 +141,56 @@ class TestNonzeroSpectrumEqual:
         assert nonzero_spectrum_equal(a * b, b * a).equal
 
 
-class TestScaledQuadruple:
+def jacobson_or_none(q: Quadruple, lam) -> SquareMatrix | None:
+    try:
+        return jacobson_inverse(q, lam)
+    except NotInvertible:
+        return None
+
+
+def rescaled(q: Quadruple, lam) -> Quadruple:
+    """(a/lambda, b, c, d/lambda), validated by the constructor."""
+    inv = 1 / Fraction(lam)
+    return Quadruple(q.a.scalar_mul(inv), q.b, q.c, q.d.scalar_mul(inv))
+
+
+class TestScaledJacobsonInverse:
     def test_zero_lambda_rejected(self):
         with pytest.raises(ZeroLambda):
-            scaled_quadruple(example_quadruple("2.5"), Fraction(0))
+            jacobson_inverse(example_quadruple("2.5"), Fraction(0))
 
     def test_integer_ring_rejected(self):
         with pytest.raises(UnsupportedRing):
-            scaled_quadruple(example_quadruple("3.6"), Fraction(2))
+            jacobson_inverse(example_quadruple("3.6"), Fraction(2))
 
     @given(nonzero_lambdas)
     def test_relations_preserved(self, lam):
+        # The relations are homogeneous of degree one in (a, d) jointly, so
+        # the rescaled quadruple exists and has the same unit transfer.
         q = example_quadruple("2.5")
-        scaled = scaled_quadruple(q, lam)
-        assert scaled.a == q.a.scalar_mul(1 / lam)
-        assert scaled.b == q.b and scaled.c == q.c
+        assert jacobson_or_none(q, lam) == jacobson_or_none(rescaled(q, lam), 1)
 
     @given(st.integers(0, 500), nonzero_lambdas)
     def test_relations_preserved_on_random_quadruples(self, pick, lam):
         from drazinkit.quadruple_lab import seeded_rational_suite
 
         q = seeded_rational_suite(1, seed=pick)[0]
-        scaled_quadruple(q, lam)  # constructor revalidates both relations
+        assert jacobson_or_none(q, lam) == jacobson_or_none(rescaled(q, lam), 1)
+
+    @given(st.integers(0, 500), st.data())
+    def test_inverts_one_minus_scaled_bd(self, pick, data):
+        from drazinkit.quadruple_lab import seeded_rational_suite
+
+        q = seeded_rational_suite(1, seed=pick)[0]
+        # The eigenvalues of ac are where the hypothesis side turns singular.
+        lam = data.draw(st.sampled_from(transfer_lambdas(q)) | nonzero_lambdas)
+        eye = SquareMatrix.identity(RING_Q, q.n)
+        if is_invertible(eye - q.ac.scalar_mul(1 / lam)):
+            expected = inverse(eye - q.bd.scalar_mul(1 / lam))
+            assert jacobson_inverse(q, lam) == expected
+        else:
+            with pytest.raises(NotInvertible):
+                jacobson_inverse(q, lam)
 
 
 class TestInvertibilityTransfer:
@@ -191,6 +220,13 @@ class TestInvertibilityTransfer:
         assert not row.ac_side_invertible
         assert row.bd_side_invertible
         assert row.holds  # implication with false hypothesis
+
+    def test_both_sides_singular_at_a_shared_eigenvalue(self):
+        a, b = m(RING_Q, [[2]]), m(RING_Q, [[1]])
+        report = invertibility_transfer(Quadruple(a, b, b, a), [Fraction(2)])
+        row = report.rows[0]
+        assert (row.ac_side_invertible, row.bd_side_invertible) == (False, False)
+        assert row.formula_verified is None and row.holds
 
     @given(st.integers(0, 300))
     def test_transfer_on_random_quadruples(self, pick):

@@ -4,8 +4,10 @@ Exit code contract: 0 when the command succeeds and any checked property is
 confirmed; 1 when well-formed input is rejected (intertwining relations
 fail, a required inverse does not exist, an enumeration budget is exceeded);
 2 when the input itself is malformed (bad JSON, bad matrix schema, unusable
-flag values). Reports go to standard output; nonzero exits also put a
-structured {"error", "detail"} object on standard error. Identical
+flag values); 3 when an internal check fails (FormulaViolation: a computed
+result failed its own verification, which is always a bug in this package,
+never a verdict on the input). Reports go to standard output; nonzero exits
+also put a structured {"error", "detail"} object on standard error. Identical
 (command, input, seed) invocations produce byte-identical reports.
 """
 
@@ -33,6 +35,7 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     DrazinkitError,
+    FormulaViolation,
     NoGroupInverse,
     NotInvertible,
     RelationViolation,
@@ -63,6 +66,7 @@ from .spectral import quadruple_spectrum_report
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_MALFORMED = 2
+EXIT_INTERNAL = 3
 
 _RING_FLAGS = {"gf2": gf(2), "gf3": gf(3), "zmod4": zmod(4)}
 
@@ -106,6 +110,8 @@ def _load(path: str, from_json: Callable[[object], T]) -> T:
         raise _Malformed(f"invalid JSON in {path}: {exc}") from exc
     try:
         return from_json(obj)
+    except FormulaViolation:
+        raise
     except (DrazinkitError, ZeroDivisionError) as exc:
         raise _Malformed(str(exc)) from exc
 
@@ -302,6 +308,8 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
         budget = 1_000_000 if strategy is Strategy.EXHAUSTIVE else 1000
     try:
         space = SearchSpace(ring=ring, n=args.dim, strategy=strategy, budget=budget)
+    except FormulaViolation:
+        raise
     except DrazinkitError as exc:
         raise _Malformed(str(exc)) from exc
     count = 0
@@ -469,6 +477,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             _emit(out, report)
         _emit_error("rejected", str(exc))
         return EXIT_REJECTED
+    except FormulaViolation as exc:
+        _emit_error("internal-error", str(exc))
+        return EXIT_INTERNAL
     finally:
         if close_out:
             out.close()

@@ -61,9 +61,35 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(x: Fraction) -> str:
-    """Canonical text form: "p/q", or just "p" when q = 1."""
-    return str(x)
+# Decimal digits per chunk when an integer is too long for str(); below the
+# smallest digit limit the interpreter accepts (640), so str() of one chunk
+# never fails.
+_CHUNK_DIGITS = 512
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _long_decimal(n: int) -> str:
+    """str(n) for an integer of any length, in zero-padded chunks of
+    _CHUNK_DIGITS digits, without changing the interpreter's digit limit."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))
+
+
+def format_rational(x: Fraction | int) -> str:
+    """Canonical text form: "p/q", or just "p" when q = 1, for p and q of
+    any length; an int is written as p."""
+    try:
+        return str(x)
+    except ValueError:
+        # str() refuses integers over the digit limit (4300 by default).
+        pass
+    num = _long_decimal(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_long_decimal(x.denominator)}"
 
 
 class Poly:

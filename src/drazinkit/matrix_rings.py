@@ -1,9 +1,10 @@
 """Square matrices over a configurable coefficient ring.
 
 The four coefficient rings are the rationals, the integers, prime fields
-GF(p), and residue rings Z/n. Everything is exact: field work uses fraction
-or modular elimination, the integer and residue determinants go through the
-fraction-free Bareiss scheme, and no operation ever leaves the ring.
+GF(p), and residue rings Z/n. Everything is exact: elimination over Q runs
+the fraction-free Bareiss scheme on integer numerators, over GF(p) it is
+modular, the integer and residue determinants go through Bareiss as well,
+and no operation ever leaves the ring.
 
 Matrices are immutable and hashable, so they can serve as cache keys for
 the brute-force layers built on top.
@@ -177,7 +178,7 @@ class RingSpec:
         return v
 
     def format_scalar(self, x: Scalar) -> str:
-        if self.kind == "Q":
+        if self.kind in ("Q", "Z"):
             return format_rational(x)  # type: ignore[arg-type]
         return str(x)
 
@@ -217,7 +218,7 @@ def zmod(n: int) -> RingSpec:
     return RingSpec("Zmod", n)
 
 
-def _numerators(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[list[list[int]], int]:
+def _numerators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """Integer numerators of a Q matrix over the lcm d of its denominators."""
     d = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
@@ -396,18 +397,30 @@ def _require_field(a: SquareMatrix) -> None:
 
 def _echelon(
     ring: RingSpec, rows: Sequence[Sequence[Scalar]], ncols: int
-) -> tuple[list[list[Scalar]], list[int], Scalar]:
+) -> tuple[list[list[int]], list[int], int, int]:
     """Forward elimination over a field, on a copy of rows.
 
     Pivots are sought in the first ncols columns only, each column taking
-    the first nonzero entry at or below the current row. Returns the echelon
-    rows, the pivot columns, and the product of the pivots signed by the row
-    swaps, which is the determinant of a square input of full rank.
+    the first nonzero entry at or below the current row. Returns integer
+    rows, the pivot columns, the sign of the row swaps, and a scale d.
+
+    Over GF(m) the rows are the echelon form itself and d = 1. Over Q the
+    rows are first scaled to integer numerators over the lcm d of their
+    denominators, then run through Bareiss's fraction-free recurrence: a
+    row below pivot p becomes (p x - f y) // prev, prev the pivot before p,
+    and every division is exact (Bareiss 1968). Each row stays d * prev
+    times the row that elimination with division would leave, so the pivot
+    columns are the same; a square input of full rank has determinant
+    sign * D / d**n, where D is the last pivot.
     """
     m = ring.modulus
-    rows = [list(r) for r in rows]
+    if m is None:
+        rows, d = _numerators(rows)
+    else:
+        rows, d = [list(r) for r in rows], 1
     pivots: list[int] = []
-    prod = ring.one
+    sign = 1
+    prev = 1
     r = 0
     for c in range(ncols):
         if r == len(rows):
@@ -417,21 +430,23 @@ def _echelon(
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            prod = -prod
+            sign = -sign
         top = rows[r]
         p = top[c]
         if m is None:
-            prod *= p
-            inv = 1 / p
+            for i in range(r + 1, len(rows)):
+                f = rows[i][c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+            prev = p
         else:
-            prod = prod * p % m
             inv = pow(p, -1, m)
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] != 0:
-                rows[i] = _sub_multiple(rows[i], rows[i][c] * inv, top, m)
+            for i in range(r + 1, len(rows)):
+                if rows[i][c] != 0:
+                    f = rows[i][c] * inv
+                    rows[i] = [(x - f * y) % m for x, y in zip(rows[i], top)]
         pivots.append(c)
         r += 1
-    return rows, pivots, prod
+    return rows, pivots, sign, d
 
 
 def reduced_echelon(
@@ -444,30 +459,42 @@ def reduced_echelon(
     pivot row and clears the entries above its pivot. For an augmented
     system [M | v] with ncols the width of M, a nonzero entry of a row below
     the pivot rows marks the system inconsistent.
+
+    Over Q the backward pass stays in integers. With D the last Bareiss
+    pivot, D times the reduced form is integral (Cramer's rule), and the
+    pivot row r of it is (D u_r - sum of u_r[c_s] x_s over the later pivot
+    rows x_s) // p_r, with u_r the echelon row and p_r its pivot. Each entry
+    becomes one Fraction: x / D on the pivot rows, and x / (d D) on the rows
+    below, which the backward pass leaves as the forward pass made them.
     """
-    rows, pivots, _ = _echelon(ring, rows, ncols)
+    rows, pivots, _, d = _echelon(ring, rows, ncols)
     m = ring.modulus
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        if m is None:
-            inv = 1 / rows[r][c]
-            rows[r] = [inv * x for x in rows[r]]
-        else:
+    rk = len(pivots)
+    if m is not None:
+        for r in range(rk - 1, -1, -1):
+            c = pivots[r]
             inv = pow(rows[r][c], -1, m)
-            rows[r] = [inv * x % m for x in rows[r]]
-        for i in range(r):
-            if rows[i][c] != 0:
-                rows[i] = _sub_multiple(rows[i], rows[i][c], rows[r], m)
-    return rows, pivots
-
-
-def _sub_multiple(
-    row: list[Scalar], f: Scalar, other: list[Scalar], m: int | None
-) -> list[Scalar]:
-    """row - f * other, reduced mod m over GF(m)."""
-    if m is None:
-        return [x - f * y for x, y in zip(row, other)]
-    return [(x - f * y) % m for x, y in zip(row, other)]
+            top = rows[r] = [inv * x % m for x in rows[r]]
+            for i in range(r):
+                f = rows[i][c]
+                if f != 0:
+                    rows[i] = [(x - f * y) % m for x, y in zip(rows[i], top)]
+        return rows, pivots
+    big_d = rows[rk - 1][pivots[-1]] if rk else 1
+    for r in range(rk - 1, -1, -1):
+        row = rows[r]
+        acc = [big_d * x for x in row]
+        for s in range(r + 1, rk):
+            f = row[pivots[s]]
+            if f != 0:
+                acc = [a - f * x for a, x in zip(acc, rows[s])]
+        p = row[pivots[r]]
+        rows[r] = [a // p for a in acc]
+    below = d * big_d
+    return [
+        [Fraction(x, big_d if i < rk else below) for x in row]
+        for i, row in enumerate(rows)
+    ], pivots
 
 
 def _reduce_with_identity(a: SquareMatrix) -> tuple[list[list[Scalar]], list[int]]:
@@ -501,7 +528,7 @@ def inverse(a: SquareMatrix) -> SquareMatrix:
         rows, pivots = _reduce_with_identity(a)
         if len(pivots) < n:
             raise NotInvertible(f"rank {len(pivots)} < {n}", reason="rank deficiency")
-        return SquareMatrix(ring, [row[n:] for row in rows])
+        return SquareMatrix._trusted(ring, tuple(tuple(row[n:]) for row in rows))
     d = det(a)
     if not ring.is_unit_scalar(d):
         raise NotInvertible(f"det {d} is not a unit of {ring}", reason="det not a unit")
@@ -566,15 +593,24 @@ def _bareiss(rows: list[list[Scalar]], div: Callable[[Scalar, Scalar], Scalar]) 
 def det(a: SquareMatrix) -> Scalar:
     """Exact determinant for every supported ring.
 
-    Fields eliminate with division. Z and Z/n take the Bareiss route of
-    det_bareiss: Z/n lifts to integer representatives, runs Bareiss over Z,
-    and reduces, which is exact because reduction mod n is a ring
-    homomorphism.
+    Fields take the forward pass of the elimination kernel: over Q the
+    signed last Bareiss pivot over d**n, over GF(p) the signed product of
+    the pivots. Z and Z/n take the Bareiss route of det_bareiss: Z/n lifts
+    to integer representatives, runs Bareiss over Z, and reduces, which is
+    exact because reduction mod n is a ring homomorphism.
     """
-    if not a.ring.is_field:
+    ring = a.ring
+    if not ring.is_field:
         return det_bareiss(a)
-    _, pivots, prod = _echelon(a.ring, a.entries, a.n)
-    return prod if len(pivots) == a.n else a.ring.zero
+    rows, pivots, sign, d = _echelon(ring, a.entries, a.n)
+    if len(pivots) < a.n:
+        return ring.zero
+    if ring.kind == "Q":
+        return Fraction(sign * rows[-1][-1], d**a.n)
+    pivot_product = sign
+    for i, row in enumerate(rows):
+        pivot_product = pivot_product * row[i] % ring.modulus
+    return pivot_product
 
 
 def det_bareiss(a: SquareMatrix) -> Scalar:
@@ -596,37 +632,21 @@ def det_bareiss(a: SquareMatrix) -> Scalar:
 def inner_inverse(a: SquareMatrix) -> SquareMatrix:
     """Some X with A X A = A, via the rank normal form.
 
-    Full elimination finds invertible P, Q with P A Q = [[I_r, 0], [0, 0]];
-    X = Q [[I_r, 0], [0, 0]] P then satisfies the identity over any field.
+    Elimination of [A | I] gives invertible P with P A = R in reduced
+    echelon form, pivots in columns c_1..c_r. Clearing R's other columns by
+    column operations and moving the pivots to the front gives invertible Q
+    with P A Q = [[I_r, 0], [0, 0]], and X = Q [[I_r, 0], [0, 0]] P
+    satisfies the identity over any field. Column k <= r of Q is the unit
+    vector e_(c_k), so X is P's row k placed in row c_k, and zero elsewhere.
     """
     _require_field(a)
     ring = a.ring
-    m = ring.modulus
     n = a.n
     rows, pivots = _reduce_with_identity(a)
-    work = [row[:n] for row in rows]
-    p_rows = [row[n:] for row in rows]
-    # Column stage: clear non-pivot columns, then move pivots to the front.
-    q_rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-    for idx, c in enumerate(pivots):
-        for j in range(n):
-            f = work[idx][j]
-            if j != c and f != 0:
-                for mat in (work, q_rows):
-                    for row in mat:
-                        x = row[j] - f * row[c]
-                        row[j] = x if m is None else x % m
-    order = pivots + [c for c in range(n) if c not in pivots]
-    q_rows = [[row[c] for c in order] for row in q_rows]
-    p_mat = SquareMatrix(ring, p_rows)
-    q_mat = SquareMatrix(ring, q_rows)
-    rk = len(pivots)
-    e_mat = SquareMatrix(
-        ring,
-        [[ring.one if (i == j and i < rk) else ring.zero for j in range(n)]
-         for i in range(n)],
-    )
-    x = q_mat * e_mat * p_mat
+    x_rows = [(ring.zero,) * n] * n
+    for k, c in enumerate(pivots):
+        x_rows[c] = tuple(rows[k][n:])
+    x = SquareMatrix._trusted(ring, tuple(x_rows))
     if a * x * a != a:
         raise FormulaViolation("rank-normal-form inner inverse failed A X A = A")
     return x

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .drazin_core import Quadruple, drazin_inverse, jacobson_inverse
 from .errors import NotInvertible
-from .exact_arith import Poly, rational_roots, squarefree_part
+from .exact_arith import Poly, format_rational, rational_roots, squarefree_part
 from .matrix_rings import (
     RING_Q,
     SquareMatrix,
@@ -137,7 +137,7 @@ class TransferRow:
 
     def to_json(self) -> dict[str, object]:
         return {
-            "lambda": str(self.lam),
+            "lambda": format_rational(self.lam),
             "one_minus_ac_invertible": self.ac_side_invertible,
             "one_minus_bd_invertible": self.bd_side_invertible,
             "formula_verified": self.formula_verified,

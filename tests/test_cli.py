@@ -1,10 +1,12 @@
 """End-to-end command tests: exit codes, report shapes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from drazinkit.cli import main
+from drazinkit.errors import FormulaViolation
 from drazinkit.fixtures import example_matrices, example_quadruple
 from drazinkit.matrix_rings import (
     RING_Q,
@@ -250,6 +252,96 @@ def test_unreadable_input_is_malformed(command, text, capsys, tmp_path):
     assert (code, out) == (2, "")
     lines = err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "malformed-input"
+
+
+def long_rational(text: str) -> Fraction:
+    """A printed "p" or "p/q" of any length, read in chunks of 500 digits
+    so the interpreter's digit limit stays as it is."""
+    def long_int(digits: str) -> int:
+        sign, digits = (-1, digits[1:]) if digits.startswith("-") else (1, digits)
+        value = 0
+        for start in range(0, len(digits), 500):
+            chunk = digits[start:start + 500]
+            value = value * 10 ** len(chunk) + int(chunk)
+        return sign * value
+
+    num, _, den = text.partition("/")
+    return Fraction(long_int(num), long_int(den) if den else 1)
+
+
+def test_result_over_the_digit_limit_is_printed_exactly(capsys, tmp_path):
+    # x has 2500 digits, within the input limit; the inverse's denominator
+    # x^2 - 1 has 5000, over the 4300 digits str() writes.
+    x = 10**2500 - 1
+    path = write_json(
+        tmp_path / "big.json", {"ring": "Q", "rows": [[str(x), "1"], ["1", str(x)]]}
+    )
+    code, out, err = run(capsys, "drazin", "--in", path)
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["inverse"]["rows"]
+    det = x * x - 1
+    expected = [[Fraction(x, det), Fraction(-1, det)], [Fraction(-1, det), Fraction(x, det)]]
+    assert [[long_rational(cell) for cell in row] for row in rows] == expected
+
+
+def test_integer_products_over_the_digit_limit_are_printed_exactly(capsys, tmp_path):
+    # a = b = c = d = [[x, x], [x, x]] over Z satisfies both relations; the
+    # reported products have 7500 digits.
+    x = 10**2500 - 1
+    m = {"ring": "Z", "rows": [[str(x)] * 2] * 2}
+    path = write_json(tmp_path / "bigz.json", {k: m for k in "abcd"})
+    code, out, err = run(capsys, "verify", "--in", path)
+    assert (code, err) == (0, "")
+    cube = 4 * x**3
+    for relation in json.loads(out)["relations"]:
+        for side in ("left", "right"):
+            cells = [c for row in relation[side]["rows"] for c in row]
+            assert [long_rational(c) for c in cells] == [cube] * 4
+
+
+def _failing_inner_inverse(a):
+    return SquareMatrix.zeros(a.ring, a.n)
+
+
+def _raise_formula_violation(*args, **kwargs):
+    raise FormulaViolation("injected")
+
+
+# Each case makes an internal check fail: a wrong construction that the
+# certificate re-verification catches, or a FormulaViolation raised inside
+# a call whose other DrazinkitErrors mean malformed input.
+INTERNAL_FAULTS = {
+    "drazin-construction": (
+        "drazinkit.drazin_core.inner_inverse", _failing_inner_inverse,
+        lambda tmp: ["drazin", "--in", write_json(
+            tmp / "m.json", matrix_to_json(SquareMatrix.identity(RING_Q, 2)))],
+    ),
+    "cline-construction": (
+        "drazinkit.drazin_core.inner_inverse", _failing_inner_inverse,
+        lambda tmp: ["cline", "--in", quad_file(tmp, "2.5")],
+    ),
+    "load": (
+        "drazinkit.cli.matrix_from_json", _raise_formula_violation,
+        lambda tmp: ["drazin", "--in", write_json(
+            tmp / "m.json", matrix_to_json(SquareMatrix.identity(RING_Q, 2)))],
+    ),
+    "search-space": (
+        "drazinkit.cli.SearchSpace", _raise_formula_violation,
+        lambda tmp: ["search", "--ring", "gf2", "--dim", "1", "--strategy", "exhaustive"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "target, fake, argv", INTERNAL_FAULTS.values(), ids=list(INTERNAL_FAULTS)
+)
+def test_internal_check_failure_exits_3(target, fake, argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(target, fake)
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out) == (3, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "internal-error"
+    assert "Traceback" not in err
 
 
 class TestSpectrum:

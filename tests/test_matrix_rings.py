@@ -34,6 +34,7 @@ from drazinkit.matrix_rings import (
     matrix_from_json,
     matrix_to_json,
     rank,
+    reduced_echelon,
     zmod,
 )
 
@@ -42,11 +43,12 @@ def m(ring: RingSpec, rows: list) -> SquareMatrix:
     return SquareMatrix(ring, rows)
 
 
-def leibniz_det(a: SquareMatrix) -> int:
+def leibniz_det(a: SquareMatrix) -> int | Fraction:
     """Signed sum over permutations, reduced mod n over Z/n.
 
     Shares no code with det or det_bareiss, which both run the Bareiss
-    recurrence over Z and Z/n.
+    recurrence: over Z and Z/n, and over Q, where det runs it on integer
+    numerators and det_bareiss on Fractions.
     """
     total = 0
     for perm in itertools.permutations(range(a.n)):
@@ -70,6 +72,55 @@ def entries_strategy(ring: RingSpec, n: int, max_denominator: int = 4):
     return st.lists(
         st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n
     ).map(lambda rows: SquareMatrix(ring, rows))
+
+
+def gauss_jordan(rows: list, ncols: int) -> tuple[list, list]:
+    """Textbook Gauss-Jordan over Fractions, the reference for
+    reduced_echelon over Q.
+
+    Each pivot is the first nonzero entry at or below the current row, in
+    the first ncols columns; its row is divided by it, then its column is
+    cleared in every other row. The rows below the rank come out as plain
+    forward elimination leaves them.
+    """
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        p = rows[r][c]
+        rows[r] = [x / p for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def q_matrices(n: int, max_denominator: int = 12):
+    """Q matrices of every rank up to n: a product of an n x k and a k x n
+    matrix for a drawn k, so about half of them are singular."""
+    cell = st.fractions(min_value=-5, max_value=5, max_denominator=max_denominator)
+
+    def block(h: int, w: int):
+        return st.lists(st.lists(cell, min_size=w, max_size=w), min_size=h, max_size=h)
+
+    def product(uv) -> SquareMatrix:
+        u, v = uv
+        return SquareMatrix(RING_Q, [
+            [sum((u[i][t] * v[t][j] for t in range(len(v))), Fraction(0))
+             for j in range(n)]
+            for i in range(n)
+        ])
+
+    low_rank = st.integers(0, n).flatmap(lambda k: st.tuples(block(n, k), block(k, n)))
+    return st.one_of(entries_strategy(RING_Q, n, max_denominator), low_rank.map(product))
 
 
 def reference_product(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
@@ -291,12 +342,46 @@ class TestDet:
     def test_bareiss_route_agrees_over_gf(self, a):
         assert det(a) == det_bareiss(a)
 
-    @pytest.mark.parametrize("ring", [RING_Z, zmod(12)], ids=str)
+    @pytest.mark.parametrize("ring", [RING_Q, RING_Z, zmod(12)], ids=str)
     @given(data=st.data())
     def test_leibniz_expansion_agrees(self, ring, data):
         n = data.draw(st.integers(min_value=1, max_value=3))
-        a = data.draw(entries_strategy(ring, n))
+        a = data.draw(entries_strategy(ring, n, max_denominator=12))
         assert det(a) == det_bareiss(a) == leibniz_det(a)
+
+
+class TestReducedEchelon:
+    """The fraction-free kernel against textbook Gauss-Jordan over Q."""
+
+    @given(data=st.data())
+    def test_matches_gauss_jordan_with_identity(self, data):
+        # [A | I] with A singular about half the time: the rows below the
+        # rank are the P of inner_inverse, so they are pinned too.
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        a = data.draw(q_matrices(n))
+        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+               for i, row in enumerate(a.entries)]
+        expected, pivots = gauss_jordan(aug, n)
+        assert reduced_echelon(RING_Q, aug, n) == (expected, pivots)
+        placed = [[Fraction(0)] * n for _ in range(n)]
+        for k, c in enumerate(pivots):
+            placed[c] = expected[k][n:]
+        assert inner_inverse(a) == m(RING_Q, placed)
+        assert rank(a) == len(pivots)
+
+    @given(data=st.data())
+    def test_matches_gauss_jordan_on_solver_systems(self, data):
+        # The shape the d-solver eliminates: b X b = v as an n^2 x (n^2 + 1)
+        # system with coefficient b[i][k] b[l][j], rank-deficient whenever
+        # b is singular; v is b a c or arbitrary, so some are inconsistent.
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        b = data.draw(q_matrices(n))
+        a, c = (data.draw(entries_strategy(RING_Q, n, max_denominator=12)) for _ in "ac")
+        v = (b * a * c if data.draw(st.booleans()) else a).entries
+        b = b.entries
+        aug = [[b[i][k] * b[l][j] for k in range(n) for l in range(n)] + [v[i][j]]
+               for i in range(n) for j in range(n)]
+        assert reduced_echelon(RING_Q, aug, n * n) == gauss_jordan(aug, n * n)
 
 
 class TestInnerInverse:

@@ -328,11 +328,8 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
     a = _load(args.infile, matrix_from_json)
     if a.ring != ring:
         # The flag names the enumeration universe; integer entries embed.
-        if a.ring.kind == "Z" or (
-            a.ring.kind == "Q"
-            and all(x.denominator == 1 for row in a.entries for x in row)
-        ):
-            a = SquareMatrix(ring, [[int(x) for x in row] for row in a.entries])
+        if a.ring.kind == "Z" or (a.ring.kind == "Q" and a.den == 1):
+            a = SquareMatrix(ring, a.num)
         else:
             raise _Malformed(
                 f"matrix ring {a.ring} does not embed in --ring {ring}"

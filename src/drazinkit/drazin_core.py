@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -127,9 +126,10 @@ def intertwining_report(
 class Quadruple:
     """Four same-ring matrices with the intertwining relations as invariant.
 
-    Construction validates bdb = bac and dbd = acd exactly and rejects the
-    input with the full report otherwise, so every Quadruple in circulation
-    satisfies the hypotheses of every transfer formula in this module.
+    Construction validates bdb = bac and dbd = acd exactly, as matrix
+    equalities, and rejects the input with the full report otherwise (the
+    report is built only then), so every Quadruple in circulation satisfies
+    the hypotheses of every transfer formula in this module.
     """
 
     __slots__ = ("a", "b", "c", "d", "ac", "bd")
@@ -137,8 +137,11 @@ class Quadruple:
     def __init__(
         self, a: SquareMatrix, b: SquareMatrix, c: SquareMatrix, d: SquareMatrix
     ):
-        report = intertwining_report(a, b, c, d)
-        if not report["accepted"]:
+        for other in (b, c, d):
+            a._require_compatible(other)
+        ac, bd = a * c, b * d
+        if bd * b != b * ac or d * bd != ac * d:
+            report = intertwining_report(a, b, c, d)
             failing = [
                 r["relation"] for r in report["relations"] if not r["holds"]  # type: ignore[index]
             ]
@@ -149,8 +152,8 @@ class Quadruple:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "ac", a * c)
-        object.__setattr__(self, "bd", b * d)
+        object.__setattr__(self, "ac", ac)
+        object.__setattr__(self, "bd", bd)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Quadruple is immutable")
@@ -475,28 +478,27 @@ def cline_classical(
 
 
 def jacobson_inverse(q: Quadruple, lam: Scalar = 1) -> SquareMatrix:
-    """(1 - b (d/lambda))^(-1) as 1 + b (1 - ac/lambda)^(-1) (d/lambda).
+    """(1 - bd/lambda)^(-1) as r = 1 + b (lambda - ac)^(-1) d.
 
-    The unit transfer: lambda - bd is a unit whenever lambda - ac is. The
-    relations are homogeneous of degree one in (a, d) jointly, so the scaled
-    quadruple (a/lambda, b, c, d/lambda) is valid with q and is never built.
-    Raises ZeroLambda for lambda = 0, UnsupportedRing for lambda != 1
-    outside Q, and NotInvertible when 1 - ac/lambda is singular. The output
-    is verified as a two-sided inverse before it is returned, and a failure
-    raises FormulaViolation (always an implementation bug).
+    The unit transfer: lambda - bd is a unit whenever lambda - ac is. From
+    bdb = bac and dbd = acd, (lambda - bd) r = r (lambda - bd) = lambda, so
+    r is checked two-sided against lambda I with no matrix scaled by
+    1/lambda. Raises ZeroLambda for lambda = 0, UnsupportedRing for
+    lambda != 1 outside Q, and NotInvertible when lambda - ac is singular.
+    A failed check raises FormulaViolation (always an implementation bug).
     """
     if lam == 0:
         raise ZeroLambda("lambda must be nonzero")
-    ac, d, bd = q.ac, q.d, q.bd
+    ident = SquareMatrix.identity(q.ring, q.n)
+    lam_i = ident
     if lam != 1:
         if q.ring.kind != "Q":
             raise UnsupportedRing(f"scaling needs Q, got {q.ring}")
-        inv = 1 / Fraction(lam)
-        ac, d, bd = ac.scalar_mul(inv), d.scalar_mul(inv), bd.scalar_mul(inv)
-    ident = SquareMatrix.identity(q.ring, q.n)
-    u_inv = inverse(ident - ac)
-    result = ident + q.b * u_inv * d
-    v = ident - bd
-    if v * result != ident or result * v != ident:
-        raise FormulaViolation("1 + b (1 - ac)^(-1) d failed to invert 1 - bd")
+        lam_i = ident.scalar_mul(lam)
+    result = ident + q.b * inverse(lam_i - q.ac) * q.d
+    v = lam_i - q.bd
+    if v * result != lam_i or result * v != lam_i:
+        raise FormulaViolation(
+            "1 + b (lambda - ac)^(-1) d failed to invert 1 - bd/lambda"
+        )
     return result

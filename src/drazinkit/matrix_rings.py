@@ -1,10 +1,11 @@
 """Square matrices over a configurable coefficient ring.
 
 The four coefficient rings are the rationals, the integers, prime fields
-GF(p), and residue rings Z/n. Everything is exact: elimination over Q runs
-the fraction-free Bareiss scheme on integer numerators, over GF(p) it is
-modular, the integer and residue determinants go through Bareiss as well,
-and no operation ever leaves the ring.
+GF(p), and residue rings Z/n. Everything is exact: a Q matrix is stored as
+integer numerators over one denominator, so products, sums and elimination
+read integers (the fraction-free Bareiss scheme over Q); over GF(p)
+elimination is modular, the integer and residue determinants go through
+Bareiss as well, and no operation ever leaves the ring.
 
 Matrices are immutable and hashable, so they can serve as cache keys for
 the brute-force layers built on top.
@@ -15,9 +16,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -118,10 +120,6 @@ class RingSpec:
         s = x + y
         return s % self.modulus if self.is_finite else s
 
-    def sub(self, x: Scalar, y: Scalar) -> Scalar:
-        s = x - y
-        return s % self.modulus if self.is_finite else s
-
     def mul(self, x: Scalar, y: Scalar) -> Scalar:
         s = x * y
         return s % self.modulus if self.is_finite else s
@@ -132,10 +130,6 @@ class RingSpec:
     @property
     def zero(self) -> Scalar:
         return Fraction(0) if self.kind == "Q" else 0
-
-    @property
-    def one(self) -> Scalar:
-        return Fraction(1) if self.kind == "Q" else 1
 
     def is_unit_scalar(self, x: Scalar) -> bool:
         if self.kind == "Q":
@@ -218,161 +212,208 @@ def zmod(n: int) -> RingSpec:
     return RingSpec("Zmod", n)
 
 
-def _numerators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Integer numerators of a Q matrix over the lcm d of its denominators."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+def _rational(rows: Iterable[Iterable[int]], den: int) -> "SquareMatrix":
+    """The Q matrix with entries rows[i][j] / den, put in lowest terms.
+
+    den may be negative or share a factor with every numerator; one gcd
+    over the whole matrix brings it to the stored form.
+    """
+    rows = tuple(map(tuple, rows))
+    if den < 0:
+        den = -den
+        rows = tuple(tuple(-x for x in row) for row in rows)
+    g = gcd(den, *chain.from_iterable(rows))
+    if g != 1:
+        rows = tuple(tuple(x // g for x in row) for row in rows)
+        den //= g
+    return SquareMatrix._trusted(RING_Q, rows, den)
 
 
 def over_q(a: SquareMatrix) -> SquareMatrix:
     """a as a matrix over Q, where index, inverses and spectra are built.
 
-    Q matrices come back unchanged and integer matrices embed; any other
-    ring raises UnsupportedRing.
+    Q matrices come back unchanged and integer matrices embed with their
+    integer rows over the denominator 1; any other ring raises
+    UnsupportedRing.
     """
     if a.ring.kind == "Q":
         return a
     if a.ring.kind == "Z":
-        return SquareMatrix(RING_Q, a.entries)
+        return SquareMatrix._trusted(RING_Q, a.num)
     raise UnsupportedRing(f"operation needs Q or Z entries, got {a.ring}")
 
 
 class SquareMatrix:
-    """Immutable n-by-n matrix over a RingSpec, entries in canonical form."""
+    """Immutable n-by-n matrix over a RingSpec, stored in canonical form.
 
-    __slots__ = ("ring", "n", "entries")
+    The value is the integer rows num over the positive denominator den.
+    Over Q, gcd(den, every numerator) = 1, so the zero matrix has den = 1
+    and equal matrices have equal (num, den). Over Z, GF(m) and Z/m, num
+    holds the entries themselves (residues in [0, m) for the last two) and
+    den = 1. Arithmetic reads num and den; entries, with Fractions over Q,
+    is built on demand for JSON, reports and the Fraction cross-checks.
+    """
+
+    __slots__ = ("ring", "n", "num", "den")
 
     def __init__(self, ring: RingSpec, rows: Sequence[Sequence[Scalar]]):
         n = len(rows)
         if n < 1:
             raise DimensionMismatch("matrices must have dimension >= 1")
-        canon = ring.canon
+        is_q = ring.kind == "Q"
+        # Over Q an int is its own canonical numerator over 1.
+        canon = (lambda x: x if type(x) is int else Fraction(x)) if is_q else ring.canon
         ents = []
         for row in rows:
             if len(row) != n:
                 raise DimensionMismatch(f"expected {n} columns, got {len(row)}")
             ents.append(tuple(canon(x) for x in row))
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", tuple(ents))
+        den = 1
+        if is_q:
+            # Over the lcm of the reduced denominators the numerators share
+            # no factor with it, so this is already the lowest-terms form.
+            den = lcm(*(x.denominator for row in ents for x in row))
+            ents = [
+                tuple(x.numerator * (den // x.denominator) for x in row) for row in ents
+            ]
+        _set_ring(self, ring)
+        _set_n(self, n)
+        _set_num(self, tuple(ents))
+        _set_den(self, den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("SquareMatrix is immutable")
 
     @classmethod
     def _trusted(
-        cls, ring: RingSpec, entries: tuple[tuple[Scalar, ...], ...]
+        cls, ring: RingSpec, num: tuple[tuple[int, ...], ...], den: int = 1
     ) -> "SquareMatrix":
-        """A matrix from entries that are canonical by construction.
+        """A matrix from integer rows that are canonical by construction.
 
-        entries must be a square tuple of tuples already in the ring's
-        canonical form (Fraction over Q, int in [0, m) over GF(m) and Z/m);
-        nothing is checked. Outside data goes through SquareMatrix(...).
+        num must be a square tuple of tuples of ints and (num, den) already
+        the stored form: lowest terms with den > 0 over Q, residues in
+        [0, m) and den = 1 over GF(m) and Z/m; nothing is checked. Outside
+        data goes through SquareMatrix(...).
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "n", len(entries))
-        object.__setattr__(self, "entries", entries)
+        _set_ring(self, ring)
+        _set_n(self, len(num))
+        _set_num(self, num)
+        _set_den(self, den)
         return self
 
     @classmethod
     def identity(cls, ring: RingSpec, n: int) -> "SquareMatrix":
-        one, zero = ring.one, ring.zero
-        rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         return cls._trusted(ring, rows)
 
     @classmethod
     def zeros(cls, ring: RingSpec, n: int) -> "SquareMatrix":
-        return cls._trusted(ring, ((ring.zero,) * n,) * n)
+        return cls._trusted(ring, ((0,) * n,) * n)
+
+    @property
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The entries in the ring's scalar form: Fractions over Q."""
+        if self.ring.kind != "Q":
+            return self.num
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SquareMatrix)
-            and self.ring == other.ring
-            and self.entries == other.entries
+            and self.num == other.num
+            and self.den == other.den
+            and (self.ring is other.ring or self.ring == other.ring)
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.entries))
+        # The ring is left out: equal matrices still hash equal, and the
+        # dataclass hash of RingSpec would cost a Python call per lookup.
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"SquareMatrix({self.ring}, {[list(r) for r in self.entries]})"
 
     def _require_compatible(self, other: "SquareMatrix") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n} vs {other.n}")
 
     @property
     def is_zero(self) -> bool:
-        zero = self.ring.zero
-        return all(x == zero for row in self.entries for x in row)
+        return not any(map(any, self.num))
 
     def trace(self) -> Scalar:
-        acc = self.ring.zero
-        for i in range(self.n):
-            acc = self.ring.add(acc, self.entries[i][i])
-        return acc
+        t = sum(row[i] for i, row in enumerate(self.num))
+        if self.ring.is_finite:
+            return t % self.ring.modulus
+        return Fraction(t, self.den) if self.ring.kind == "Q" else t
 
-    def _entrywise(
-        self, other: "SquareMatrix", op: Callable[[Scalar, Scalar], Scalar]
-    ) -> "SquareMatrix":
+    def _combine(self, other: "SquareMatrix", sign: int) -> "SquareMatrix":
+        """self + sign * other, sign = 1 or -1; over Q on the lcm of the
+        two denominators."""
         self._require_compatible(other)
-        return SquareMatrix._trusted(
-            self.ring,
-            tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
+        ring = self.ring
+        pairs = zip(self.num, other.num)
+        if ring.is_finite:
+            m = ring.modulus
+            rows = tuple(
+                tuple((x + sign * y) % m for x, y in zip(r1, r2)) for r1, r2 in pairs
+            )
+            return SquareMatrix._trusted(ring, rows)
+        da, db = self.den, other.den
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        rows = tuple(tuple(fa * x + fb * y for x, y in zip(r1, r2)) for r1, r2 in pairs)
+        return SquareMatrix._trusted(ring, rows) if den == 1 else _rational(rows, den)
 
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
-        return self._entrywise(other, self.ring.add)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
-        return self._entrywise(other, self.ring.sub)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "SquareMatrix":
-        neg = self.ring.neg
-        return SquareMatrix._trusted(
-            self.ring, tuple(tuple(map(neg, row)) for row in self.entries)
-        )
+        m = self.ring.modulus
+        if m is None:
+            rows = tuple(tuple(-x for x in row) for row in self.num)
+        else:
+            rows = tuple(tuple(-x % m for x in row) for row in self.num)
+        return SquareMatrix._trusted(self.ring, rows, self.den)
 
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
         """Row-by-column integer dot products, one per output entry.
 
-        Over Q each factor is scaled to integer numerators over the lcm of
-        its denominators, so an entry is one integer dot product put over
-        the product of the two common denominators: one normalisation per
-        entry. Over GF(m) and Z/m the dot product is reduced mod m.
+        Over GF(m) and Z/m the dot product is reduced mod m. Over Q the
+        numerator rows multiply as integers over the product of the two
+        denominators, and one gcd over the result puts it in lowest terms.
         """
         self._require_compatible(other)
         ring = self.ring
-        if ring.kind == "Q":
-            a, da = _numerators(self.entries)
-            b, db = _numerators(other.entries)
-            d = da * db
-            cols = tuple(zip(*b))
-            rows = tuple(
-                tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in a
-            )
-        elif ring.is_finite:
+        cols = tuple(zip(*other.num))
+        if ring.is_finite:
             m = ring.modulus
-            cols = tuple(zip(*other.entries))
             rows = tuple(
-                tuple(sum(map(mul, row, col)) % m for col in cols) for row in self.entries
+                tuple(sum(map(mul, row, col)) % m for col in cols) for row in self.num
             )
-        else:
-            cols = tuple(zip(*other.entries))
-            rows = tuple(
-                tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries
-            )
-        return SquareMatrix._trusted(ring, rows)
+            return SquareMatrix._trusted(ring, rows)
+        rows = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num)
+        den = self.den * other.den
+        return SquareMatrix._trusted(ring, rows) if den == 1 else _rational(rows, den)
 
     def scalar_mul(self, c: Scalar) -> "SquareMatrix":
-        c = self.ring.canon(c)
-        times = self.ring.mul
-        return SquareMatrix._trusted(
-            self.ring, tuple(tuple(times(c, x) for x in row) for row in self.entries)
-        )
+        ring = self.ring
+        c = ring.canon(c)
+        if ring.is_finite:
+            m = ring.modulus
+            rows = tuple(tuple(c * x % m for x in row) for row in self.num)
+            return SquareMatrix._trusted(ring, rows)
+        rows = tuple(tuple(c.numerator * x for x in row) for row in self.num)
+        if ring.kind == "Z":
+            return SquareMatrix._trusted(ring, rows)
+        return _rational(rows, self.den * c.denominator)
 
     def power(self, k: int) -> "SquareMatrix":
         if k < 0:
@@ -387,6 +428,13 @@ class SquareMatrix:
         return result
 
 
+# The slot setters, which get past the raising __setattr__ at half the cost
+# of object.__setattr__; every matrix is built through them.
+_set_ring, _set_n, _set_num, _set_den = (
+    SquareMatrix.__dict__[slot].__set__ for slot in SquareMatrix.__slots__
+)
+
+
 # -- field elimination --------------------------------------------------------
 
 
@@ -396,28 +444,24 @@ def _require_field(a: SquareMatrix) -> None:
 
 
 def _echelon(
-    ring: RingSpec, rows: Sequence[Sequence[Scalar]], ncols: int
-) -> tuple[list[list[int]], list[int], int, int]:
-    """Forward elimination over a field, on a copy of rows.
+    rows: list[list[int]], ncols: int, m: int | None
+) -> tuple[list[list[int]], list[int], int]:
+    """Forward elimination over a field, in place on integer rows.
 
     Pivots are sought in the first ncols columns only, each column taking
-    the first nonzero entry at or below the current row. Returns integer
-    rows, the pivot columns, the sign of the row swaps, and a scale d.
+    the first nonzero entry at or below the current row. Returns the rows,
+    the pivot columns and the sign of the row swaps.
 
-    Over GF(m) the rows are the echelon form itself and d = 1. Over Q the
-    rows are first scaled to integer numerators over the lcm d of their
-    denominators, then run through Bareiss's fraction-free recurrence: a
-    row below pivot p becomes (p x - f y) // prev, prev the pivot before p,
-    and every division is exact (Bareiss 1968). Each row stays d * prev
-    times the row that elimination with division would leave, so the pivot
-    columns are the same; a square input of full rank has determinant
-    sign * D / d**n, where D is the last pivot.
+    Over GF(m) the rows are residues and come back as the echelon form
+    itself. With m None they are the integer rows U of a Q system (its
+    numerators over a common denominator), run through Bareiss's
+    fraction-free recurrence: a row below pivot p becomes
+    (p x - f y) // prev, prev the pivot before p, and every division is
+    exact (Bareiss 1968). Each row stays prev times the row that
+    elimination with division would leave in U, so the pivot columns are
+    the same; a square U of full rank has determinant sign * D, where D is
+    the last pivot.
     """
-    m = ring.modulus
-    if m is None:
-        rows, d = _numerators(rows)
-    else:
-        rows, d = [list(r) for r in rows], 1
     pivots: list[int] = []
     sign = 1
     prev = 1
@@ -446,29 +490,25 @@ def _echelon(
                     rows[i] = [(x - f * y) % m for x, y in zip(rows[i], top)]
         pivots.append(c)
         r += 1
-    return rows, pivots, sign, d
+    return rows, pivots, sign
 
 
-def reduced_echelon(
-    ring: RingSpec, rows: Sequence[Sequence[Scalar]], ncols: int
-) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form over a field, pivoting in the first ncols
-    columns only; returns (rows, pivot columns).
+def _reduce(
+    rows: list[list[int]], ncols: int, m: int | None
+) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form of integer rows, in place; returns (rows,
+    pivot columns, D), the reduced form being rows / D.
 
-    The forward pass is followed by a backward pass that normalises each
-    pivot row and clears the entries above its pivot. For an augmented
-    system [M | v] with ncols the width of M, a nonzero entry of a row below
-    the pivot rows marks the system inconsistent.
-
-    Over Q the backward pass stays in integers. With D the last Bareiss
-    pivot, D times the reduced form is integral (Cramer's rule), and the
-    pivot row r of it is (D u_r - sum of u_r[c_s] x_s over the later pivot
-    rows x_s) // p_r, with u_r the echelon row and p_r its pivot. Each entry
-    becomes one Fraction: x / D on the pivot rows, and x / (d D) on the rows
-    below, which the backward pass leaves as the forward pass made them.
+    The forward pass is _echelon; a backward pass normalises each pivot row
+    and clears the entries above its pivot. Over GF(m), D = 1. With m None
+    the backward pass stays in integers: with D the last Bareiss pivot,
+    D times the reduced form is integral (Cramer's rule), and the pivot row
+    r of it is (D u_r - sum of u_r[c_s] x_s over the later pivot rows x_s)
+    // p_r, with u_r the echelon row and p_r its pivot. The rows below the
+    pivot rows are left as the forward pass made them, D times what
+    elimination with division leaves there. D may be negative.
     """
-    rows, pivots, _, d = _echelon(ring, rows, ncols)
-    m = ring.modulus
+    rows, pivots, _ = _echelon(rows, ncols, m)
     rk = len(pivots)
     if m is not None:
         for r in range(rk - 1, -1, -1):
@@ -479,7 +519,7 @@ def reduced_echelon(
                 f = rows[i][c]
                 if f != 0:
                     rows[i] = [(x - f * y) % m for x, y in zip(rows[i], top)]
-        return rows, pivots
+        return rows, pivots, 1
     big_d = rows[rk - 1][pivots[-1]] if rk else 1
     for r in range(rk - 1, -1, -1):
         row = rows[r]
@@ -490,30 +530,62 @@ def reduced_echelon(
                 acc = [a - f * x for a, x in zip(acc, rows[s])]
         p = row[pivots[r]]
         rows[r] = [a // p for a in acc]
+    return rows, pivots, big_d
+
+
+def reduced_echelon(
+    ring: RingSpec, rows: Sequence[Sequence[Scalar]], ncols: int
+) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced row echelon form over a field, pivoting in the first ncols
+    columns only; returns (rows, pivot columns).
+
+    For an augmented system [M | v] with ncols the width of M, a nonzero
+    entry of a row below the pivot rows marks the system inconsistent.
+    This is the scalar-level entry to the kernel _reduce: over Q the rows
+    are put over the lcm d of their denominators, and each output entry is
+    one Fraction, x / D on the pivot rows and x / (d D) on the rows below.
+    """
+    m = ring.modulus
+    if m is not None:
+        return _reduce([list(r) for r in rows], ncols, m)[:2]
+    d = lcm(*(x.denominator for row in rows for x in row))
+    ints = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+    ints, pivots, big_d = _reduce(ints, ncols, None)
     below = d * big_d
     return [
-        [Fraction(x, big_d if i < rk else below) for x in row]
-        for i, row in enumerate(rows)
+        [Fraction(x, big_d if i < len(pivots) else below) for x in row]
+        for i, row in enumerate(ints)
     ], pivots
 
 
-def _reduce_with_identity(a: SquareMatrix) -> tuple[list[list[Scalar]], list[int]]:
+def _reduce_with_identity(a: SquareMatrix) -> tuple[list[list[int]], list[int], int]:
     """Reduced echelon form [R | P] of [A | I], pivoting in A's columns only.
 
-    P is invertible and P A = R; the pivot count is the rank of A.
+    Eliminates the integer rows [num | den I], which are den [A | I], and
+    returns (rows, pivots, D) with [R | P] = rows / D. P is invertible and
+    P A = R; the pivot count is the rank of A.
     """
-    one, zero = a.ring.one, a.ring.zero
+    den = a.den
     aug = [
-        list(row) + [one if i == j else zero for j in range(a.n)]
-        for i, row in enumerate(a.entries)
+        list(row) + [den if i == j else 0 for j in range(a.n)]
+        for i, row in enumerate(a.num)
     ]
-    return reduced_echelon(a.ring, aug, a.n)
+    return _reduce(aug, a.n, a.ring.modulus)
+
+
+def _from_rows(ring: RingSpec, rows: list[list[int]], den: int) -> SquareMatrix:
+    """The field matrix rows / den in stored form: in lowest terms over Q,
+    reduced mod p over GF(p), where den = 1."""
+    if ring.kind == "Q":
+        return _rational(rows, den)
+    m = ring.modulus
+    return SquareMatrix._trusted(ring, tuple(tuple(x % m for x in row) for row in rows))
 
 
 def rank(a: SquareMatrix) -> int:
     """Row rank by exact elimination; fields only."""
     _require_field(a)
-    return len(_echelon(a.ring, a.entries, a.n)[1])
+    return len(_echelon([list(r) for r in a.num], a.n, a.ring.modulus)[1])
 
 
 def inverse(a: SquareMatrix) -> SquareMatrix:
@@ -525,10 +597,10 @@ def inverse(a: SquareMatrix) -> SquareMatrix:
     ring = a.ring
     n = a.n
     if ring.is_field:
-        rows, pivots = _reduce_with_identity(a)
+        rows, pivots, den = _reduce_with_identity(a)
         if len(pivots) < n:
             raise NotInvertible(f"rank {len(pivots)} < {n}", reason="rank deficiency")
-        return SquareMatrix._trusted(ring, tuple(tuple(row[n:]) for row in rows))
+        return _from_rows(ring, [row[n:] for row in rows], den)
     d = det(a)
     if not ring.is_unit_scalar(d):
         raise NotInvertible(f"det {d} is not a unit of {ring}", reason="det not a unit")
@@ -551,7 +623,7 @@ def _adjugate(a: SquareMatrix) -> SquareMatrix:
         row = []
         for j in range(n):
             minor = [
-                [a.entries[r][c] for c in range(n) if c != i]
+                [a.num[r][c] for c in range(n) if c != i]
                 for r in range(n) if r != j
             ]
             cof = det(SquareMatrix(ring, minor))
@@ -594,19 +666,19 @@ def det(a: SquareMatrix) -> Scalar:
     """Exact determinant for every supported ring.
 
     Fields take the forward pass of the elimination kernel: over Q the
-    signed last Bareiss pivot over d**n, over GF(p) the signed product of
-    the pivots. Z and Z/n take the Bareiss route of det_bareiss: Z/n lifts
-    to integer representatives, runs Bareiss over Z, and reduces, which is
-    exact because reduction mod n is a ring homomorphism.
+    signed last Bareiss pivot of num over den**n, over GF(p) the signed
+    product of the pivots. Z and Z/n take the Bareiss route of det_bareiss:
+    Z/n lifts to integer representatives, runs Bareiss over Z, and reduces,
+    which is exact because reduction mod n is a ring homomorphism.
     """
     ring = a.ring
     if not ring.is_field:
         return det_bareiss(a)
-    rows, pivots, sign, d = _echelon(ring, a.entries, a.n)
+    rows, pivots, sign = _echelon([list(r) for r in a.num], a.n, ring.modulus)
     if len(pivots) < a.n:
         return ring.zero
     if ring.kind == "Q":
-        return Fraction(sign * rows[-1][-1], d**a.n)
+        return Fraction(sign * rows[-1][-1], a.den**a.n)
     pivot_product = sign
     for i, row in enumerate(rows):
         pivot_product = pivot_product * row[i] % ring.modulus
@@ -616,8 +688,9 @@ def det(a: SquareMatrix) -> Scalar:
 def det_bareiss(a: SquareMatrix) -> Scalar:
     """Fraction-free determinant, independent of the elimination in det().
 
-    Runs the Bareiss recurrence in the fraction field for Q, directly over
-    Z, and on integer lifts for the modular rings. Over Q and GF(p) it
+    Runs the Bareiss recurrence in the fraction field for Q, on the
+    Fraction entries rather than the stored numerators, directly over Z,
+    and on integer lifts for the modular rings. Over Q and GF(p) it
     cross-checks det(); over Z and Z/n it is the route det() takes.
     """
     ring = a.ring
@@ -640,13 +713,12 @@ def inner_inverse(a: SquareMatrix) -> SquareMatrix:
     vector e_(c_k), so X is P's row k placed in row c_k, and zero elsewhere.
     """
     _require_field(a)
-    ring = a.ring
     n = a.n
-    rows, pivots = _reduce_with_identity(a)
-    x_rows = [(ring.zero,) * n] * n
+    rows, pivots, den = _reduce_with_identity(a)
+    x_rows = [[0] * n] * n
     for k, c in enumerate(pivots):
-        x_rows[c] = tuple(rows[k][n:])
-    x = SquareMatrix._trusted(ring, tuple(x_rows))
+        x_rows[c] = rows[k][n:]
+    x = _from_rows(a.ring, x_rows, den)
     if a * x * a != a:
         raise FormulaViolation("rank-normal-form inner inverse failed A X A = A")
     return x
@@ -685,7 +757,7 @@ def in_radical(a: SquareMatrix) -> bool:
     if a.ring.kind == "Zmod":
         m = a.ring.modulus
         k = m.bit_length() - 1
-        return all(pow(x, k, m) == 0 for row in a.entries for x in row)
+        return all(pow(x, k, m) == 0 for row in a.num for x in row)
     return a.is_zero
 
 

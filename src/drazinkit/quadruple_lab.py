@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional
 
 from .drazin_core import (
@@ -30,11 +30,12 @@ from .matrix_rings import (
     RING_Q,
     RingSpec,
     SquareMatrix,
+    _from_rows,
+    _reduce,
     all_matrices,
     is_invertible,
     is_nilpotent,
     matrix_to_json,
-    reduced_echelon,
 )
 
 DEFAULT_SEED = 0x5EED
@@ -270,44 +271,41 @@ def _solve_by_elimination(
     a: SquareMatrix, b: SquareMatrix, c: SquareMatrix, budget: int
 ) -> list[SquareMatrix]:
     ring = a.ring
+    m = ring.modulus
     n = a.n
     nn = n * n
     bac = b * a * c
     ac = a * c
     # Row (i, j) of the system states (b X b)[i][j] = (b a c)[i][j]; the
-    # coefficient of X[k][l] there is b[i][k] * b[l][j].
-    aug: list[list] = []
+    # coefficient of X[k][l] there is b[i][k] * b[l][j]. Over Q the
+    # coefficients are numerators over b.den**2 and the right side over
+    # bac.den, so both are put over their lcm; off Q both scales are 1.
+    scale = lcm(b.den**2, bac.den)
+    fb, fv = scale // b.den**2, scale // bac.den
+    bn = b.num
+    aug: list[list[int]] = []
     for i in range(n):
         for j in range(n):
-            row = [
-                ring.mul(b.entries[i][k], b.entries[l][j])
-                for k in range(n)
-                for l in range(n)
-            ]
-            row.append(bac.entries[i][j])
-            aug.append(row)
-    rows, pivots = reduced_echelon(ring, aug, nn)
-    if any(row[nn] != ring.zero for row in rows[len(pivots):]):
+            row = [fb * bn[i][k] * bn[l][j] for k in range(n) for l in range(n)]
+            row.append(fv * bac.num[i][j])
+            aug.append(row if m is None else [x % m for x in row])
+    rows, pivots, den = _reduce(aug, nn, m)
+    if any(row[nn] != 0 for row in rows[len(pivots):]):
         raise NoSolution("b X b = b a c is inconsistent")
+    # The solutions are particular + span(basis), numerators over den.
     free = [col for col in range(nn) if col not in pivots]
-    particular = [ring.zero] * nn
+    particular = [0] * nn
     for r, col in enumerate(pivots):
         particular[col] = rows[r][nn]
     basis = []
     for f in free:
-        vec = [ring.zero] * nn
-        vec[f] = ring.one
+        vec = [0] * nn
+        vec[f] = den
         for r, col in enumerate(pivots):
-            vec[col] = ring.neg(rows[r][f])
+            vec[col] = -rows[r][f]
         basis.append(vec)
 
-    def as_matrix(vec: list) -> SquareMatrix:
-        return SquareMatrix(ring, [vec[i * n:(i + 1) * n] for i in range(n)])
-
-    if ring.is_finite:
-        alphabet = list(ring.scalars())
-    else:
-        alphabet = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
+    alphabet = list(ring.scalars()) if ring.is_finite else [0, 1, -1, 2, -2]
     out: list[SquareMatrix] = []
     seen: set[SquareMatrix] = set()
     examined = 0
@@ -315,12 +313,11 @@ def _solve_by_elimination(
         examined += 1
         if examined > _CANDIDATE_CAP:
             break
-        vec = list(particular)
+        vec = particular
         for coef, bvec in zip(coeffs, basis):
-            if coef != ring.zero:
-                for t in range(nn):
-                    vec[t] = ring.add(vec[t], ring.mul(coef, bvec[t]))
-        x = as_matrix(vec)
+            if coef:
+                vec = [v + coef * t for v, t in zip(vec, bvec)]
+        x = _from_rows(ring, [vec[i * n:(i + 1) * n] for i in range(n)], den)
         if x in seen:
             continue
         seen.add(x)

@@ -162,13 +162,13 @@ def invertibility_transfer(
 ) -> TransferReport:
     """Pointwise unit transfer at each sampled nonzero lambda.
 
-    Whenever 1 - (a/lambda) c is invertible, the explicit formula
-    1 + b (1 - (a/lambda) c)^(-1) (d/lambda) must invert 1 - b (d/lambda),
-    which is the statement that lambda - bd is a unit whenever lambda - ac
-    is. jacobson_inverse decides the ac side by inverting it and verifies
-    the formula two-sided; the bd side is decided independently by its
-    determinant. Both side verdicts are recorded even when the hypothesis
-    fails.
+    Whenever lambda - ac is invertible, the explicit formula
+    1 + b (lambda - ac)^(-1) d must invert 1 - bd/lambda, which is the
+    statement that lambda - bd is a unit whenever lambda - ac is.
+    jacobson_inverse decides the ac side by inverting it and verifies the
+    formula two-sided; the bd side is decided independently by the
+    determinant of lambda - bd. Both side verdicts are recorded even when
+    the hypothesis fails.
     """
     rows: list[TransferRow] = []
     ident = SquareMatrix.identity(q.ring, q.n)
@@ -178,7 +178,7 @@ def invertibility_transfer(
             ac_ok = True
         except NotInvertible:
             ac_ok = False
-        bd_ok = is_invertible(ident - q.bd.scalar_mul(1 / lam))
+        bd_ok = is_invertible(ident.scalar_mul(lam) - q.bd)
         rows.append(TransferRow(lam, ac_ok, bd_ok, True if ac_ok else None))
     return TransferReport(tuple(rows))
 

@@ -227,6 +227,19 @@ class TestQuadruple:
         result = verify_intertwining(**example_matrices("2.5"))
         assert isinstance(result, Quadruple)
 
+    def test_valid_quadruple_builds_no_report(self, monkeypatch):
+        # The relations are compared as matrices; the report text, with its
+        # JSON for every relation side, is built only for a rejection.
+        import drazinkit.drazin_core as core
+
+        def no_json(_):
+            raise AssertionError("report built for a valid quadruple")
+
+        monkeypatch.setattr(core, "matrix_to_json", no_json)
+        q = Quadruple(**example_matrices("2.5"))
+        assert q.ac == q.a * q.c and q.bd == q.b * q.d
+        assert Quadruple(q.b, q.a, q.a, q.b).ac == q.b * q.a
+
     def test_second_demo_instance_products_all_vanish(self):
         report = intertwining_report(**example_matrices("2.5"))
         assert report["accepted"]

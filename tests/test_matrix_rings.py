@@ -3,6 +3,7 @@
 import itertools
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given
@@ -33,6 +34,7 @@ from drazinkit.matrix_rings import (
     in_radical,
     matrix_from_json,
     matrix_to_json,
+    over_q,
     rank,
     reduced_echelon,
     zmod,
@@ -139,19 +141,37 @@ def reference_product(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
 
 
 def assert_canonical(r: SquareMatrix) -> None:
-    """Entries as SquareMatrix(...) would store them, at the right types."""
-    assert type(r.entries) is tuple and len(r.entries) == r.n
-    for row in r.entries:
+    """The stored form, and entries as SquareMatrix(...) would give them.
+
+    num is a square tuple of tuples of ints over the int den > 0, in lowest
+    terms; den = 1 for the zero matrix and off Q, and residues lie in
+    [0, m) over GF(m) and Z/m. entries is Fraction(x, den) over Q and the
+    numerators themselves elsewhere.
+    """
+    assert type(r.num) is tuple and len(r.num) == r.n
+    flat = []
+    for row in r.num:
         assert type(row) is tuple and len(row) == r.n
         for x in row:
+            assert type(x) is int
+            if r.ring.is_finite:
+                assert 0 <= x < r.ring.modulus
+            flat.append(x)
+    assert type(r.den) is int and r.den > 0
+    assert gcd(r.den, *flat) == 1
+    if r.ring.kind != "Q" or all(x == 0 for x in flat):
+        assert r.den == 1
+    assert type(r.entries) is tuple and len(r.entries) == r.n
+    for row, nums in zip(r.entries, r.num):
+        assert type(row) is tuple and len(row) == r.n
+        for x, k in zip(row, nums):
             if r.ring.kind == "Q":
-                assert type(x) is Fraction
+                assert type(x) is Fraction and x == Fraction(k, r.den)
             else:
-                assert type(x) is int
-                if r.ring.is_finite:
-                    assert 0 <= x < r.ring.modulus
+                assert type(x) is int and x == k
     again = SquareMatrix(r.ring, r.entries)
     assert r == again and hash(r) == hash(again)
+    assert (again.num, again.den) == (r.num, r.den)
 
 
 # Every ring kind the product kernel branches on; Q with denominators up to
@@ -249,10 +269,25 @@ class TestMatrixBasics:
             st.fractions(min_value=-5, max_value=5, max_denominator=12)
             if ring.kind == "Q" else st.integers(min_value=-20, max_value=20)
         )
-        results = (a * b, a + b, a - b, -a, a.scalar_mul(c),
-                   SquareMatrix.identity(ring, a.n), SquareMatrix.zeros(ring, a.n))
+        results = [a * b, a + b, a - b, a - a, -a, a.scalar_mul(c), a.scalar_mul(0),
+                   a.power(3), SquareMatrix.identity(ring, a.n),
+                   SquareMatrix.zeros(ring, a.n)]
+        if is_invertible(a):
+            results.append(inverse(a))
+        if ring.is_field:
+            results.append(inner_inverse(a))
+        if ring.kind in ("Q", "Z"):
+            results.append(over_q(a))
         for r in results:
             assert_canonical(r)
+
+    @given(data=st.data())
+    def test_q_products_associate_with_equal_hashes(self, data):
+        # Denominators up to 12, so the three factors rarely share one and
+        # the two bracketings reach the same value through different gcds.
+        a, b, c = kernel_operands(data, RING_Q, 3)
+        left, right = (a * b) * c, a * (b * c)
+        assert left == right and hash(left) == hash(right)
 
     def test_hashable_value_semantics(self):
         x = m(gf(2), [[1, 0], [0, 1]])

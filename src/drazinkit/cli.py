@@ -2,13 +2,14 @@
 
 Exit code contract: 0 when the command succeeds and any checked property is
 confirmed; 1 when well-formed input is rejected (intertwining relations
-fail, a required inverse does not exist, an enumeration budget is exceeded);
-2 when the input itself is malformed (bad JSON, bad matrix schema, unusable
-flag values); 3 when an internal check fails (FormulaViolation: a computed
-result failed its own verification, which is always a bug in this package,
-never a verdict on the input). Reports go to standard output; nonzero exits
-also put a structured {"error", "detail"} object on standard error. Identical
-(command, input, seed) invocations produce byte-identical reports.
+fail, a required inverse does not exist, an enumeration or search budget is
+exceeded); 2 when the input itself is malformed (bad JSON, bad matrix schema,
+unusable flag values); 3 when an internal check fails (FormulaViolation: a
+computed result failed its own verification, which is always a bug in this
+package, never a verdict on the input). Reports go to standard output;
+nonzero exits also put a structured {"error", "detail"} object on standard
+error. Identical (command, input, seed) invocations produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -294,6 +295,8 @@ def _cmd_spectrum(args: argparse.Namespace, out: TextIO) -> int:
         report = quadruple_spectrum_report(q, lambdas)
     except ZeroLambda as exc:
         raise _Rejected(str(exc)) from exc
+    except BudgetExceeded as exc:
+        raise _Rejected(f"{exc}; pass --lambdas to skip it") from exc
     _emit(out, report)
     transfer_ok = report["transfer"]["all_hold"]  # type: ignore[index]
     return EXIT_OK if transfer_ok else EXIT_REJECTED

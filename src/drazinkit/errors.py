@@ -69,7 +69,7 @@ class ZeroLambda(DrazinkitError):
 
 
 class BudgetExceeded(DrazinkitError):
-    """An enumeration would exceed its candidate budget."""
+    """An enumeration or search would exceed its budget."""
 
 
 class NoSolution(DrazinkitError):

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from .errors import DivisionByZero, DrazinkitError, ZeroPolynomial
+from .errors import BudgetExceeded, DivisionByZero, DrazinkitError, ZeroPolynomial
 
 Rational = Fraction
 
@@ -278,11 +278,19 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+# The trial divisions, and then the candidate pairs, that one rational root
+# search may spend; a larger search raises BudgetExceeded before it starts.
+ROOT_SEARCH_BUDGET = 100_000
+
+
 def rational_roots(p: Poly) -> list[Fraction]:
     """All rational roots of p, ascending, each listed once.
 
     Candidates come from the rational root bound applied to the primitive
-    integer form of p, so the list is complete, not heuristic.
+    integer form of p, so the list is complete, not heuristic. Raises
+    BudgetExceeded up front when finding the divisors of its constant and
+    leading coefficients, or testing every pair of them, would take more
+    than ROOT_SEARCH_BUDGET steps.
     """
     if p.is_zero:
         raise ZeroPolynomial("root search on the zero polynomial")
@@ -298,9 +306,21 @@ def rational_roots(p: Poly) -> list[Fraction]:
         for c in trimmed.coeffs:
             denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
         ints = [int(c * denom_lcm) for c in trimmed.coeffs]
-        for num in _divisors(ints[0]):
-            for den in _divisors(ints[-1]):
+        trials = isqrt(abs(ints[0])) + isqrt(abs(ints[-1]))
+        _check_root_budget(trials, "trial divisions")
+        nums, dens = _divisors(ints[0]), _divisors(ints[-1])
+        _check_root_budget(len(nums) * len(dens), "candidate pairs")
+        for num in nums:
+            for den in dens:
                 for cand in (Fraction(num, den), Fraction(-num, den)):
                     if trimmed(cand) == 0:
                         roots.add(cand)
     return sorted(roots)
+
+
+def _check_root_budget(work: int, what: str) -> None:
+    if work > ROOT_SEARCH_BUDGET:
+        raise BudgetExceeded(
+            f"rational root search needs {work} {what}, "
+            f"over the budget of {ROOT_SEARCH_BUDGET}"
+        )

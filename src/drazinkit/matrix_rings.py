@@ -3,9 +3,10 @@
 The four coefficient rings are the rationals, the integers, prime fields
 GF(p), and residue rings Z/n. Everything is exact: a Q matrix is stored as
 integer numerators over one denominator, so products, sums and elimination
-read integers (the fraction-free Bareiss scheme over Q); over GF(p)
-elimination is modular, the integer and residue determinants go through
-Bareiss as well, and no operation ever leaves the ring.
+read integers. det and inverse share one kernel, Bareiss's fraction-free
+elimination on integer rows (residue lifts over GF(p) and Z/n), except that
+inverse eliminates mod p over GF(p), as rank and the solvers do. Nothing
+ever leaves the ring.
 
 Matrices are immutable and hashable, so they can serve as cache keys for
 the brute-force layers built on top.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -124,9 +125,6 @@ class RingSpec:
         s = x * y
         return s % self.modulus if self.is_finite else s
 
-    def neg(self, x: Scalar) -> Scalar:
-        return -x % self.modulus if self.is_finite else -x
-
     @property
     def zero(self) -> Scalar:
         return Fraction(0) if self.kind == "Q" else 0
@@ -139,15 +137,6 @@ class RingSpec:
         if self.kind == "GF":
             return x % self.modulus != 0  # type: ignore[operator]
         return gcd(int(x), self.modulus) == 1  # type: ignore[arg-type]
-
-    def inv_scalar(self, x: Scalar) -> Scalar:
-        if not self.is_unit_scalar(x):
-            raise NotInvertible(f"{x} is not a unit of {self}", reason="det not a unit")
-        if self.kind == "Q":
-            return 1 / x
-        if self.kind == "Z":
-            return x
-        return pow(int(x), -1, self.modulus)  # type: ignore[arg-type]
 
     def scalars(self) -> Iterator[Scalar]:
         """Every scalar of a finite ring, in canonical order."""
@@ -435,7 +424,7 @@ _set_ring, _set_n, _set_num, _set_den = (
 )
 
 
-# -- field elimination --------------------------------------------------------
+# -- elimination ---------------------------------------------------------------
 
 
 def _require_field(a: SquareMatrix) -> None:
@@ -446,16 +435,16 @@ def _require_field(a: SquareMatrix) -> None:
 def _echelon(
     rows: list[list[int]], ncols: int, m: int | None
 ) -> tuple[list[list[int]], list[int], int]:
-    """Forward elimination over a field, in place on integer rows.
+    """Forward elimination, in place on integer rows.
 
     Pivots are sought in the first ncols columns only, each column taking
     the first nonzero entry at or below the current row. Returns the rows,
     the pivot columns and the sign of the row swaps.
 
     Over GF(m) the rows are residues and come back as the echelon form
-    itself. With m None they are the integer rows U of a Q system (its
-    numerators over a common denominator), run through Bareiss's
-    fraction-free recurrence: a row below pivot p becomes
+    itself. With m None they are integer rows U (the numerators of a Q
+    system over a common denominator, integers, or residue lifts), run
+    through Bareiss's fraction-free recurrence: a row below pivot p becomes
     (p x - f y) // prev, prev the pivot before p, and every division is
     exact (Bareiss 1968). Each row stays prev times the row that
     elimination with division would leave in U, so the pivot columns are
@@ -499,16 +488,25 @@ def _reduce(
     """Reduced row echelon form of integer rows, in place; returns (rows,
     pivot columns, D), the reduced form being rows / D.
 
-    The forward pass is _echelon; a backward pass normalises each pivot row
-    and clears the entries above its pivot. Over GF(m), D = 1. With m None
-    the backward pass stays in integers: with D the last Bareiss pivot,
-    D times the reduced form is integral (Cramer's rule), and the pivot row
-    r of it is (D u_r - sum of u_r[c_s] x_s over the later pivot rows x_s)
-    // p_r, with u_r the echelon row and p_r its pivot. The rows below the
-    pivot rows are left as the forward pass made them, D times what
-    elimination with division leaves there. D may be negative.
+    The forward pass is _echelon, the backward pass _back_substitute.
     """
     rows, pivots, _ = _echelon(rows, ncols, m)
+    return rows, pivots, _back_substitute(rows, pivots, m)
+
+
+def _back_substitute(rows: list[list[int]], pivots: list[int], m: int | None) -> int:
+    """Backward pass on rows that _echelon left, in place; returns D, the
+    reduced form being rows / D.
+
+    Normalises each pivot row and clears the entries above its pivot.
+    Over GF(m), D = 1. With m None the pass stays in integers: with D the
+    last Bareiss pivot, D times the reduced form is integral (Cramer's
+    rule), and the pivot row r of it is (D u_r - sum of u_r[c_s] x_s over
+    the later pivot rows x_s) // p_r, with u_r the echelon row and p_r its
+    pivot. The rows below the pivot rows are left as the forward pass made
+    them, D times what elimination with division leaves there. D may be
+    negative.
+    """
     rk = len(pivots)
     if m is not None:
         for r in range(rk - 1, -1, -1):
@@ -519,7 +517,7 @@ def _reduce(
                 f = rows[i][c]
                 if f != 0:
                     rows[i] = [(x - f * y) % m for x, y in zip(rows[i], top)]
-        return rows, pivots, 1
+        return 1
     big_d = rows[rk - 1][pivots[-1]] if rk else 1
     for r in range(rk - 1, -1, -1):
         row = rows[r]
@@ -530,7 +528,7 @@ def _reduce(
                 acc = [a - f * x for a, x in zip(acc, rows[s])]
         p = row[pivots[r]]
         rows[r] = [a // p for a in acc]
-    return rows, pivots, big_d
+    return big_d
 
 
 def reduced_echelon(
@@ -558,28 +556,41 @@ def reduced_echelon(
     ], pivots
 
 
-def _reduce_with_identity(a: SquareMatrix) -> tuple[list[list[int]], list[int], int]:
-    """Reduced echelon form [R | P] of [A | I], pivoting in A's columns only.
-
-    Eliminates the integer rows [num | den I], which are den [A | I], and
-    returns (rows, pivots, D) with [R | P] = rows / D. P is invertible and
-    P A = R; the pivot count is the rank of A.
-    """
+def _with_identity(a: SquareMatrix) -> list[list[int]]:
+    """The integer rows [num | den I], which are den [A | I]. Reduced with
+    pivots in A's columns only they give [R | P] with P invertible and
+    P A = R; the pivot count is the rank of A."""
     den = a.den
-    aug = [
+    return [
         list(row) + [den if i == j else 0 for j in range(a.n)]
         for i, row in enumerate(a.num)
     ]
-    return _reduce(aug, a.n, a.ring.modulus)
 
 
 def _from_rows(ring: RingSpec, rows: list[list[int]], den: int) -> SquareMatrix:
-    """The field matrix rows / den in stored form: in lowest terms over Q,
-    reduced mod p over GF(p), where den = 1."""
+    """The matrix rows / den in stored form: in lowest terms over Q, exact
+    division over Z, times the inverse of den modulo m over GF(m) and Z/m.
+    den must divide every entry over Z and be a unit modulo m."""
+    m = ring.modulus
+    if m is not None:
+        inv = pow(den, -1, m)
+        return SquareMatrix._trusted(
+            ring, tuple(tuple(x * inv % m for x in row) for row in rows)
+        )
     if ring.kind == "Q":
         return _rational(rows, den)
+    return SquareMatrix._trusted(ring, tuple(tuple(x // den for x in r) for r in rows))
+
+
+def _det_in_ring(ring: RingSpec, det_num: int, den: int, n: int) -> Scalar:
+    """det(A) from det_num, the determinant of the n x n integer rows
+    num = den A: divided by den**n over Q, as is over Z, and reduced mod m
+    over GF(m) and Z/m, which is exact because reduction mod m is a ring
+    homomorphism."""
+    if ring.kind == "Q":
+        return Fraction(det_num, den**n)
     m = ring.modulus
-    return SquareMatrix._trusted(ring, tuple(tuple(x % m for x in row) for row in rows))
+    return det_num if m is None else det_num % m
 
 
 def rank(a: SquareMatrix) -> int:
@@ -591,47 +602,33 @@ def rank(a: SquareMatrix) -> int:
 def inverse(a: SquareMatrix) -> SquareMatrix:
     """Two-sided inverse, or NotInvertible explaining why none exists.
 
-    Fields invert by elimination; Z/n and Z go through the adjugate, whose
-    entries stay in the ring, scaled by the inverse of the determinant.
+    One elimination of [num | den I]: modulo p over GF(p), in integers over
+    Q, Z and Z/m (on the residues' integer lifts). At full rank the forward
+    pass's last pivot D is sign * det(num), and the right half of the
+    reduced rows is D A^-1, which is +-adj(A) over Z and Z/m. So A^-1 is
+    that half over D whenever D is a unit of the ring: +-1 over Z, prime to
+    m over Z/m, and always over a field. Over Z and Z/m the result is
+    checked against A X = I.
     """
     ring = a.ring
     n = a.n
+    m = ring.modulus if ring.kind == "GF" else None
+    rows, pivots, sign = _echelon(_with_identity(a), n, m)
+    full = len(pivots) == n
     if ring.is_field:
-        rows, pivots, den = _reduce_with_identity(a)
-        if len(pivots) < n:
+        if not full:
             raise NotInvertible(f"rank {len(pivots)} < {n}", reason="rank deficiency")
-        return _from_rows(ring, [row[n:] for row in rows], den)
-    d = det(a)
-    if not ring.is_unit_scalar(d):
-        raise NotInvertible(f"det {d} is not a unit of {ring}", reason="det not a unit")
-    d_inv = ring.inv_scalar(d)
-    adj = _adjugate(a)
-    result = adj.scalar_mul(d_inv)
-    check = a * result
-    if check != SquareMatrix.identity(ring, n):
-        raise FormulaViolation("adjugate inverse failed verification")
+    else:
+        d = _det_in_ring(ring, sign * rows[-1][n - 1] if full else 0, 1, n)
+        if not ring.is_unit_scalar(d):
+            raise NotInvertible(
+                f"det {d} is not a unit of {ring}", reason="det not a unit"
+            )
+    big_d = _back_substitute(rows, pivots, m)
+    result = _from_rows(ring, [row[n:] for row in rows], big_d)
+    if not ring.is_field and a * result != SquareMatrix.identity(ring, n):
+        raise FormulaViolation("elimination inverse failed verification")
     return result
-
-
-def _adjugate(a: SquareMatrix) -> SquareMatrix:
-    ring = a.ring
-    n = a.n
-    if n == 1:
-        return SquareMatrix.identity(ring, 1)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [a.num[r][c] for c in range(n) if c != i]
-                for r in range(n) if r != j
-            ]
-            cof = det(SquareMatrix(ring, minor))
-            if (i + j) % 2 == 1:
-                cof = ring.neg(cof)
-            row.append(cof)
-        out.append(row)
-    return SquareMatrix(ring, out)
 
 
 def is_invertible(a: SquareMatrix) -> bool:
@@ -663,26 +660,13 @@ def _bareiss(rows: list[list[Scalar]], div: Callable[[Scalar, Scalar], Scalar]) 
 
 
 def det(a: SquareMatrix) -> Scalar:
-    """Exact determinant for every supported ring.
-
-    Fields take the forward pass of the elimination kernel: over Q the
-    signed last Bareiss pivot of num over den**n, over GF(p) the signed
-    product of the pivots. Z and Z/n take the Bareiss route of det_bareiss:
-    Z/n lifts to integer representatives, runs Bareiss over Z, and reduces,
-    which is exact because reduction mod n is a ring homomorphism.
-    """
-    ring = a.ring
-    if not ring.is_field:
-        return det_bareiss(a)
-    rows, pivots, sign = _echelon([list(r) for r in a.num], a.n, ring.modulus)
-    if len(pivots) < a.n:
-        return ring.zero
-    if ring.kind == "Q":
-        return Fraction(sign * rows[-1][-1], a.den**a.n)
-    pivot_product = sign
-    for i, row in enumerate(rows):
-        pivot_product = pivot_product * row[i] % ring.modulus
-    return pivot_product
+    """Exact determinant for every supported ring: one Bareiss forward pass
+    on the integer rows num (residue lifts over GF(p) and Z/n) gives
+    det(num), the signed last pivot or 0 below full rank."""
+    n = a.n
+    rows, pivots, sign = _echelon([list(r) for r in a.num], n, None)
+    det_num = sign * rows[-1][-1] if len(pivots) == n else 0
+    return _det_in_ring(a.ring, det_num, a.den, n)
 
 
 def det_bareiss(a: SquareMatrix) -> Scalar:
@@ -690,8 +674,8 @@ def det_bareiss(a: SquareMatrix) -> Scalar:
 
     Runs the Bareiss recurrence in the fraction field for Q, on the
     Fraction entries rather than the stored numerators, directly over Z,
-    and on integer lifts for the modular rings. Over Q and GF(p) it
-    cross-checks det(); over Z and Z/n it is the route det() takes.
+    and on integer lifts for the modular rings. It shares no code with
+    det() and cross-checks it in all four rings.
     """
     ring = a.ring
     if ring.kind == "Q":
@@ -714,7 +698,7 @@ def inner_inverse(a: SquareMatrix) -> SquareMatrix:
     """
     _require_field(a)
     n = a.n
-    rows, pivots, den = _reduce_with_identity(a)
+    rows, pivots, den = _reduce(_with_identity(a), n, a.ring.modulus)
     x_rows = [[0] * n] * n
     for k, c in enumerate(pivots):
         x_rows[c] = rows[k][n:]
@@ -765,22 +749,11 @@ def all_matrices(ring: RingSpec, n: int) -> Iterator[SquareMatrix]:
     """Every n x n matrix over a finite ring, row-major lexicographic."""
     if not ring.is_finite:
         raise DrazinkitError(f"cannot enumerate matrices over {ring}")
-    m = ring.modulus
-    assert m is not None
     total = n * n
-
-    def build(flat_index: int) -> SquareMatrix:
-        digits = []
-        v = flat_index
-        for _ in range(total):
-            digits.append(v % m)
-            v //= m
-        digits.reverse()
-        rows = [digits[i * n:(i + 1) * n] for i in range(n)]
-        return SquareMatrix(ring, rows)
-
-    for idx in range(m**total):
-        yield build(idx)
+    # Residues in [0, m) are canonical by construction.
+    trusted = SquareMatrix._trusted
+    for flat in product(range(ring.modulus), repeat=total):  # type: ignore[arg-type]
+        yield trusted(ring, tuple(flat[i:i + n] for i in range(0, total, n)))
 
 
 # -- JSON ----------------------------------------------------------------------

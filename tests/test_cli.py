@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, report shapes, determinism."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -366,6 +367,23 @@ class TestSpectrum:
             "--lambdas", "0,1",
         )
         assert code == 2
+
+    def test_root_search_over_budget_is_rejected_up_front(self, capsys, tmp_path):
+        # ac = [[10^30 + 57]]: the rational root bound would trial-divide
+        # up to 10^15 before the budget; an explicit --lambdas skips it.
+        big = {"ring": "Q", "rows": [["1000000000000000000000000000057"]]}
+        one = {"ring": "Q", "rows": [["1"]]}
+        quad = {"a": big, "b": one, "c": one, "d": big}
+        path = write_json(tmp_path / "big.json", quad)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "spectrum", "--in", path)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "rejected"
+        code, out, _ = run(capsys, "spectrum", "--in", path, "--lambdas", "1,2")
+        assert code == 0
+        assert len(json.loads(out)["transfer"]["rows"]) == 2
 
 
 class TestSearch:

@@ -9,8 +9,12 @@ routes that construct a flavor inverse or a unit-transfer inverse: drazin
 with the pdrazin and gdrazin flavors on an index-2 matrix over Q, cline
 with the group and pdrazin flavors on instance 2.5, jacobson at the
 default lambda on a classical (a, b, b, a) quadruple, and spectrum with a
-lambda at which 1 - ac is singular. Every hash was recorded before the code
-it pins was reworked, so a changed byte in any of these reports fails here.
+lambda at which 1 - ac is singular. A third group pins the inverse over
+Z and Z/n, which no other pin reaches: jacobson at the default lambda on
+3x3 Z and Z/12 quadruples where 1 - ac is a unit other than the
+identity, and on a Z/12 quadruple where it is not a unit. Every hash was
+recorded before the code it pins was reworked, so a changed byte in any
+of these reports fails here.
 """
 
 import hashlib
@@ -57,6 +61,30 @@ INPUTS = {
         b=[[1, 0], [0, 0]],
         c=[[1, 0], [1, 1]],
         d=[[1, 1], [0, 0]],
+    ),
+    # Classical (a, b, b, a) quadruples with 3x3 entries whose 1 - ac is a
+    # unit other than the identity: det -1 over Z, det 7 over Z/12.
+    "quad_z_unit.json": _quad(
+        "Z",
+        a=[[-1, -2, 2], [0, 0, 0], [0, 2, -2]],
+        b=[[0, 0, 0], [0, -2, 2], [-2, -2, -1]],
+        c=[[0, 0, 0], [0, -2, 2], [-2, -2, -1]],
+        d=[[-1, -2, 2], [0, 0, 0], [0, 2, -2]],
+    ),
+    "quad_zmod12_unit.json": _quad(
+        {"Zmod": 12},
+        a=[[2, 10, 10], [11, 11, 9], [10, 1, 3]],
+        b=[[0, 10, 10], [7, 10, 2], [1, 10, 2]],
+        c=[[0, 10, 10], [7, 10, 2], [1, 10, 2]],
+        d=[[2, 10, 10], [11, 11, 9], [10, 1, 3]],
+    ),
+    # Here det(1 - ac) = 9 shares the factor 3 with 12, so 1 - ac is no unit.
+    "quad_zmod12_singular.json": _quad(
+        {"Zmod": 12},
+        a=[[1, 2, 0], [3, 1, 4], [0, 5, 2]],
+        b=[[2, 1, 0], [0, 11, 1], [0, 0, 3]],
+        c=[[2, 1, 0], [0, 11, 1], [0, 0, 3]],
+        d=[[1, 2, 0], [3, 1, 4], [0, 5, 2]],
     ),
     # Rank 2 and rank(A^2) = 2, so the index is 1 and a group inverse exists.
     "matrix_q_index1.json": {
@@ -137,8 +165,27 @@ FLAVOR_AND_TRANSFER = {
     ),
 }
 
+INTEGER_INVERSE = {
+    "jacobson-z-unit": (
+        ["jacobson", "--in", "quad_z_unit.json"],
+        0,
+        "52b6e2d59f06ff6e4fddf861f285c3c27a784368962bbbcafb31ed2ac31f6576",
+    ),
+    "jacobson-zmod12-unit": (
+        ["jacobson", "--in", "quad_zmod12_unit.json"],
+        0,
+        "181cb7af57ac56e94fb71b99e71749b1131e048554807f391ed119cffea7471d",
+    ),
+    "jacobson-zmod12-not-unit": (
+        ["jacobson", "--in", "quad_zmod12_singular.json"],
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
 CASES = [pytest.param(*g, id=g[0][0]) for g in GOLDEN] + [
-    pytest.param(*g, id=name) for name, g in FLAVOR_AND_TRANSFER.items()
+    pytest.param(*g, id=name)
+    for name, g in (FLAVOR_AND_TRANSFER | INTEGER_INVERSE).items()
 ]
 
 

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drazinkit.errors import DivisionByZero, DrazinkitError, ZeroPolynomial
+from drazinkit.errors import (
+    BudgetExceeded,
+    DivisionByZero,
+    DrazinkitError,
+    ZeroPolynomial,
+)
 from drazinkit.exact_arith import (
     POLY_ONE,
     POLY_X,
@@ -181,3 +186,8 @@ class TestRationalRoots:
 
     def test_roots_of_x(self):
         assert rational_roots(POLY_X) == [Fraction(0)]
+
+    def test_search_over_budget_raises_up_front(self):
+        # x - (10^30 + 57): about 10^15 trial divisions to find the divisors.
+        with pytest.raises(BudgetExceeded, match="trial divisions"):
+            rational_roots(poly(-(10**30 + 57), 1))

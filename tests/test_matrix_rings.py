@@ -46,11 +46,12 @@ def m(ring: RingSpec, rows: list) -> SquareMatrix:
 
 
 def leibniz_det(a: SquareMatrix) -> int | Fraction:
-    """Signed sum over permutations, reduced mod n over Z/n.
+    """Signed sum over permutations, reduced mod m over GF(m) and Z/m.
 
     Shares no code with det or det_bareiss, which both run the Bareiss
-    recurrence: over Z and Z/n, and over Q, where det runs it on integer
-    numerators and det_bareiss on Fractions.
+    recurrence: det as the forward pass of the elimination kernel on the
+    integer rows num (Q numerators, integers, residue lifts) in every ring,
+    det_bareiss as its own loop on the entries (Fractions over Q).
     """
     total = 0
     for perm in itertools.permutations(range(a.n)):
@@ -62,6 +63,25 @@ def leibniz_det(a: SquareMatrix) -> int | Fraction:
             term *= a.entries[i][j]
         total += term
     return total % a.ring.modulus if a.ring.is_finite else total
+
+
+def leibniz_adjugate(a: SquareMatrix) -> SquareMatrix:
+    """adj(A), entry (i, j) the signed Leibniz determinant of A without row
+    j and column i; shares no code with det, det_bareiss or inverse."""
+    ring, n = a.ring, a.n
+    if n == 1:
+        return SquareMatrix(ring, [[1]])
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = [
+                [a.entries[r][c] for c in range(n) if c != i]
+                for r in range(n) if r != j
+            ]
+            row.append((-1) ** (i + j) * leibniz_det(SquareMatrix(ring, minor)))
+        rows.append(row)
+    return SquareMatrix(ring, rows)
 
 
 def entries_strategy(ring: RingSpec, n: int, max_denominator: int = 4):
@@ -350,6 +370,27 @@ class TestInverse:
         assert a * b == eye and b * a == eye
 
 
+    @pytest.mark.parametrize(
+        "ring", [zmod(4), zmod(9), zmod(12), RING_Z], ids=str
+    )
+    @given(data=st.data())
+    def test_adjugate_over_unit_determinant(self, ring, data):
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        a = data.draw(entries_strategy(ring, n))
+        d = leibniz_det(a)
+        if ring.kind == "Z":
+            unit, d_inv = d in (1, -1), d
+        else:
+            unit = gcd(d, ring.modulus) == 1
+            d_inv = pow(d, -1, ring.modulus) if unit else None
+        if unit:
+            assert inverse(a) == leibniz_adjugate(a).scalar_mul(d_inv)
+        else:
+            with pytest.raises(NotInvertible) as info:
+                inverse(a)
+            assert info.value.reason == "det not a unit"
+
+
 class TestDet:
     def test_identity(self):
         assert det(SquareMatrix.identity(RING_Q, 3)) == 1
@@ -369,7 +410,11 @@ class TestDet:
     def test_bareiss_route_agrees(self, a):
         assert det(a) == det_bareiss(a)
 
-    @given(entries_strategy(RING_Z, 3))
+    @given(st.one_of(
+        entries_strategy(RING_Z, 3),
+        entries_strategy(zmod(9), 3),
+        entries_strategy(zmod(12), 3),
+    ))
     def test_bareiss_route_agrees_over_z(self, a):
         assert det(a) == det_bareiss(a)
 
@@ -377,7 +422,9 @@ class TestDet:
     def test_bareiss_route_agrees_over_gf(self, a):
         assert det(a) == det_bareiss(a)
 
-    @pytest.mark.parametrize("ring", [RING_Q, RING_Z, zmod(12)], ids=str)
+    @pytest.mark.parametrize(
+        "ring", [RING_Q, RING_Z, gf(5), zmod(9), zmod(12)], ids=str
+    )
     @given(data=st.data())
     def test_leibniz_expansion_agrees(self, ring, data):
         n = data.draw(st.integers(min_value=1, max_value=3))
@@ -529,6 +576,10 @@ class TestEnumeration:
     def test_deterministic_order(self):
         first = list(all_matrices(gf(2), 1))
         assert first == [m(gf(2), [[0]]), m(gf(2), [[1]])]
+        z4 = list(all_matrices(zmod(4), 2))
+        assert len(set(z4)) == 256
+        assert [a.num for a in z4] == sorted(a.num for a in z4)
+        assert z4[1] == m(zmod(4), [[0, 0], [0, 1]])
 
 
 class TestMatrixJson:

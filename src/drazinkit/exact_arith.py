@@ -1,7 +1,8 @@
 """Exact scalar and polynomial arithmetic.
 
 Scalars are arbitrary-precision rationals; polynomials carry rational
-coefficients lowest degree first. Nothing in this module ever rounds, so
+coefficients lowest degree first, and gcds, squarefree parts and root tests
+run on their primitive integer forms. Nothing in this module ever rounds, so
 every identity checked elsewhere is an exact ring identity rather than an
 approximation.
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, DivisionByZero, DrazinkitError, ZeroPolynomial
@@ -24,7 +25,6 @@ from .errors import BudgetExceeded, DivisionByZero, DrazinkitError, ZeroPolynomi
 Rational = Fraction
 
 RAT_ZERO = Fraction(0)
-RAT_ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
 
@@ -242,26 +242,70 @@ POLY_ONE = Poly((1,))
 POLY_X = Poly((0, 1))
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd by the euclidean algorithm.
+# Integer tuples, lowest degree first, stand for polynomials up to a nonzero
+# factor. The primitive form (content 1, leading coefficient positive) is
+# canonical: two polynomials have the same monic form iff their primitive
+# forms are equal, so gcds and squarefree parts run on integers.
 
-    gcd(p, 0) = monic(p) and gcd(0, 0) = 0.
-    """
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
+
+def primitive(cs: Sequence[int]) -> tuple[int, ...]:
+    """cs, with no trailing zeros, over its content with a positive lead."""
+    g = gcd(*cs) if cs and cs[-1] > 0 else -gcd(*cs)
+    return tuple(c // g for c in cs)
+
+
+def integer_form(p: Poly) -> tuple[int, ...]:
+    """The primitive form of p, which has the roots of p."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with c*a = q*b + r, deg r < deg b, for an integer c != 0; each
+    step scales by lead(b)/g and subtracts lead(r)/g times x^k b, g their gcd."""
+    q, r = [0] * max(len(a) - len(b) + 1, 0), list(a)
+    lead, db = b[-1], len(b) - 1
+    while len(r) > db:
+        top = r.pop()
+        g = gcd(top, lead)
+        s, f, k = lead // g, top // g, len(r) - db
+        q = [s * x for x in q]
+        q[k] = f
+        r = [s * x for x in r]
+        for j in range(db):
+            r[k + j] -= f * b[j]
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def int_poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Primitive gcd by primitive pseudo-remainders; gcd(a, ()) is the
+    primitive form of a."""
+    a, b = primitive(a), primitive(b)
+    while b:
+        a, b = b, primitive(_pseudo_divmod(a, b)[1])
+    return a
+
+
+def int_squarefree(a: Sequence[int]) -> tuple[int, ...]:
+    """Primitive a / gcd(a, a') for a nonzero a: each distinct root once."""
+    q, r = _pseudo_divmod(a, int_poly_gcd(a, [k * c for k, c in enumerate(a)][1:]))
+    if r:
+        raise DrazinkitError("gcd fails to divide its argument; arithmetic bug")
+    return primitive(q)
+
+
+def poly_gcd(p: Poly, q: Poly) -> Poly:
+    """Monic gcd; gcd(p, 0) = monic(p) and gcd(0, 0) = 0."""
+    return Poly(int_poly_gcd(integer_form(p), integer_form(q))).monic()
 
 
 def squarefree_part(p: Poly) -> Poly:
     """Monic p / gcd(p, p'): each distinct root of p exactly once."""
     if p.is_zero:
         raise ZeroPolynomial("squarefree part of the zero polynomial")
-    g = poly_gcd(p, p.derivative())
-    quo, rem = p.divmod(g)
-    if not rem.is_zero:
-        raise DrazinkitError("gcd fails to divide its argument; arithmetic bug")
-    return quo.monic()
+    return Poly(int_squarefree(integer_form(p))).monic()
 
 
 def _divisors(n: int) -> list[int]:
@@ -300,21 +344,25 @@ def rational_roots(p: Poly) -> list[Fraction]:
     roots: set[Fraction] = set()
     if k > 0:
         roots.add(RAT_ZERO)
-    trimmed = Poly(p.coeffs[k:])
-    if trimmed.degree >= 1:
-        denom_lcm = 1
-        for c in trimmed.coeffs:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in trimmed.coeffs]
+    trimmed = p.coeffs[k:]
+    if len(trimmed) >= 2:
+        denom_lcm = lcm(*(c.denominator for c in trimmed))
+        ints = [c.numerator * (denom_lcm // c.denominator) for c in trimmed]
         trials = isqrt(abs(ints[0])) + isqrt(abs(ints[-1]))
         _check_root_budget(trials, "trial divisions")
         nums, dens = _divisors(ints[0]), _divisors(ints[-1])
         _check_root_budget(len(nums) * len(dens), "candidate pairs")
-        for num in nums:
-            for den in dens:
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if trimmed(cand) == 0:
-                        roots.add(cand)
+        form = primitive(ints)
+        for den in dens:
+            # x/den is a root iff den^deg p(x/den), Horner in x on the
+            # coefficients c_i den^(deg-i), vanishes.
+            scaled = [c * den**j for j, c in enumerate(reversed(form))]
+            for x in (s * num for num in nums for s in (1, -1)):
+                acc = 0
+                for c in scaled:
+                    acc = acc * x + c
+                if acc == 0:
+                    roots.add(Fraction(x, den))
     return sorted(roots)
 
 

@@ -334,12 +334,6 @@ class SquareMatrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 
-    def trace(self) -> Scalar:
-        t = sum(row[i] for i, row in enumerate(self.num))
-        if self.ring.is_finite:
-            return t % self.ring.modulus
-        return Fraction(t, self.den) if self.ring.kind == "Q" else t
-
     def _combine(self, other: "SquareMatrix", sign: int) -> "SquareMatrix":
         """self + sign * other, sign = 1 or -1; over Q on the lcm of the
         two denominators."""

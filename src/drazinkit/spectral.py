@@ -3,28 +3,24 @@
 Every square matrix is Drazin invertible, so the Drazin-type spectra of
 finite matrices are empty and carry no information. The meaningful finite
 surrogate is the set of nonzero eigenvalues, compared here without ever
-extracting an eigenvalue: both characteristic polynomials are stripped of
-their power of lambda and reduced to monic squarefree parts, and the sets
-agree iff those polynomials are identical. Pointwise unit transfer at
-sampled nonzero lambda complements the set comparison.
+extracting an eigenvalue: both characteristic polynomials, by the Berkowitz
+recurrence on integer numerators, are stripped of their power of lambda and
+reduced to squarefree parts in primitive integer form, and the sets agree
+iff those forms are identical. Pointwise unit transfer at sampled nonzero
+lambda complements the set comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .drazin_core import Quadruple, drazin_inverse, jacobson_inverse
 from .errors import NotInvertible
-from .exact_arith import Poly, format_rational, rational_roots, squarefree_part
-from .matrix_rings import (
-    RING_Q,
-    SquareMatrix,
-    is_invertible,
-    matrix_to_json,
-    over_q,
-)
+from .exact_arith import Poly, format_rational, int_squarefree, primitive, rational_roots
+from .matrix_rings import SquareMatrix, is_invertible, matrix_to_json, over_q
 
 DEFAULT_LAMBDAS: tuple[Fraction, ...] = (
     Fraction(1),
@@ -37,41 +33,56 @@ DEFAULT_LAMBDAS: tuple[Fraction, ...] = (
 )
 
 
-def char_poly(a: SquareMatrix) -> Poly:
-    """Monic characteristic polynomial det(lambda I - a) over Q.
-
-    Computed by the Faddeev-LeVerrier trace recurrence, which stays in
-    exact rational arithmetic and needs no pivoting.
-    """
+def _berkowitz(a: SquareMatrix) -> tuple[list[int], int]:
+    """(c, den) with det(x I - a) = sum c_k x^(n-k) / den^k, a = N/den, by
+    Berkowitz's recurrence on N: the characteristic polynomial of a trailing
+    block [[h, r], [v, S]] is the lower-triangular Toeplitz matrix with first
+    column (1, -h, -r v, -r S v, ...) times that of S. It needs no division,
+    so every value is an integer."""
     aq = over_q(a)
-    n = aq.n
-    coeffs = [Fraction(1)] + [Fraction(0)] * n  # highest degree first
-    m = SquareMatrix.identity(RING_Q, n)
-    for k in range(1, n + 1):
-        bk = aq * m
-        ck = -Fraction(bk.trace(), k)
-        coeffs[k] = ck
-        if k < n:
-            m = bk + SquareMatrix.identity(RING_Q, n).scalar_mul(ck)
-    return Poly(reversed(coeffs))
+    rows, p = aq.num, [1]
+    for k in range(aq.n - 1, -1, -1):
+        r, sub = rows[k][k + 1:], [row[k + 1:] for row in rows[k + 1:]]
+        v, t = [row[k] for row in rows[k + 1:]], [1, -rows[k][k]]
+        for _ in sub:
+            t.append(-sum(map(mul, r, v)))
+            v = [sum(map(mul, row, v)) for row in sub]
+        p = [sum(map(mul, t[i::-1], p)) for i in range(len(t))]
+    return p, aq.den
+
+
+def char_poly(a: SquareMatrix) -> Poly:
+    """Monic characteristic polynomial det(lambda I - a) over Q."""
+    cs, den = _berkowitz(a)
+    return Poly([Fraction(c, den**k) for k, c in enumerate(cs)][::-1])
 
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """char_poly factored as lambda^z times a nonzero-rooted part."""
+    """char_poly factored as lambda^z times a nonzero-rooted part, both kept
+    in primitive integer form; the monic Polys are built when read."""
 
-    char: Poly
     zero_multiplicity: int
-    nonzero_part: Poly
+    nonzero_form: tuple[int, ...]
+    squarefree_form: tuple[int, ...]
 
     @staticmethod
     def of(a: SquareMatrix) -> "SpectrumSummary":
-        p = char_poly(a)
+        cs, den = _berkowitz(a)
+        # den^n det(x I - a) has the coefficient c_(n-i) den^i at x^i.
+        form = primitive([c * den**i for i, c in enumerate(reversed(cs))])
         z = 0
-        while p.coeffs[z] == 0:
+        while form[z] == 0:
             z += 1
-        quotient = Poly(p.coeffs[z:])
-        return SpectrumSummary(p, z, squarefree_part(quotient))
+        return SpectrumSummary(z, form[z:], int_squarefree(form[z:]))
+
+    @property
+    def char(self) -> Poly:
+        return Poly((0,) * self.zero_multiplicity + self.nonzero_form).monic()
+
+    @property
+    def nonzero_part(self) -> Poly:
+        return Poly(self.squarefree_form).monic()
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -112,13 +123,11 @@ def nonzero_spectrum_equal(p: SquareMatrix, q: SquareMatrix) -> SpectrumComparis
     """
     left = SpectrumSummary.of(p)
     right = SpectrumSummary.of(q)
-    z_left = Poly(left.char.coeffs[left.zero_multiplicity:])
-    z_right = Poly(right.char.coeffs[right.zero_multiplicity:])
     return SpectrumComparison(
-        equal=left.nonzero_part == right.nonzero_part,
+        equal=left.squarefree_form == right.squarefree_form,
         left=left,
         right=right,
-        multiplicity_equal=z_left.monic() == z_right.monic(),
+        multiplicity_equal=left.nonzero_form == right.nonzero_form,
     )
 
 

@@ -12,7 +12,11 @@ default lambda on a classical (a, b, b, a) quadruple, and spectrum with a
 lambda at which 1 - ac is singular. A third group pins the inverse over
 Z and Z/n, which no other pin reaches: jacobson at the default lambda on
 3x3 Z and Z/12 quadruples where 1 - ac is a unit other than the
-identity, and on a Z/12 quadruple where it is not a unit. Every hash was
+identity, and on a Z/12 quadruple where it is not a unit. A fourth group
+pins spectrum without --lambdas on Q quadruples whose products have
+denominators above 1, a repeated nonzero eigenvalue and a non-integer
+rational eigenvalue, so the scaling of the characteristic polynomial, the
+squarefree part and the root search all reach the report. Every hash was
 recorded before the code it pins was reworked, so a changed byte in any
 of these reports fails here.
 """
@@ -85,6 +89,27 @@ INPUTS = {
         b=[[2, 1, 0], [0, 11, 1], [0, 0, 3]],
         c=[[2, 1, 0], [0, 11, 1], [0, 0, 3]],
         d=[[1, 2, 0], [3, 1, 4], [0, 5, 2]],
+    ),
+    # Classical (a, b, b, a) quadruples over Q whose ac and bd have
+    # denominators above 1, the repeated eigenvalue 3/2 and the eigenvalue
+    # -2/3; the 4x4 one also has the eigenvalue 0.
+    "quad_q_repeated.json": _quad(
+        "Q",
+        a=[["-1/2", "1/4", "5/2"], ["-13/12", "5/24", "13/6"],
+           ["-1/12", "-7/24", "5/3"]],
+        b=[[1, 0, 1], [0, 2, 0], [1, 0, 0]],
+        c=[[1, 0, 1], [0, 2, 0], [1, 0, 0]],
+        d=[["-1/2", "1/4", "5/2"], ["-13/12", "5/24", "13/6"],
+           ["-1/12", "-7/24", "5/3"]],
+    ),
+    "quad_q_repeated_zero.json": _quad(
+        "Q",
+        a=[[-2, 1, "5/2", 0], ["-40/9", "11/6", "41/18", "1/9"],
+           ["-13/9", "1/3", "7/9", "1/9"], [1, "-1/2", 1, 0]],
+        b=[[1, 0, 1, 0], [0, 2, 0, 1], [1, 0, 0, 0], [0, 0, 1, 3]],
+        c=[[1, 0, 1, 0], [0, 2, 0, 1], [1, 0, 0, 0], [0, 0, 1, 3]],
+        d=[[-2, 1, "5/2", 0], ["-40/9", "11/6", "41/18", "1/9"],
+           ["-13/9", "1/3", "7/9", "1/9"], [1, "-1/2", 1, 0]],
     ),
     # Rank 2 and rank(A^2) = 2, so the index is 1 and a group inverse exists.
     "matrix_q_index1.json": {
@@ -183,9 +208,26 @@ INTEGER_INVERSE = {
     ),
 }
 
+# Spectrum on Q products with denominators above 1 and a repeated nonzero
+# eigenvalue, so the squarefree part differs from the nonzero part; run
+# without --lambdas, so the rational root search and the lambda list it
+# feeds are pinned too.
+SCALED_SPECTRUM = {
+    "spectrum-q-repeated-root": (
+        ["spectrum", "--in", "quad_q_repeated.json"],
+        0,
+        "54d5db0c5605ec4d82ac60d5e1f5ff1fa148d01823a345db924cfc50da306ed1",
+    ),
+    "spectrum-q-repeated-root-and-zero": (
+        ["spectrum", "--in", "quad_q_repeated_zero.json"],
+        0,
+        "001db7bd9a1b9a38fd34acde8b9d4881ff6b64c62fd48fc04403bf9f5908b5a4",
+    ),
+}
+
 CASES = [pytest.param(*g, id=g[0][0]) for g in GOLDEN] + [
     pytest.param(*g, id=name)
-    for name, g in (FLAVOR_AND_TRANSFER | INTEGER_INVERSE).items()
+    for name, g in (FLAVOR_AND_TRANSFER | INTEGER_INVERSE | SCALED_SPECTRUM).items()
 ]
 
 

@@ -1,11 +1,13 @@
 """Rational scalars and exact univariate polynomials."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from drazinkit import exact_arith
 from drazinkit.errors import (
     BudgetExceeded,
     DivisionByZero,
@@ -17,9 +19,14 @@ from drazinkit.exact_arith import (
     POLY_X,
     POLY_ZERO,
     Poly,
+    _pseudo_divmod,
     format_rational,
+    int_poly_gcd,
+    int_squarefree,
+    integer_form,
     parse_rational,
     poly_gcd,
+    primitive,
     rational_roots,
     squarefree_part,
 )
@@ -35,6 +42,23 @@ def poly(*coeffs: object) -> Poly:
 
 
 small_polys = st.lists(rationals, min_size=0, max_size=5).map(Poly)
+
+
+def euclid_gcd(p: Poly, q: Poly) -> Poly:
+    """Reference monic gcd: the euclidean algorithm on Fraction coefficients,
+    through Poly.divmod, sharing no code with the integer kernel."""
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+def euclid_squarefree(p: Poly) -> Poly:
+    """Reference monic p / gcd(p, p') on Fraction coefficients."""
+    g = euclid_gcd(p, p.derivative())
+    quo, rem = p.divmod(g)
+    assert rem.is_zero
+    return quo.monic()
 
 
 class TestRationals:
@@ -165,6 +189,58 @@ class TestSquarefreePart:
         assert poly_gcd(s, s.derivative()) == POLY_ONE
 
 
+class TestIntegerKernel:
+    def test_primitive_form(self):
+        assert primitive([0, -4, 6]) == (0, -2, 3)
+        assert primitive([3, 0, -9]) == (-1, 0, 3)
+        assert primitive([]) == ()
+
+    def test_integer_form_clears_denominators(self):
+        assert integer_form(poly("1/2", "-2/3", "5/6")) == (3, -4, 5)
+        assert integer_form(POLY_ZERO) == ()
+
+    def test_gcd_is_primitive_with_positive_lead(self):
+        # (2x - 2)(x + 3) and -4(x - 1)^2 share x - 1
+        assert int_poly_gcd((-6, 4, 2), (-4, 8, -4)) == (-1, 1)
+        assert int_poly_gcd((0, 6), ()) == (0, 1)
+        assert int_poly_gcd((), ()) == ()
+
+    def test_squarefree_of_repeated_roots(self):
+        # (2x - 1)^2 (x + 2) reduces to (2x - 1)(x + 2)
+        assert int_squarefree((2, -7, 4, 4)) == (-2, 3, 2)
+
+    def test_gcd_that_does_not_divide_raises(self, monkeypatch):
+        # x + 1 does not divide x^2 + 1, so the pseudo-remainder is nonzero
+        monkeypatch.setattr(exact_arith, "int_poly_gcd", lambda a, b: (1, 1))
+        with pytest.raises(DrazinkitError, match="fails to divide"):
+            int_squarefree((1, 0, 1))
+
+    @given(small_polys, small_polys)
+    def test_pseudo_division_identity(self, p, q):
+        a, b = integer_form(p), integer_form(q)
+        if not b:
+            return
+        quo, rem = _pseudo_divmod(a, b)
+        assert len(rem) < len(b)
+        # c*a = quo*b + rem for one nonzero rational c
+        lhs, rhs = Poly(a), Poly(quo) * Poly(b) + Poly(rem)
+        assert lhs.is_zero == rhs.is_zero
+        if not lhs.is_zero:
+            c = rhs.leading() / lhs.leading()
+            assert c.denominator == 1 and rhs == lhs.scale(c)
+
+    @given(small_polys, small_polys, small_polys)
+    def test_gcd_matches_euclid(self, p, q, r):
+        assert poly_gcd(p * r, q * r) == euclid_gcd(p * r, q * r)
+        assert poly_gcd(p, q) == euclid_gcd(p, q)
+
+    @given(small_polys, small_polys)
+    def test_squarefree_matches_euclid(self, p, r):
+        for f in (p * r * r, p * p * r):
+            if not f.is_zero:
+                assert squarefree_part(f) == euclid_squarefree(f)
+
+
 class TestRationalRoots:
     def test_known_roots(self):
         # (x - 1)(2x + 1)(x - 3), nonzero rational roots, ascending
@@ -186,6 +262,20 @@ class TestRationalRoots:
 
     def test_roots_of_x(self):
         assert rational_roots(POLY_X) == [Fraction(0)]
+
+    def test_large_search_inside_budget_is_fast(self):
+        # 30030x^3 + x + 735134400: 86,016 candidate pairs, none a root.
+        p = poly(735134400, 1, 0, 30030)
+        start = time.perf_counter()
+        assert rational_roots(p) == []
+        assert time.perf_counter() - start < 1.0
+
+    @given(st.lists(rationals.filter(bool), min_size=1, max_size=3), rationals)
+    def test_roots_of_a_product_of_linear_factors(self, roots, c):
+        p = Poly([c]) if c else POLY_ONE
+        for r in roots:
+            p = p * poly(-r, 1)
+        assert rational_roots(p) == sorted(set(roots))
 
     def test_search_over_budget_raises_up_front(self):
         # x - (10^30 + 57): about 10^15 trial divisions to find the divisors.

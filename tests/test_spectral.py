@@ -29,6 +29,7 @@ from drazinkit.spectral import (
     quadruple_spectrum_report,
     transfer_lambdas,
 )
+from test_matrix_rings import leibniz_det
 
 
 def m(ring, rows) -> SquareMatrix:
@@ -47,6 +48,15 @@ def poly(*coeffs) -> Poly:
 
 def q_matrices(n: int, lo: int = -3, hi: int = 3):
     cell = st.integers(min_value=lo, max_value=hi).map(Fraction)
+    return st.lists(
+        st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(lambda rows: SquareMatrix(RING_Q, rows))
+
+
+def q_fraction_matrices(n: int, max_den: int = 4):
+    """Q matrices with entries of denominators up to max_den, so char_poly
+    scales its integer coefficients by powers of the common denominator."""
+    cell = st.fractions(min_value=-3, max_value=3, max_denominator=max_den)
     return st.lists(
         st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n
     ).map(lambda rows: SquareMatrix(RING_Q, rows))
@@ -90,6 +100,31 @@ class TestCharPoly:
     def test_monic_of_degree_n(self, a):
         p = char_poly(a)
         assert p.degree == 4 and p.coeffs[-1] == 1
+
+    @given(q_fraction_matrices(3), st.fractions(min_value=-3, max_value=3,
+                                                max_denominator=2))
+    def test_agrees_with_bareiss_determinant_with_denominators(self, a, lam):
+        shifted = SquareMatrix.identity(RING_Q, 3).scalar_mul(lam) - a
+        assert char_poly(a)(lam) == det_bareiss(shifted)
+
+    @given(q_fraction_matrices(3), q_fraction_matrices(3))
+    def test_products_in_both_orders_agree_with_denominators(self, a, b):
+        assert char_poly(a * b) == char_poly(b * a)
+
+    @given(q_fraction_matrices(4))
+    def test_monic_of_degree_n_with_denominators(self, a):
+        p = char_poly(a)
+        assert p.degree == 4 and p.coeffs[-1] == 1
+
+    @given(st.integers(1, 4).flatmap(q_fraction_matrices))
+    def test_matches_leibniz_at_n_plus_one_points(self, a):
+        # A monic polynomial of degree n is fixed by its values at n + 1
+        # points; the Leibniz sum shares no code with Berkowitz or Bareiss.
+        p = char_poly(a)
+        eye = SquareMatrix.identity(RING_Q, a.n)
+        for k in range(a.n + 1):
+            lam = Fraction(2 * k - a.n, 3)
+            assert p(lam) == leibniz_det(eye.scalar_mul(lam) - a)
 
 
 class TestSpectrumSummary:
@@ -139,6 +174,27 @@ class TestNonzeroSpectrumEqual:
     @given(q_matrices(3), q_matrices(3))
     def test_products_in_both_orders(self, a, b):
         assert nonzero_spectrum_equal(a * b, b * a).equal
+
+    @given(q_fraction_matrices(3), q_fraction_matrices(3))
+    def test_products_in_both_orders_with_denominators(self, a, b):
+        report = nonzero_spectrum_equal(a * b, b * a)
+        assert report.equal and report.multiplicity_equal
+
+    @given(q_fraction_matrices(3))
+    def test_repeated_block_changes_multiplicity_only(self, a):
+        # diag(a, a) has the eigenvalues of a, each twice as often.
+        n = a.n
+        rows = [list(r) + [0] * n for r in a.entries]
+        rows += [[0] * n + list(r) for r in a.entries]
+        double = SquareMatrix(RING_Q, rows)
+        report = nonzero_spectrum_equal(a, double)
+        assert report.equal
+        has_nonzero = report.left.nonzero_part.degree > 0
+        assert report.multiplicity_equal == (not has_nonzero)
+        assert report.left.nonzero_part == report.right.nonzero_part
+        assert report.left.to_json()["nonzero_part_squarefree"] == (
+            report.right.to_json()["nonzero_part_squarefree"]
+        )
 
 
 def jacobson_or_none(q: Quadruple, lam) -> SquareMatrix | None:

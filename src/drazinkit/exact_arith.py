@@ -254,10 +254,15 @@ def primitive(cs: Sequence[int]) -> tuple[int, ...]:
     return tuple(c // g for c in cs)
 
 
+def _cleared(cs: Sequence[Fraction]) -> list[int]:
+    """cs times the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs]
+
+
 def integer_form(p: Poly) -> tuple[int, ...]:
     """The primitive form of p, which has the roots of p."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    return primitive(_cleared(p.coeffs))
 
 
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -346,8 +351,7 @@ def rational_roots(p: Poly) -> list[Fraction]:
         roots.add(RAT_ZERO)
     trimmed = p.coeffs[k:]
     if len(trimmed) >= 2:
-        denom_lcm = lcm(*(c.denominator for c in trimmed))
-        ints = [c.numerator * (denom_lcm // c.denominator) for c in trimmed]
+        ints = _cleared(trimmed)
         trials = isqrt(abs(ints[0])) + isqrt(abs(ints[-1]))
         _check_root_budget(trials, "trial divisions")
         nums, dens = _divisors(ints[0]), _divisors(ints[-1])

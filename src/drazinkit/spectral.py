@@ -5,9 +5,9 @@ finite matrices are empty and carry no information. The meaningful finite
 surrogate is the set of nonzero eigenvalues, compared here without ever
 extracting an eigenvalue: both characteristic polynomials, by the Berkowitz
 recurrence on integer numerators, are stripped of their power of lambda and
-reduced to squarefree parts in primitive integer form, and the sets agree
-iff those forms are identical. Pointwise unit transfer at sampled nonzero
-lambda complements the set comparison.
+reduced to monic squarefree parts by the integer gcd kernel of exact_arith,
+and the sets agree iff those polynomials are identical. Pointwise unit
+transfer at sampled nonzero lambda complements the set comparison.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .drazin_core import Quadruple, drazin_inverse, jacobson_inverse
 from .errors import NotInvertible
-from .exact_arith import Poly, format_rational, int_squarefree, primitive, rational_roots
+from .exact_arith import Poly, format_rational, rational_roots, squarefree_part
 from .matrix_rings import SquareMatrix, is_invertible, matrix_to_json, over_q
 
 DEFAULT_LAMBDAS: tuple[Fraction, ...] = (
@@ -59,30 +59,19 @@ def char_poly(a: SquareMatrix) -> Poly:
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """char_poly factored as lambda^z times a nonzero-rooted part, both kept
-    in primitive integer form; the monic Polys are built when read."""
+    """char_poly factored as lambda^z times a nonzero-rooted part."""
 
+    char: Poly
     zero_multiplicity: int
-    nonzero_form: tuple[int, ...]
-    squarefree_form: tuple[int, ...]
+    nonzero_part: Poly
 
     @staticmethod
     def of(a: SquareMatrix) -> "SpectrumSummary":
-        cs, den = _berkowitz(a)
-        # den^n det(x I - a) has the coefficient c_(n-i) den^i at x^i.
-        form = primitive([c * den**i for i, c in enumerate(reversed(cs))])
+        p = char_poly(a)
         z = 0
-        while form[z] == 0:
+        while p.coeffs[z] == 0:
             z += 1
-        return SpectrumSummary(z, form[z:], int_squarefree(form[z:]))
-
-    @property
-    def char(self) -> Poly:
-        return Poly((0,) * self.zero_multiplicity + self.nonzero_form).monic()
-
-    @property
-    def nonzero_part(self) -> Poly:
-        return Poly(self.squarefree_form).monic()
+        return SpectrumSummary(p, z, squarefree_part(Poly(p.coeffs[z:])))
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -124,10 +113,14 @@ def nonzero_spectrum_equal(p: SquareMatrix, q: SquareMatrix) -> SpectrumComparis
     left = SpectrumSummary.of(p)
     right = SpectrumSummary.of(q)
     return SpectrumComparison(
-        equal=left.squarefree_form == right.squarefree_form,
+        equal=left.nonzero_part == right.nonzero_part,
         left=left,
         right=right,
-        multiplicity_equal=left.nonzero_form == right.nonzero_form,
+        # char is monic, so its nonzero-rooted parts are monic as they stand.
+        multiplicity_equal=(
+            left.char.coeffs[left.zero_multiplicity:]
+            == right.char.coeffs[right.zero_multiplicity:]
+        ),
     )
 
 
@@ -196,9 +189,13 @@ def transfer_lambdas(q: Quadruple) -> tuple[Fraction, ...]:
     """The fixed deterministic sample list plus every rational eigenvalue
     candidate of ac and bd, which are the points where invertibility can
     actually change."""
+    return _with_eigenvalues(char_poly(m) for m in (q.ac, q.bd))
+
+
+def _with_eigenvalues(chars: Iterable[Poly]) -> tuple[Fraction, ...]:
     extra: set[Fraction] = set()
-    for m in (q.ac, q.bd):
-        for root in rational_roots(char_poly(m)):
+    for p in chars:
+        for root in rational_roots(p):
             if root != 0 and root not in DEFAULT_LAMBDAS:
                 extra.add(root)
     return DEFAULT_LAMBDAS + tuple(sorted(extra))
@@ -216,7 +213,7 @@ def quadruple_spectrum_report(
     """
     comparison = nonzero_spectrum_equal(q.ac, q.bd)
     if lambdas is None:
-        lambdas = transfer_lambdas(q)
+        lambdas = _with_eigenvalues((comparison.left.char, comparison.right.char))
     transfer = invertibility_transfer(q, lambdas)
     return {
         "ac": matrix_to_json(q.ac),

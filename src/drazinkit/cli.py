@@ -129,6 +129,9 @@ def _load_quadruple(path: str) -> Quadruple:
 
 
 def _quadruple_over_q(q: Quadruple) -> Quadruple:
+    """q over Q; only a lift from another ring is validated again."""
+    if q.ring.kind == "Q":
+        return q
     return Quadruple(*(over_q(m) for m in (q.a, q.b, q.c, q.d)))
 
 

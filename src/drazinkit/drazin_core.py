@@ -5,8 +5,9 @@ The four inverse flavors share the commutation and absorption axioms and
 differ only in what the core a - a^2 x must satisfy: nilpotent (drazin),
 nilpotent with index at most one (group), in the Jacobson radical at some
 power (pdrazin), or quasinilpotent (gdrazin). Construction is offered over
-fields; over Z and Z/n only verification is available, with brute-force
-search providing candidates from the lab module.
+fields, by flavor_inverse alone: one formula for every flavor, verified once
+under the flavor asked for. Over Z and Z/n only verification is available,
+with brute-force search providing candidates from the lab module.
 """
 
 from __future__ import annotations
@@ -275,7 +276,6 @@ def verify_axioms(a: SquareMatrix, x: SquareMatrix, flavor: Flavor) -> DrazinCer
         AxiomCheck("absorbs", absorb, "x a x = x" if absorb else "x a x != x")
     )
     bound = _nilpotency_bound(a)
-    core = a - (a * a) * x
     if flavor is Flavor.PDRAZIN:
         index = _power_identity_index(a, x, in_radical, bound)
         checks.append(
@@ -292,7 +292,7 @@ def verify_axioms(a: SquareMatrix, x: SquareMatrix, flavor: Flavor) -> DrazinCer
     # Quasinilpotent and nilpotent coincide in every ring supported here
     # (Koliha 1996): a finite ring is strongly pi-regular, and Z embeds in Q.
     # quadruple_lab.is_qnil_by_definition is the independent oracle.
-    nil, degree = is_nilpotent(core)
+    nil, degree = is_nilpotent(a - (a * a) * x)
     checks.append(
         AxiomCheck(
             "core-qnil" if flavor is Flavor.GDRAZIN else "core-nilpotent",
@@ -317,21 +317,32 @@ def verify_axioms(a: SquareMatrix, x: SquareMatrix, flavor: Flavor) -> DrazinCer
 # -- construction ------------------------------------------------------------------
 
 
-def drazin_inverse(a: SquareMatrix) -> DrazinCertificate:
-    """Drazin inverse over a field: a^k (a^(2k+1))^- a^k with k = index_of(a).
+def flavor_inverse(a: SquareMatrix, flavor: Flavor) -> DrazinCertificate:
+    """The flavor-inverse of a over a field, the one construction of every
+    flavor: a^k (a^(2k+1))^- a^k with k = index_of(a), for any inner inverse.
 
-    Any inner inverse of a^(2k+1) yields the same product; the certificate
-    re-verifies every axiom before the result is released.
+    Over a field the radical is 0 and quasinilpotent means nilpotent, so the
+    Drazin inverse is also the p-Drazin and g-Drazin inverse, and the group
+    inverse when k <= 1; for k > 1 the group flavor raises NoGroupInverse
+    before anything is built. The flavor's axioms are verified once, and a
+    failure or an index other than k raises FormulaViolation (a bug).
     """
     if not a.ring.is_field:
         raise NotAField(f"drazin_inverse requires a field, got {a.ring}")
     k = index_of(a)
+    if flavor is Flavor.GROUP and k > 1:
+        raise NoGroupInverse(f"index {k} exceeds 1")
     a_k = a.power(k)
     x = a_k * inner_inverse(a.power(2 * k + 1)) * a_k
-    cert = verify_axioms(a, x, Flavor.DRAZIN)
+    cert = verify_axioms(a, x, flavor)
     if not cert.valid or cert.index != k:
-        raise FormulaViolation("constructed drazin inverse failed verification")
+        raise FormulaViolation(f"constructed {flavor.value} inverse failed verification")
     return cert
+
+
+def drazin_inverse(a: SquareMatrix) -> DrazinCertificate:
+    """Drazin inverse over a field, by flavor_inverse."""
+    return flavor_inverse(a, Flavor.DRAZIN)
 
 
 def group_inverse(
@@ -341,42 +352,15 @@ def group_inverse(
 
     With a candidate supplied the axioms are checked against it directly,
     which works over any ring; a failing candidate raises NoGroupInverse
-    naming the failed checks. The construction path raises NoGroupInverse
-    when the index exceeds 1.
+    naming the failed checks. Without one it is built by flavor_inverse,
+    which raises NoGroupInverse when the index exceeds 1.
     """
-    if candidate is not None:
-        cert = verify_axioms(a, candidate, Flavor.GROUP)
-        if not cert.valid:
-            failed = [c.check for c in cert.checks if not c.passed]
-            raise NoGroupInverse(f"candidate fails: {', '.join(failed)}")
-        return cert
-    cert = drazin_inverse(a)
-    if cert.index is None or cert.index > 1:
-        raise NoGroupInverse(f"index {cert.index} exceeds 1")
-    regroup = verify_axioms(a, cert.inverse, Flavor.GROUP)
-    if not regroup.valid:
-        raise FormulaViolation("group re-verification failed after index check")
-    return regroup
-
-
-def flavor_inverse(a: SquareMatrix, flavor: Flavor) -> DrazinCertificate:
-    """The flavor-inverse of a over a field, constructed and verified once.
-
-    group_inverse raises NoGroupInverse when the index exceeds 1. The other
-    flavors reuse the Drazin certificate; the pdrazin and gdrazin axioms are
-    verified on its inverse, and a failure raises FormulaViolation (always
-    an implementation bug: over a field the Drazin inverse is both).
-    """
-    if flavor is Flavor.GROUP:
-        return group_inverse(a)
-    base = drazin_inverse(a)
-    if flavor is Flavor.DRAZIN:
-        return base
-    cert = verify_axioms(a, base.inverse, flavor)
+    if candidate is None:
+        return flavor_inverse(a, Flavor.GROUP)
+    cert = verify_axioms(a, candidate, Flavor.GROUP)
     if not cert.valid:
-        raise FormulaViolation(
-            f"constructed inverse fails {flavor.value} re-verification"
-        )
+        failed = [c.check for c in cert.checks if not c.passed]
+        raise NoGroupInverse(f"candidate fails: {', '.join(failed)}")
     return cert
 
 

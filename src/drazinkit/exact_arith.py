@@ -103,7 +103,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -303,14 +303,16 @@ def int_squarefree(a: Sequence[int]) -> tuple[int, ...]:
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd; gcd(p, 0) = monic(p) and gcd(0, 0) = 0."""
-    return Poly(int_poly_gcd(integer_form(p), integer_form(q))).monic()
+    g = int_poly_gcd(integer_form(p), integer_form(q))
+    return Poly([Fraction(c, g[-1]) for c in g])
 
 
 def squarefree_part(p: Poly) -> Poly:
     """Monic p / gcd(p, p'): each distinct root of p exactly once."""
     if p.is_zero:
         raise ZeroPolynomial("squarefree part of the zero polynomial")
-    return Poly(int_squarefree(integer_form(p))).monic()
+    s = int_squarefree(integer_form(p))
+    return Poly([Fraction(c, s[-1]) for c in s])
 
 
 def _divisors(n: int) -> list[int]:

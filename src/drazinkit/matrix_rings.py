@@ -458,19 +458,21 @@ def _echelon(
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
             sign = -sign
-        top = rows[r]
-        p = top[c]
+        # Rows r and below are zero left of column c, so only columns c
+        # onwards change.
+        top = rows[r][c:]
+        p = top[0]
         if m is None:
-            for i in range(r + 1, len(rows)):
-                f = rows[i][c]
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+            for row in rows[r + 1:]:
+                f = row[c]
+                row[c:] = [(p * x - f * y) // prev for x, y in zip(row[c:], top)]
             prev = p
         else:
             inv = pow(p, -1, m)
-            for i in range(r + 1, len(rows)):
-                if rows[i][c] != 0:
-                    f = rows[i][c] * inv
-                    rows[i] = [(x - f * y) % m for x, y in zip(rows[i], top)]
+            for row in rows[r + 1:]:
+                if row[c] != 0:
+                    f = row[c] * inv
+                    row[c:] = [(x - f * y) % m for x, y in zip(row[c:], top)]
         pivots.append(c)
         r += 1
     return rows, pivots, sign

@@ -6,7 +6,8 @@ commutants, unit flags, quasinilpotence, and brute-forced inverses. The
 exhaustive sweeps and the 10^5-sample residue-ring runs all reduce to table
 lookups, while every quadruple that leaves this module is re-validated by
 the Quadruple constructor with direct matrix arithmetic, so the tables never
-become a single point of trust.
+become a single point of trust. The quasinilpotence sweep and brute force
+are oracles only: qnil_transfer_check decides by nilpotency.
 """
 
 from __future__ import annotations
@@ -176,20 +177,15 @@ def _fits_space_budget(ring: RingSpec, n: int) -> bool:
     return ring.is_finite and ring.modulus ** (n * n) <= MAX_SPACE_ELEMENTS
 
 
-def _is_qnil_any_ring(a: SquareMatrix) -> bool:
-    # Small finite spaces use the definitional sweep. Everywhere else
-    # nilpotency decides: the two coincide in matrix rings over finite rings
-    # and fields, and Z embeds in Q (Koliha 1996).
-    if _fits_space_budget(a.ring, a.n):
-        return is_qnil_by_definition(a)
-    return is_nilpotent(a)[0]
-
-
 def qnil_transfer_check(q: Quadruple) -> dict[str, object]:
     """If ac is quasinilpotent then bd must be; the report carries both
-    verdicts, and on a violation the witnessing commuting element."""
-    ac_qnil = _is_qnil_any_ring(q.ac)
-    bd_qnil = _is_qnil_any_ring(q.bd)
+    verdicts, and on a violation the witnessing commuting element.
+
+    Nilpotency decides both verdicts, as in verify_axioms (Koliha 1996);
+    is_qnil_by_definition is the oracle for that.
+    """
+    ac_qnil = is_nilpotent(q.ac)[0]
+    bd_qnil = is_nilpotent(q.bd)[0]
     holds = (not ac_qnil) or bd_qnil
     witness: Optional[dict[str, object]] = None
     if not holds and _fits_space_budget(q.ring, q.n):
@@ -355,10 +351,8 @@ class SearchSpace:
             raise DrazinkitError("linear-solve requires a field or a residue ring")
 
 
-def random_matrix(
-    ring: RingSpec, n: int, rng: random.Random, bound: int = 3
-) -> SquareMatrix:
-    """Uniform small random matrix; entries in [-bound, bound] over Q and Z."""
+def random_matrix(ring: RingSpec, n: int, rng: random.Random) -> SquareMatrix:
+    """Uniform small random matrix; entries in [-3, 3] over Q and Z."""
     if ring.is_finite:
         m = ring.modulus
         assert m is not None
@@ -366,15 +360,15 @@ def random_matrix(
             ring, [[rng.randrange(m) for _ in range(n)] for _ in range(n)]
         )
     return SquareMatrix(
-        ring, [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        ring, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
     )
 
 
 def random_invertible_matrix(
-    ring: RingSpec, n: int, rng: random.Random, bound: int = 3
+    ring: RingSpec, n: int, rng: random.Random
 ) -> SquareMatrix:
     for _ in range(1000):
-        m = random_matrix(ring, n, rng, bound)
+        m = random_matrix(ring, n, rng)
         if is_invertible(m):
             return m
     raise DrazinkitError("failed to draw an invertible matrix in 1000 tries")

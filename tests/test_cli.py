@@ -135,6 +135,16 @@ class TestDrazin:
         assert code == 1
         assert "group" in json.loads(err)["detail"]
 
+    def test_group_refusal_names_the_index(self, capsys, tmp_path):
+        # The matrix of the drazin-group-index2 golden pin: ranks 3, 2, 1, 1.
+        path = write_json(
+            tmp_path / "index2.json",
+            {"ring": "Q", "rows": [["0", "1", "2"], ["0", "0", "3"], ["0", "0", "1"]]},
+        )
+        code, out, err = run(capsys, "drazin", "--in", path, "--flavor", "group")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["detail"] == "no group inverse: index 2 exceeds 1"
+
     def test_finite_ring_routed_to_oracle_command(self, capsys, tmp_path):
         two = SquareMatrix(zmod(4), [[2]])
         path = write_json(tmp_path / "two.json", matrix_to_json(two))

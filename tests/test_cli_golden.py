@@ -16,7 +16,11 @@ identity, and on a Z/12 quadruple where it is not a unit. A fourth group
 pins spectrum without --lambdas on Q quadruples whose products have
 denominators above 1, a repeated nonzero eigenvalue and a non-integer
 rational eigenvalue, so the scaling of the characteristic polynomial, the
-squarefree part and the root search all reach the report. Every hash was
+squarefree part and the root search all reach the report. A fifth group
+pins the flavor construction at its two ends: cline with the gdrazin
+flavor on instance 2.5, and the group flavor refused, on an index-2
+matrix by drazin and on a classical quadruple whose ac has index 2 by
+cline; a refusal prints nothing on stdout. Every hash was
 recorded before the code it pins was reworked, so a changed byte in any
 of these reports fails here.
 """
@@ -110,6 +114,15 @@ INPUTS = {
         c=[[1, 0, 1, 0], [0, 2, 0, 1], [1, 0, 0, 0], [0, 0, 1, 3]],
         d=[[-2, 1, "5/2", 0], ["-40/9", "11/6", "41/18", "1/9"],
            ["-13/9", "1/3", "7/9", "1/9"], [1, "-1/2", 1, 0]],
+    ),
+    # The classical (a, I, I, a) with a nonzero nilpotent a: ac = a has
+    # index 2, so ac has no group inverse.
+    "quad_classical_index2.json": _quad(
+        "Q",
+        a=[[0, 1], [0, 0]],
+        b=[[1, 0], [0, 1]],
+        c=[[1, 0], [0, 1]],
+        d=[[0, 1], [0, 0]],
     ),
     # Rank 2 and rank(A^2) = 2, so the index is 1 and a group inverse exists.
     "matrix_q_index1.json": {
@@ -225,9 +238,29 @@ SCALED_SPECTRUM = {
     ),
 }
 
+FLAVOR_CONSTRUCTION = {
+    "cline-gdrazin": (
+        ["cline", "--in", "quad_2.5.json", "--flavor", "gdrazin"],
+        0,
+        "f58d85ec286c9f75302b55830e06b8c8e156f169ba66a0354c25edb9184b7694",
+    ),
+    "drazin-group-index2": (
+        ["drazin", "--in", "matrix_q_index2.json", "--flavor", "group"],
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "cline-group-index2": (
+        ["cline", "--in", "quad_classical_index2.json", "--flavor", "group"],
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
 CASES = [pytest.param(*g, id=g[0][0]) for g in GOLDEN] + [
     pytest.param(*g, id=name)
-    for name, g in (FLAVOR_AND_TRANSFER | INTEGER_INVERSE | SCALED_SPECTRUM).items()
+    for name, g in (
+        FLAVOR_AND_TRANSFER | INTEGER_INVERSE | SCALED_SPECTRUM | FLAVOR_CONSTRUCTION
+    ).items()
 ]
 
 

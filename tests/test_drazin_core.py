@@ -6,12 +6,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from drazinkit import drazin_core
 from drazinkit.drazin_core import (
     Flavor,
     Quadruple,
     cline_classical,
     cline_generalized,
     drazin_inverse,
+    flavor_inverse,
     group_inverse,
     index_of,
     intertwining_report,
@@ -138,6 +140,35 @@ class TestUniqueness:
             certs = brute_force_inverse(a, Flavor.DRAZIN)
             assert len(certs) == 1
             assert certs[0].inverse == drazin_inverse(a).inverse
+
+
+class TestSingleConstruction:
+    """Each flavor inverse is built once and its axioms verified once."""
+
+    @pytest.fixture
+    def verify_calls(self, monkeypatch):
+        calls = []
+
+        def counted(a, x, flavor):
+            calls.append(flavor)
+            return verify_axioms(a, x, flavor)
+
+        monkeypatch.setattr(drazin_core, "verify_axioms", counted)
+        return calls
+
+    @pytest.mark.parametrize("flavor", list(Flavor), ids=lambda f: f.value)
+    def test_one_verification_per_construction(self, verify_calls, flavor):
+        # Ranks 3, 2, 2: index 1, so every flavor, the group one too, exists.
+        a = m(RING_Q, [[Fraction(1, 2), 1, 0], [1, 2, 0], [3, Fraction(-1, 3), 1]])
+        cert = flavor_inverse(a, flavor)
+        assert cert.valid and cert.flavor is flavor and cert.index == 1
+        assert verify_calls == [flavor]
+
+    def test_group_refusal_builds_nothing(self, verify_calls):
+        a = m(RING_Q, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        with pytest.raises(NoGroupInverse, match="^index 3 exceeds 1$"):
+            group_inverse(a)
+        assert verify_calls == []
 
 
 class TestGroupInverse:

@@ -125,6 +125,30 @@ def gauss_jordan(rows: list, ncols: int) -> tuple[list, list]:
     return rows, pivots
 
 
+def gauss_jordan_mod(rows: list, ncols: int, p: int) -> tuple[list, list]:
+    """Textbook Gauss-Jordan modulo a prime p, the reference for
+    reduced_echelon over GF(p): the steps of gauss_jordan, dividing by a
+    pivot as multiplying by its inverse mod p."""
+    rows = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                f = row[c]
+                rows[i] = [(x - f * y) % p for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
 def q_matrices(n: int, max_denominator: int = 12):
     """Q matrices of every rank up to n: a product of an n x k and a k x n
     matrix for a drawn k, so about half of them are singular."""
@@ -433,7 +457,8 @@ class TestDet:
 
 
 class TestReducedEchelon:
-    """The fraction-free kernel against textbook Gauss-Jordan over Q."""
+    """The elimination kernel against textbook Gauss-Jordan over Q and
+    modulo p."""
 
     @given(data=st.data())
     def test_matches_gauss_jordan_with_identity(self, data):
@@ -464,6 +489,25 @@ class TestReducedEchelon:
         aug = [[b[i][k] * b[l][j] for k in range(n) for l in range(n)] + [v[i][j]]
                for i in range(n) for j in range(n)]
         assert reduced_echelon(RING_Q, aug, n * n) == gauss_jordan(aug, n * n)
+
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @given(data=st.data())
+    def test_matches_gauss_jordan_mod_p(self, p, data):
+        # The rows of u v mod p for an h x k and a k x w matrix have rank at
+        # most k, so rows below the rank are common; the columns past ncols
+        # are an augmented right side, never pivoted on.
+        h, ncols = (data.draw(st.integers(min_value=1, max_value=4)) for _ in "hc")
+        w = ncols + data.draw(st.integers(min_value=0, max_value=3))
+        k = data.draw(st.integers(min_value=0, max_value=min(h, w)))
+        cell = st.integers(min_value=0, max_value=p - 1)
+        u, v = (
+            data.draw(st.lists(st.lists(cell, min_size=c, max_size=c), min_size=r, max_size=r))
+            for r, c in ((h, k), (k, w))
+        )
+        rows = [[sum(u[i][t] * v[t][j] for t in range(k)) % p for j in range(w)]
+                for i in range(h)]
+        assert reduced_echelon(gf(p), rows, ncols) == gauss_jordan_mod(rows, ncols, p)
 
 
 class TestInnerInverse:

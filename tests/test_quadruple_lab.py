@@ -121,6 +121,21 @@ class TestQnilTransfer:
         report = qnil_transfer_check(Quadruple(zero, zero, zero, zero))
         assert report["holds"] and report["witness"] is None
 
+    @pytest.mark.parametrize("ring", [GF2, gf(3), Z4], ids=str)
+    def test_verdicts_match_the_definition(self, ring):
+        # The verdicts come from nilpotency; the definitional sweep over the
+        # commutant is the oracle they must agree with.
+        zero = SquareMatrix.zeros(ring, 2)
+        eye = SquareMatrix.identity(ring, 2)
+        quads = [Quadruple(zero, zero, zero, zero), Quadruple(eye, eye, eye, eye)]
+        space = SearchSpace(ring, 2, Strategy.LINEAR_SOLVE, 40)
+        quads += enumerate_quadruples(space, seed=DEFAULT_SEED)
+        assert len(quads) > 10
+        for q in quads:
+            report = qnil_transfer_check(q)
+            assert report["ac_qnil"] == is_qnil_by_definition(q.ac), q
+            assert report["bd_qnil"] == is_qnil_by_definition(q.bd), q
+
     def test_space_over_the_budget_decides_by_nilpotency(self):
         # M2(GF(5)) has 625 elements, over the table budget, so the
         # definitional sweep is out of reach; nilpotency decides instead.

@@ -7,13 +7,17 @@ nilpotent with index at most one (group), in the Jacobson radical at some
 power (pdrazin), or quasinilpotent (gdrazin). Construction is offered over
 fields, by flavor_inverse alone: one formula for every flavor, verified once
 under the flavor asked for. Over Z and Z/n only verification is available,
-with brute-force search providing candidates from the lab module.
+with brute-force search providing candidates from the lab module. The unit
+transfer (jacobson_inverse) has one route in all four rings: a
+Cayley-Hamilton resolvent of ac, built once per quadruple and verified at
+every lambda by exact integer multiplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -29,8 +33,11 @@ from .errors import (
     ZeroLambda,
 )
 from .matrix_rings import (
+    RING_Z,
     Scalar,
     SquareMatrix,
+    _berkowitz,
+    _from_rows,
     _nilpotency_bound,
     in_radical,
     inner_inverse,
@@ -461,28 +468,129 @@ def cline_classical(
     return cline_generalized(q, flavor).e_cert
 
 
+class _Resolvent:
+    """The unit transfer r = 1 + b (lambda - ac)^(-1) d of one quadruple at
+    any nonzero lambda, from one Cayley-Hamilton resolvent of ac.
+
+    With ac = A / alpha, b = B / beta, d = D / delta and bd = E / eps over
+    integer numerators (the residues themselves over GF(m) and Z/m, where
+    every denominator is 1), Berkowitz's recurrence gives
+    det(t I - A) = sum c_k t^(n-k), and Cayley-Hamilton gives
+    adj(t I - A) = sum_(k<n) t^(n-1-k) M_k with M_0 = I and
+    M_k = A M_(k-1) + c_k I. Only C_k = B M_k D is needed, and it is formed
+    once per quadruple without M_k: b (ac) = (bd) b, from bdb = bac, turns
+    B A into (alpha / eps) E B, so C_0 = B D = beta delta E / eps and
+    C_k = alpha E C_(k-1) / eps + c_k C_0, each division exact. At
+    lambda = p / s, the integers X = sum c_k (p alpha)^(n-k) s^k, which
+    is (alpha s)^n det(lambda - ac), and Y = sum (p alpha)^(n-1-k) s^k C_k
+    give r = R / (beta delta X) with R = beta delta X I + alpha s Y.
+
+    Nothing is taken on trust. Where X is a unit of the ring, R is checked
+    two-sided in integers against V = p eps I - s E, the numerators of
+    s eps (lambda - bd): V R = R V = p eps beta delta X I, which is
+    (lambda - bd) r = r (lambda - bd) = lambda. Where X is no unit, lambda -
+    ac must be singular, and inverse(lambda - ac) is asked to confirm it by
+    raising NotInvertible. Any other outcome raises FormulaViolation.
+    """
+
+    __slots__ = ("q", "zring", "m", "alpha", "bd_den", "eps", "e_flat", "cs", "cks")
+
+    def __init__(self, q: Quadruple):
+        ring = q.ring
+        m = ring.modulus
+        # The integer numerators live over Z off the residue rings.
+        zring = ring if m is not None else RING_Z
+        ac, bd = q.ac, q.bd
+        alpha, bd_den, eps = ac.den, q.b.den * q.d.den, bd.den
+        cs = _berkowitz(ac.num, m)
+        e_int = SquareMatrix._trusted(zring, bd.num)
+        c0 = [bd_den * x // eps for x in chain.from_iterable(bd.num)]
+        cks = [c0]
+        ck = SquareMatrix._trusted(zring, _rows(c0, q.n))
+        for c in cs[1:q.n]:
+            ek = chain.from_iterable((e_int * ck).num)
+            flat = [alpha * x // eps + c * y for x, y in zip(ek, c0)]
+            if m is not None:
+                flat = [x % m for x in flat]
+            cks.append(flat)
+            ck = SquareMatrix._trusted(zring, _rows(flat, q.n))
+        self.q, self.zring, self.m, self.cs, self.cks = q, zring, m, cs, cks
+        self.alpha, self.bd_den, self.eps = alpha, bd_den, eps
+        self.e_flat = list(chain.from_iterable(bd.num))
+
+    def _split(self, lam: Scalar) -> tuple[int, int]:
+        """(p, s) with lambda = p / s and s > 0, after the checks on lambda."""
+        if lam == 0:
+            raise ZeroLambda("lambda must be nonzero")
+        if lam != 1 and self.q.ring.kind != "Q":
+            raise UnsupportedRing(f"scaling needs Q, got {self.q.ring}")
+        return lam.numerator, lam.denominator
+
+    def _matrix(self, flat: list[int], diag: int) -> SquareMatrix:
+        """The zring matrix with the n x n entries flat, plus diag I; flat is
+        updated in place."""
+        n, m = self.q.n, self.m
+        for i in range(0, n * n, n + 1):
+            flat[i] += diag
+        if m is not None:
+            flat = [x % m for x in flat]
+        return SquareMatrix._trusted(self.zring, _rows(flat, n))
+
+    def shifted_bd(self, lam: Scalar) -> SquareMatrix:
+        """V = p eps I - s E, the integer numerators of s eps (lambda - bd)."""
+        return self._shifted_bd(*self._split(lam))
+
+    def _shifted_bd(self, p: int, s: int) -> SquareMatrix:
+        return self._matrix([-s * x for x in self.e_flat], p * self.eps)
+
+    def at(self, lam: Scalar) -> tuple[SquareMatrix, SquareMatrix, int]:
+        """(V, R, beta delta X), with r = R / (beta delta X) verified; raises
+        NotInvertible, from inverse, when lambda - ac is singular."""
+        p, s = self._split(lam)
+        q, m, n, cs, cks = self.q, self.m, self.q.n, self.cs, self.cks
+        u = p * self.alpha
+        # X and Y by Horner's rule, homogeneous in (u, s).
+        x, y, s_k = cs[0], cks[0], 1
+        for k in range(1, n + 1):
+            s_k *= s
+            x = x * u + cs[k] * s_k
+            if k < n:
+                y = [e * u + s_k * c for e, c in zip(y, cks[k])]
+        if m is not None:
+            x %= m
+        if not q.ring.is_unit_scalar(x):
+            inverse(SquareMatrix.identity(q.ring, n).scalar_mul(lam) - q.ac)
+            raise FormulaViolation(
+                "lambda - ac inverted although its resolvent determinant is no unit"
+            )
+        den = self.bd_den * x
+        scale = self.alpha * s
+        big_r = self._matrix([scale * e for e in y], den)
+        v = self._shifted_bd(p, s)
+        target = self._matrix([0] * (n * n), p * self.eps * den)
+        if v * big_r != target or big_r * v != target:
+            raise FormulaViolation(
+                "1 + b (lambda - ac)^(-1) d failed to invert 1 - bd/lambda"
+            )
+        return v, big_r, den
+
+
+def _rows(flat: list[int], n: int) -> tuple[tuple[int, ...], ...]:
+    """The n x n rows of a row-major flat list."""
+    return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
+
+
 def jacobson_inverse(q: Quadruple, lam: Scalar = 1) -> SquareMatrix:
     """(1 - bd/lambda)^(-1) as r = 1 + b (lambda - ac)^(-1) d.
 
     The unit transfer: lambda - bd is a unit whenever lambda - ac is. From
     bdb = bac and dbd = acd, (lambda - bd) r = r (lambda - bd) = lambda, so
-    r is checked two-sided against lambda I with no matrix scaled by
-    1/lambda. Raises ZeroLambda for lambda = 0, UnsupportedRing for
-    lambda != 1 outside Q, and NotInvertible when lambda - ac is singular.
+    r is checked two-sided against lambda I, in integers, with no matrix
+    scaled by 1/lambda. r comes from the Cayley-Hamilton resolvent of ac,
+    the one route in all four rings (see _Resolvent). Raises ZeroLambda for
+    lambda = 0, UnsupportedRing for lambda != 1 outside Q, and
+    NotInvertible, with inverse's own text, when lambda - ac is singular.
     A failed check raises FormulaViolation (always an implementation bug).
     """
-    if lam == 0:
-        raise ZeroLambda("lambda must be nonzero")
-    ident = SquareMatrix.identity(q.ring, q.n)
-    lam_i = ident
-    if lam != 1:
-        if q.ring.kind != "Q":
-            raise UnsupportedRing(f"scaling needs Q, got {q.ring}")
-        lam_i = ident.scalar_mul(lam)
-    result = ident + q.b * inverse(lam_i - q.ac) * q.d
-    v = lam_i - q.bd
-    if v * result != lam_i or result * v != lam_i:
-        raise FormulaViolation(
-            "1 + b (lambda - ac)^(-1) d failed to invert 1 - bd/lambda"
-        )
-    return result
+    _, big_r, den = _Resolvent(q).at(lam)
+    return _from_rows(q.ring, big_r.num, den)

@@ -5,8 +5,10 @@ GF(p), and residue rings Z/n. Everything is exact: a Q matrix is stored as
 integer numerators over one denominator, so products, sums and elimination
 read integers. det and inverse share one kernel, Bareiss's fraction-free
 elimination on integer rows (residue lifts over GF(p) and Z/n), except that
-inverse eliminates mod p over GF(p), as rank and the solvers do. Nothing
-ever leaves the ring.
+inverse eliminates mod p over GF(p), as rank and the solvers do. The
+characteristic polynomial has one kernel too, Berkowitz's division-free
+recurrence on the same integer rows, behind spectral.char_poly and the
+unit-transfer resolvent of drazin_core. Nothing ever leaves the ring.
 
 Matrices are immutable and hashable, so they can serve as cache keys for
 the brute-force layers built on top.
@@ -663,6 +665,29 @@ def det(a: SquareMatrix) -> Scalar:
     rows, pivots, sign = _echelon([list(r) for r in a.num], n, None)
     det_num = sign * rows[-1][-1] if len(pivots) == n else 0
     return _det_in_ring(a.ring, det_num, a.den, n)
+
+
+def _berkowitz(rows: Sequence[Sequence[int]], m: int | None = None) -> list[int]:
+    """[c_0, ..., c_n] with det(t I - A) = sum c_k t^(n-k), A the integer
+    rows, by Berkowitz's recurrence: the characteristic polynomial of a
+    trailing block [[h, r], [v, S]] is the lower-triangular Toeplitz matrix
+    with first column (1, -h, -r v, -r S v, ...) times that of S. It needs
+    no division, so every value is an integer. With m set the rows are
+    residue lifts and every value is reduced mod m, which is exact because
+    reduction mod m is a ring homomorphism."""
+    p = [1]
+    for k in range(len(rows) - 1, -1, -1):
+        r, sub = rows[k][k + 1:], [row[k + 1:] for row in rows[k + 1:]]
+        v, t = [row[k] for row in rows[k + 1:]], [1, -rows[k][k]]
+        for _ in sub:
+            t.append(-sum(map(mul, r, v)))
+            v = [sum(map(mul, row, v)) for row in sub]
+            if m is not None:
+                v = [x % m for x in v]
+        p = [sum(map(mul, t[i::-1], p)) for i in range(len(t))]
+        if m is not None:
+            p = [x % m for x in p]
+    return p
 
 
 def det_bareiss(a: SquareMatrix) -> Scalar:

@@ -7,20 +7,24 @@ extracting an eigenvalue: both characteristic polynomials, by the Berkowitz
 recurrence on integer numerators, are stripped of their power of lambda and
 reduced to monic squarefree parts by the integer gcd kernel of exact_arith,
 and the sets agree iff those polynomials are identical. Pointwise unit
-transfer at sampled nonzero lambda complements the set comparison.
+transfer at sampled nonzero lambda complements the set comparison: one
+Cayley-Hamilton resolvent of ac per quadruple (drazin_core._Resolvent)
+builds (1 - bd/lambda)^(-1) at every lambda where lambda - ac is
+invertible and verifies it two-sided in integers; at every lambda where
+it finds lambda - ac singular, an elimination inverse must agree; and the
+bd side is an independent determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .drazin_core import Quadruple, drazin_inverse, jacobson_inverse
+from .drazin_core import Quadruple, _Resolvent, drazin_inverse
 from .errors import NotInvertible
 from .exact_arith import Poly, format_rational, rational_roots, squarefree_part
-from .matrix_rings import SquareMatrix, is_invertible, matrix_to_json, over_q
+from .matrix_rings import SquareMatrix, _berkowitz, det, matrix_to_json, over_q
 
 DEFAULT_LAMBDAS: tuple[Fraction, ...] = (
     Fraction(1),
@@ -33,28 +37,15 @@ DEFAULT_LAMBDAS: tuple[Fraction, ...] = (
 )
 
 
-def _berkowitz(a: SquareMatrix) -> tuple[list[int], int]:
-    """(c, den) with det(x I - a) = sum c_k x^(n-k) / den^k, a = N/den, by
-    Berkowitz's recurrence on N: the characteristic polynomial of a trailing
-    block [[h, r], [v, S]] is the lower-triangular Toeplitz matrix with first
-    column (1, -h, -r v, -r S v, ...) times that of S. It needs no division,
-    so every value is an integer."""
-    aq = over_q(a)
-    rows, p = aq.num, [1]
-    for k in range(aq.n - 1, -1, -1):
-        r, sub = rows[k][k + 1:], [row[k + 1:] for row in rows[k + 1:]]
-        v, t = [row[k] for row in rows[k + 1:]], [1, -rows[k][k]]
-        for _ in sub:
-            t.append(-sum(map(mul, r, v)))
-            v = [sum(map(mul, row, v)) for row in sub]
-        p = [sum(map(mul, t[i::-1], p)) for i in range(len(t))]
-    return p, aq.den
-
-
 def char_poly(a: SquareMatrix) -> Poly:
-    """Monic characteristic polynomial det(lambda I - a) over Q."""
-    cs, den = _berkowitz(a)
-    return Poly([Fraction(c, den**k) for k, c in enumerate(cs)][::-1])
+    """Monic characteristic polynomial det(lambda I - a) over Q.
+
+    With a = N / den, Berkowitz's recurrence on the integer rows N gives
+    det(x I - N) = sum c_k x^(n-k), so det(x I - a) = sum c_k x^(n-k) / den^k.
+    """
+    aq = over_q(a)
+    den = aq.den
+    return Poly([Fraction(c, den**k) for k, c in enumerate(_berkowitz(aq.num))][::-1])
 
 
 @dataclass(frozen=True)
@@ -166,21 +157,27 @@ def invertibility_transfer(
 
     Whenever lambda - ac is invertible, the explicit formula
     1 + b (lambda - ac)^(-1) d must invert 1 - bd/lambda, which is the
-    statement that lambda - bd is a unit whenever lambda - ac is.
-    jacobson_inverse decides the ac side by inverting it and verifies the
-    formula two-sided; the bd side is decided independently by the
-    determinant of lambda - bd. Both side verdicts are recorded even when
-    the hypothesis fails.
+    statement that lambda - bd is a unit whenever lambda - ac is. One
+    Cayley-Hamilton resolvent of ac serves every lambda (the route of
+    jacobson_inverse): at each lambda where it finds lambda - ac invertible
+    it builds the formula and verifies it two-sided by exact integer
+    multiplication, and at each lambda where it finds lambda - ac singular,
+    inverse(lambda - ac) must confirm that by raising NotInvertible, so no
+    row holds on the resolvent's word alone. The bd side is decided
+    independently, by the determinant of the integer numerators of
+    lambda - bd. Both side verdicts are recorded even when the hypothesis
+    fails.
     """
     rows: list[TransferRow] = []
-    ident = SquareMatrix.identity(q.ring, q.n)
+    resolvent = _Resolvent(q)
     for lam in map(Fraction, lambdas):
         try:
-            jacobson_inverse(q, lam)
+            v = resolvent.at(lam)[0]
             ac_ok = True
         except NotInvertible:
+            v = resolvent.shifted_bd(lam)
             ac_ok = False
-        bd_ok = is_invertible(ident.scalar_mul(lam) - q.bd)
+        bd_ok = q.ring.is_unit_scalar(det(v))
         rows.append(TransferRow(lam, ac_ok, bd_ok, True if ac_ok else None))
     return TransferReport(tuple(rows))
 

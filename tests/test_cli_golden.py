@@ -20,7 +20,12 @@ squarefree part and the root search all reach the report. A fifth group
 pins the flavor construction at its two ends: cline with the gdrazin
 flavor on instance 2.5, and the group flavor refused, on an index-2
 matrix by drazin and on a classical quadruple whose ac has index 2 by
-cline; a refusal prints nothing on stdout. Every hash was
+cline; a refusal prints nothing on stdout. A sixth group pins the unit
+transfer where no other pin reaches it: jacobson at the default lambda
+over GF(5), once with 1 - ac a unit and once with it singular, and
+spectrum with explicit lambdas on a 4x4 linear-solve Q quadruple whose b
+is singular and whose b, d, ac and bd all have denominators above 1, with
+1 - ac singular at lambda = 1. Every hash was
 recorded before the code it pins was reworked, so a changed byte in any
 of these reports fails here.
 """
@@ -123,6 +128,34 @@ INPUTS = {
         b=[[1, 0], [0, 1]],
         c=[[1, 0], [0, 1]],
         d=[[0, 1], [0, 0]],
+    ),
+    # A GF(5) quadruple with 1 - ac a unit other than the identity, and one
+    # with 1 - ac = [[0, 1], [0, 4]] singular.
+    "quad_gf5_unit.json": _quad(
+        {"GF": 5},
+        a=[[4, 2], [2, 4]],
+        b=[[0, 3], [1, 0]],
+        c=[[1, 0], [2, 3]],
+        d=[[2, 3], [4, 0]],
+    ),
+    "quad_gf5_singular.json": _quad(
+        {"GF": 5},
+        a=[[1, 4], [3, 0]],
+        b=[[0, 0], [0, 4]],
+        c=[[0, 4], [4, 0]],
+        d=[[0, 2], [0, 3]],
+    ),
+    # A linear-solve Q quadruple: b has rank 3 (row 4 is row 1 plus row 2),
+    # d came from solve_for_d, and 1 is an eigenvalue of both ac and bd.
+    "quad_q4_singular_b.json": _quad(
+        "Q",
+        a=[["2/7", "3/14", "-2/7", "1/7"], ["2/7", "-11/14", "5/7", "-6/7"],
+           ["-2/7", "-17/14", "9/7", "-15/7"], ["1/7", "-9/14", "6/7", "-10/7"]],
+        b=[["1/4", "1/3", 0, -1], [1, 0, 1, "2/3"], [-1, 0, -1, "3/4"],
+           ["5/4", "1/3", 1, "-1/3"]],
+        c=[[0, 1, -2, 2], [1, -2, 1, 1], [-2, 0, 0, 1], [-2, 1, -1, 0]],
+        d=[[-1, "-25/17", "-25/17", 0], ["15/4", "27/8", "17/4", 0],
+           [1, 2, 1, 0], [0, "21/34", "2/17", 0]],
     ),
     # Rank 2 and rank(A^2) = 2, so the index is 1 and a group inverse exists.
     "matrix_q_index1.json": {
@@ -256,10 +289,32 @@ FLAVOR_CONSTRUCTION = {
     ),
 }
 
+UNIT_TRANSFER = {
+    "jacobson-gf5-unit": (
+        ["jacobson", "--in", "quad_gf5_unit.json"],
+        0,
+        "5e2cfd84f1c7315b11ba928e50902f5d429b664fa70ee2a1814d0e2c56ba8225",
+    ),
+    "jacobson-gf5-not-unit": (
+        ["jacobson", "--in", "quad_gf5_singular.json"],
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "spectrum-q4-singular-b": (
+        ["spectrum", "--in", "quad_q4_singular_b.json", "--lambdas", "1,-1,5/7,-3"],
+        0,
+        "aea589a56993eb75586d3d39ee5a82914d8a83143380bb87f1c9f75371c63ce5",
+    ),
+}
+
 CASES = [pytest.param(*g, id=g[0][0]) for g in GOLDEN] + [
     pytest.param(*g, id=name)
     for name, g in (
-        FLAVOR_AND_TRANSFER | INTEGER_INVERSE | SCALED_SPECTRUM | FLAVOR_CONSTRUCTION
+        FLAVOR_AND_TRANSFER
+        | INTEGER_INVERSE
+        | SCALED_SPECTRUM
+        | FLAVOR_CONSTRUCTION
+        | UNIT_TRANSFER
     ).items()
 ]
 

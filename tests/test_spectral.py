@@ -1,34 +1,56 @@
 """Characteristic polynomials, nonzero-spectrum comparison, unit transfer."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drazinkit.drazin_core import Quadruple, jacobson_inverse
-from drazinkit.errors import NotInvertible, UnsupportedRing, ZeroLambda
+import drazinkit.drazin_core as drazin_core
+from drazinkit.drazin_core import Quadruple, _Resolvent, jacobson_inverse
+from drazinkit.errors import (
+    FormulaViolation,
+    NotInvertible,
+    UnsupportedRing,
+    ZeroLambda,
+)
 from drazinkit.exact_arith import Poly
 from drazinkit.fixtures import example_quadruple
 from drazinkit.matrix_rings import (
     RING_Q,
     RING_Z,
     SquareMatrix,
+    _berkowitz,
+    det,
     det_bareiss,
     gf,
     inverse,
     is_invertible,
     over_q,
+    zmod,
+)
+from drazinkit.quadruple_lab import (
+    SearchSpace,
+    Strategy,
+    enumerate_quadruples,
+    random_matrix,
+    seeded_rational_suite,
+    solve_for_d,
 )
 from drazinkit.spectral import (
     DEFAULT_LAMBDAS,
     SpectrumSummary,
+    TransferReport,
+    TransferRow,
     char_poly,
     invertibility_transfer,
     nonzero_spectrum_equal,
     quadruple_spectrum_report,
     transfer_lambdas,
 )
+from test_cli_golden import INPUTS
 from test_matrix_rings import leibniz_det
 
 
@@ -322,3 +344,310 @@ class TestQuadrupleSpectrumReport:
         assert report["ac_drazin_invertible"] is True
         assert report["bd_drazin_invertible"] is True
         assert report["transfer"]["all_hold"] is True
+
+
+# -- the unit transfer against its elimination reference ----------------------
+
+
+def reference_jacobson(q: Quadruple, lam) -> SquareMatrix:
+    """Reference unit transfer: 1 + b (lambda - ac)^(-1) d, the inverse by
+    elimination, checked two-sided against lambda I. It is the formula
+    jacobson_inverse first ran, and it shares no code with the resolvent."""
+    ident = SquareMatrix.identity(q.ring, q.n)
+    lam_i = ident.scalar_mul(lam)
+    result = ident + q.b * inverse(lam_i - q.ac) * q.d
+    v = lam_i - q.bd
+    assert v * result == lam_i and result * v == lam_i
+    return result
+
+
+def reference_transfer(q: Quadruple, lambdas) -> TransferReport:
+    """The transfer rows from reference_jacobson and is_invertible."""
+    ident = SquareMatrix.identity(q.ring, q.n)
+    rows = []
+    for lam in map(Fraction, lambdas):
+        ac_ok = isinstance(outcome(reference_jacobson, q, lam), SquareMatrix)
+        bd_ok = is_invertible(ident.scalar_mul(lam) - q.bd)
+        rows.append(TransferRow(lam, ac_ok, bd_ok, True if ac_ok else None))
+    return TransferReport(tuple(rows))
+
+
+def outcome(fn, q: Quadruple, lam):
+    """fn(q, lam), or the text of the NotInvertible it raises."""
+    try:
+        return fn(q, lam)
+    except NotInvertible as exc:
+        return ("NotInvertible", str(exc))
+
+
+def _fraction_rows(rng: random.Random, n: int) -> list[list[Fraction]]:
+    return [
+        [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def singular_b_draw(seed: int) -> tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
+    """(a, b, c') over Q with denominators up to 4 and n in 2..4, where b's
+    last row is the sum of its other rows, so b is singular. With c = c' b
+    the linear relation b X b = b a c is consistent."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    a, c1 = (SquareMatrix(RING_Q, _fraction_rows(rng, n)) for _ in range(2))
+    rows = _fraction_rows(rng, n)
+    rows[-1] = [sum(col[:-1]) for col in zip(*rows)]
+    return a, SquareMatrix(RING_Q, rows), c1
+
+
+# The seeds below 200 at which solve_for_d finds a d for singular_b_draw
+# within its candidate cap, all at n = 2. At most seeds the quadratic relation
+# d b d = a c d cuts every candidate, after 0.2 to 0.6 s of search.
+SOLVED_SINGULAR_B_SEEDS = (1, 31, 46, 54, 57, 111, 121, 123, 143, 154, 160, 185, 190)
+
+
+def linear_solve_singular_b(seed: int) -> Quadruple:
+    """The solve_for_d quadruple of a seed above, or with seed -1 the 4x4
+    linear-solve quadruple of the golden spectrum pin, whose b has rank 3."""
+    if seed == -1:
+        return Quadruple.from_json(INPUTS["quad_q4_singular_b.json"])
+    a, b, c1 = singular_b_draw(seed)
+    c = c1 * b
+    return Quadruple(a, b, c, solve_for_d(a, b, c, budget=1)[0])
+
+
+def factored_singular_b(seed: int) -> Quadruple:
+    """(a, b, c' b, a c'), which satisfies both relations for every draw:
+    b d b = b a c' b = b a c and d b d = a (c' b a c') = a c d."""
+    a, b, c1 = singular_b_draw(seed)
+    return Quadruple(a, b, c1 * b, a * c1)
+
+
+singular_b_quadruples = st.sampled_from((-1,) + SOLVED_SINGULAR_B_SEEDS).map(
+    linear_solve_singular_b
+) | st.integers(0, 10**6).map(factored_singular_b)
+
+
+def lambdas_for(q: Quadruple):
+    """The eigenvalues of ac and bd, where a side turns singular, or any
+    small nonzero rational."""
+    return st.sampled_from(transfer_lambdas(q)) | nonzero_lambdas
+
+
+def integral(q: Quadruple) -> bool:
+    return all(x.den == 1 for x in (q.a, q.b, q.c, q.d))
+
+
+def finite_draw(ring, n: int, seed: int) -> Quadruple:
+    """A seeded linear-solve draw over the ring at dimension n. Z has no
+    linear-solve route, so its draws are the Q draws with integer d read
+    over Z."""
+    source = RING_Q if ring == RING_Z else ring
+    space = SearchSpace(source, n, Strategy.LINEAR_SOLVE, 400)
+    q = next(q for q in enumerate_quadruples(space, seed) if integral(q))
+    if ring == RING_Z:
+        q = Quadruple(*(SquareMatrix(RING_Z, x.entries) for x in (q.a, q.b, q.c, q.d)))
+    return q
+
+
+# (ring, dimensions) with a linear-solve route: Z/m beyond the enumeration
+# tables has none, so Z/12 is drawn at n = 1 and classical quadruples
+# (a, b, b, a) cover it at n = 2 and 3 in the test below.
+FINITE_DRAWS = [
+    (RING_Z, (1, 2, 3)),
+    (gf(2), (2, 4)),
+    (gf(3), (2, 3)),
+    (gf(5), (2,)),
+    (zmod(4), (1, 2)),
+    (zmod(12), (1,)),
+]
+
+
+class TestUnitTransferMatchesReference:
+    @given(st.integers(0, 500), st.data())
+    def test_jacobson_on_rational_suite(self, pick, data):
+        q = seeded_rational_suite(1, seed=pick)[0]
+        lam = data.draw(lambdas_for(q))
+        assert outcome(jacobson_inverse, q, lam) == outcome(reference_jacobson, q, lam)
+
+    @given(singular_b_quadruples, st.data())
+    def test_jacobson_with_singular_b(self, q, data):
+        lam = data.draw(lambdas_for(q))
+        assert outcome(jacobson_inverse, q, lam) == outcome(reference_jacobson, q, lam)
+
+    @given(st.integers(0, 500), st.lists(nonzero_lambdas, max_size=3))
+    def test_transfer_rows_on_rational_suite(self, pick, extra):
+        q = seeded_rational_suite(1, seed=pick)[0]
+        lams = transfer_lambdas(q) + tuple(extra)
+        got, want = invertibility_transfer(q, lams), reference_transfer(q, lams)
+        assert got == want and got.to_json() == want.to_json()
+
+    @given(singular_b_quadruples, st.lists(nonzero_lambdas, max_size=3))
+    def test_transfer_rows_with_singular_b(self, q, extra):
+        lams = transfer_lambdas(q) + tuple(extra)
+        assert invertibility_transfer(q, lams) == reference_transfer(q, lams)
+
+    @pytest.mark.parametrize(
+        "ring, dims", FINITE_DRAWS, ids=[str(r) for r, _ in FINITE_DRAWS]
+    )
+    @given(seed=st.integers(0, 10**6), data=st.data())
+    def test_at_lambda_one_outside_q(self, ring, dims, seed, data):
+        q = finite_draw(ring, data.draw(st.sampled_from(dims)), seed)
+        assert outcome(jacobson_inverse, q, 1) == outcome(reference_jacobson, q, 1)
+        assert invertibility_transfer(q, [1]) == reference_transfer(q, [1])
+
+    @pytest.mark.parametrize("ring", [RING_Z, zmod(4), zmod(12)], ids=str)
+    @given(seed=st.integers(0, 10**6), n=st.integers(2, 3))
+    def test_classical_at_lambda_one_outside_q(self, ring, seed, n):
+        rng = random.Random(seed)
+        a, b = random_matrix(ring, n, rng), random_matrix(ring, n, rng)
+        q = Quadruple(a, b, b, a)
+        assert outcome(jacobson_inverse, q, 1) == outcome(reference_jacobson, q, 1)
+        assert invertibility_transfer(q, [1]) == reference_transfer(q, [1])
+
+    def test_large_modulus_3x3_is_fast(self):
+        ring = zmod((2**61 - 1) * (2**31 - 1))
+        rng = random.Random(61)
+        a, b = random_matrix(ring, 3, rng), random_matrix(ring, 3, rng)
+        q = Quadruple(a, b, b, a)
+        start = time.perf_counter()
+        got = outcome(jacobson_inverse, q, 1)
+        rows = invertibility_transfer(q, [1])
+        assert time.perf_counter() - start < 0.5
+        assert got == outcome(reference_jacobson, q, 1)
+        assert rows == reference_transfer(q, [1])
+
+
+# -- trust in the resolvent route ------------------------------------------------
+
+
+def perturbed_berkowitz(shift):
+    """The Berkowitz kernel with shift(coefficients) applied to its output."""
+
+    def kernel(rows, m=None):
+        cs = _berkowitz(rows, m)
+        shift(cs)
+        return cs
+
+    return kernel
+
+
+def reference_unit(q: Quadruple, lam) -> SquareMatrix | None:
+    r = outcome(reference_jacobson, q, lam)
+    return r if isinstance(r, SquareMatrix) else None
+
+
+def quadruples_with_unit_at_one(pick: int) -> list[Quadruple]:
+    """Suite and finite-ring draws at which 1 - ac is a unit."""
+    quads = [
+        seeded_rational_suite(1, seed=pick)[0],
+        finite_draw(gf(5), 2, pick),
+        finite_draw(zmod(12), 1, pick),
+    ]
+    rng = random.Random(pick)
+    a, b = random_matrix(zmod(12), 3, rng), random_matrix(zmod(12), 3, rng)
+    quads.append(Quadruple(a, b, b, a))
+    return [q for q in quads if reference_unit(q, 1) is not None]
+
+
+class TestResolventTrust:
+    @given(st.integers(0, 500), st.data())
+    def test_perturbed_coefficient_never_returns_a_wrong_inverse(self, pick, data):
+        q = seeded_rational_suite(1, seed=pick)[0]
+        lam = data.draw(lambdas_for(q))
+        expected = reference_unit(q, lam)
+        if expected is None:
+            return
+        k = data.draw(st.integers(1, q.n))
+
+        def bump(cs):
+            cs[k] += 1
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(drazin_core, "_berkowitz", perturbed_berkowitz(bump))
+            try:
+                got = jacobson_inverse(q, lam)
+            except FormulaViolation:
+                got = None
+            assert got in (None, expected)
+            # A wrong c_n shifts R by beta delta s^n I with Y unchanged, so
+            # only bd = 0, where r = I whatever X is, can still pass.
+            if k == q.n and not q.bd.is_zero:
+                assert got is None
+                with pytest.raises(FormulaViolation):
+                    invertibility_transfer(q, [lam])
+
+    @given(st.integers(0, 300))
+    def test_forced_singular_verdict_is_refused(self, pick):
+        for q in quadruples_with_unit_at_one(pick):
+            m, alpha = q.ring.modulus, q.ac.den
+
+            def zero_x(cs):
+                # X at lambda = 1 is sum c_k alpha^(n-k); make it 0.
+                x = sum(c * alpha ** (len(cs) - 1 - k) for k, c in enumerate(cs))
+                cs[-1] -= x if m is None else x % m
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(drazin_core, "_berkowitz", perturbed_berkowitz(zero_x))
+                with pytest.raises(FormulaViolation, match="no unit"):
+                    jacobson_inverse(q, 1)
+                with pytest.raises(FormulaViolation, match="no unit"):
+                    invertibility_transfer(q, [Fraction(1)])
+
+    @given(st.integers(0, 500))
+    def test_resolvent_terms_match_inverse(self, pick):
+        # sum t^(n-1-k) C_k is B adj(t I - A) D, and adj(t I - A) is
+        # det(t I - A) (t I - A)^(-1) wherever t I - A is invertible: n
+        # such values fix a matrix polynomial of degree n - 1; n + 1 are
+        # checked.
+        q = seeded_rational_suite(1, seed=pick)[0]
+        n = q.n
+        big_a, big_b, big_d = (
+            x.scalar_mul(x.den) for x in (q.ac, q.b, q.d)
+        )
+        terms = [
+            SquareMatrix(RING_Q, [ck[i * n:(i + 1) * n] for i in range(n)])
+            for ck in _Resolvent(q).cks
+        ]
+        eye = SquareMatrix.identity(RING_Q, n)
+        checked = 0
+        for j in range(4 * n + 4):
+            t = Fraction(j - 2 * n, 3)
+            shifted = eye.scalar_mul(t) - big_a
+            if not is_invertible(shifted):
+                continue
+            adj = inverse(shifted).scalar_mul(det(shifted))
+            assert adj * shifted == eye.scalar_mul(det(shifted))
+            total = SquareMatrix.zeros(RING_Q, n)
+            for k, ck in enumerate(terms):
+                total = total + ck.scalar_mul(t ** (n - 1 - k))
+            assert total == big_b * adj * big_d
+            checked += 1
+            if checked == n + 1:
+                break
+        assert checked == n + 1
+
+    @given(st.integers(0, 300))
+    def test_inverse_runs_only_on_singular_lambdas(self, pick):
+        q = seeded_rational_suite(1, seed=pick)[0]
+        lams = transfer_lambdas(q)
+        singular = [lam for lam in lams if reference_unit(q, lam) is None]
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return inverse(a)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(drazin_core, "inverse", counted)
+            invertibility_transfer(q, lams)
+        eye = SquareMatrix.identity(RING_Q, q.n)
+        assert calls == [eye.scalar_mul(lam) - q.ac for lam in singular]
+
+    def test_lambda_checks_keep_their_order(self):
+        q = example_quadruple("3.6")
+        with pytest.raises(UnsupportedRing, match="scaling needs Q, got Z"):
+            invertibility_transfer(q, [Fraction(2), Fraction(0)])
+        with pytest.raises(ZeroLambda, match="lambda must be nonzero"):
+            invertibility_transfer(q, [Fraction(0), Fraction(2)])
+        with pytest.raises(ZeroLambda, match="lambda must be nonzero"):
+            jacobson_inverse(q, 0)

@@ -488,12 +488,18 @@ class _Resolvent:
     Nothing is taken on trust. Where X is a unit of the ring, R is checked
     two-sided in integers against V = p eps I - s E, the numerators of
     s eps (lambda - bd): V R = R V = p eps beta delta X I, which is
-    (lambda - bd) r = r (lambda - bd) = lambda. Where X is no unit, lambda -
-    ac must be singular, and inverse(lambda - ac) is asked to confirm it by
-    raising NotInvertible. Any other outcome raises FormulaViolation.
+    (lambda - bd) r = r (lambda - bd) = lambda. The verdict that lambda - ac
+    is a unit rests on Cayley-Hamilton closure, checked once per resolvent
+    at the first such lambda: with M_0 = c_0 I, A M_(n-1) + c_n I = 0. Then
+    X I = (u I - s A) Q(A) for an integer polynomial Q, u = p alpha, so a
+    unit X makes lambda - ac a unit. Where X is no unit, lambda - ac must be
+    singular, and inverse(lambda - ac) is asked to confirm it by raising
+    NotInvertible. Any other outcome raises FormulaViolation.
     """
 
-    __slots__ = ("q", "zring", "m", "alpha", "bd_den", "eps", "e_flat", "cs", "cks")
+    __slots__ = (
+        "q", "zring", "m", "alpha", "bd_den", "eps", "e_flat", "cs", "cks", "closed"
+    )
 
     def __init__(self, q: Quadruple):
         ring = q.ring
@@ -517,6 +523,21 @@ class _Resolvent:
         self.q, self.zring, self.m, self.cs, self.cks = q, zring, m, cs, cks
         self.alpha, self.bd_den, self.eps = alpha, bd_den, eps
         self.e_flat = list(chain.from_iterable(bd.num))
+        self.closed = False
+
+    def _check_closure(self) -> None:
+        """Raise FormulaViolation unless sum c_k A^(n-k) = 0, by the
+        recurrence M_k = A M_(k-1) + c_k I, n integer products."""
+        n, cs = self.q.n, self.cs
+        big_a = SquareMatrix._trusted(self.zring, self.q.ac.num)
+        mk = self._matrix([0] * (n * n), cs[0])
+        for c in cs[1:]:
+            mk = self._matrix(list(chain.from_iterable((big_a * mk).num)), c)
+        if not mk.is_zero:
+            raise FormulaViolation(
+                "the characteristic polynomial of ac fails Cayley-Hamilton"
+            )
+        self.closed = True
 
     def _split(self, lam: Scalar) -> tuple[int, int]:
         """(p, s) with lambda = p / s and s > 0, after the checks on lambda."""
@@ -563,6 +584,8 @@ class _Resolvent:
             raise FormulaViolation(
                 "lambda - ac inverted although its resolvent determinant is no unit"
             )
+        if not self.closed:
+            self._check_closure()
         den = self.bd_den * x
         scale = self.alpha * s
         big_r = self._matrix([scale * e for e in y], den)

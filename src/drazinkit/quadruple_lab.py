@@ -3,16 +3,19 @@
 Tiny matrix spaces (at most 512 elements) are packed into index tables: a
 multiplication table over element indices plus per-element caches for
 commutants, unit flags, quasinilpotence, and brute-forced inverses. The
-exhaustive sweeps and the 10^5-sample residue-ring runs all reduce to table
-lookups, while every quadruple that leaves this module is re-validated by
-the Quadruple constructor with direct matrix arithmetic, so the tables never
-become a single point of trust. The quasinilpotence sweep and brute force
+multiplication table is computed from the base-m digits of the element
+indices, with no SquareMatrix per product, and a test holds it against
+SquareMatrix products. The exhaustive sweeps and the 10^5-sample
+residue-ring runs all reduce to table lookups, while every quadruple that
+leaves this module is re-validated by the Quadruple constructor with direct
+matrix arithmetic, so the tables never become a single point of trust. The quasinilpotence sweep and brute force
 are oracles only: qnil_transfer_check decides by nilpotency.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -48,8 +51,54 @@ MAX_SPACE_ELEMENTS = 512
 _CANDIDATE_CAP = 4096
 
 
+# Element encoding: over Z/m at dimension n, the matrix with row-major
+# entries e_0 ... e_(n*n-1) in [0, m) has index sum e_k m^(n*n-1-k), the
+# order in which all_matrices yields it. A column vector v_0 ... v_(n-1) is
+# coded the same way, as sum v_i m^(n-1-i).
+
+
+def _product_table(m: int, n: int) -> list[list[int]]:
+    """mul[a][b] = index of a b, from base-m digits alone.
+
+    Column j of a b is a times column j of b. For each a, the m^n products
+    a v (mod m) are coded once, already at the entry positions of column j,
+    so each product costs n lookups and no matrix is built.
+    """
+    elements = list(itertools.product(range(m), repeat=n * n))
+    vectors = list(itertools.product(range(m), repeat=n))
+    weights = [m ** (n - 1 - i) for i in range(n)]
+    # cols[j][b]: the code of column j of element b.
+    cols = [
+        [sum(map(operator.mul, e[j::n], weights)) for e in elements]
+        for j in range(n)
+    ]
+    # Place of entry (i, 0) in an element code; entry (i, j) sits m^j lower.
+    place = [m ** (n * n - 1 - i * n) for i in range(n)]
+    table: list[list[int]] = []
+    for a in elements:
+        rows_a = [a[i * n:(i + 1) * n] for i in range(n)]
+        # col0[v]: the element code of a v placed in column 0.
+        col0 = [
+            sum(
+                p * (sum(map(operator.mul, row, v)) % m)
+                for p, row in zip(place, rows_a)
+            )
+            for v in vectors
+        ]
+        row = [col0[c] for c in cols[0]]
+        for j in range(1, n):
+            placed = [code // m**j for code in col0]
+            row = [acc + placed[c] for acc, c in zip(row, cols[j])]
+        table.append(row)
+    return table
+
+
 class PackedSpace:
-    """Index tables for one finite matrix space, built once and cached."""
+    """Index tables for one finite matrix space, built once and cached.
+
+    Elements are coded as above; mul is built by _product_table, and a test
+    holds it against SquareMatrix products.
+    """
 
     def __init__(self, ring: RingSpec, n: int):
         assert ring.is_finite and ring.modulus is not None
@@ -67,9 +116,7 @@ class PackedSpace:
         }
         ident = SquareMatrix.identity(ring, n)
         self.identity_idx = self.index[ident]
-        self.mul: list[list[int]] = [
-            [self.index[a * b] for b in self.elements] for a in self.elements
-        ]
+        self.mul: list[list[int]] = _product_table(ring.modulus, n)
         self.one_plus: list[int] = [self.index[ident + e] for e in self.elements]
         self.unit: list[bool] = [is_invertible(e) for e in self.elements]
         self._comm: dict[int, tuple[int, ...]] = {}

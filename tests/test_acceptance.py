@@ -250,7 +250,7 @@ def test_nonzero_spectra_of_the_two_products_agree(rational_suite):
 def test_constructed_inverse_matches_exhaustive_oracle():
     start = time.monotonic()
     checked = 0
-    for ring, n in ((GF2, 2), (GF3, 1), (GF3, 2)):
+    for ring, n in ((GF2, 2), (GF3, 1), (GF3, 2), (GF2, 3)):
         for m in all_matrices(ring, n):
             certs = brute_force_inverse(m, Flavor.DRAZIN)
             assert len(certs) == 1
@@ -259,7 +259,7 @@ def test_constructed_inverse_matches_exhaustive_oracle():
             assert built.inverse == certs[0].inverse
             assert built.index == certs[0].index
             checked += 1
-    assert checked == 16 + 3 + 81
+    assert checked == 16 + 3 + 81 + 512
     assert time.monotonic() - start < 10.0
 
 

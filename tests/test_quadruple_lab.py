@@ -262,6 +262,32 @@ class TestPackedSpace:
         with pytest.raises(DrazinkitError):
             get_space(RING_Q, 2)
 
+    @pytest.mark.parametrize(
+        "ring, n",
+        [(GF2, 1), (GF2, 2), (gf(3), 1), (gf(3), 2), (Z4, 1), (Z4, 2)]
+        + [(zmod(m), 1) for m in (2, 6, 8, 12, 30, 97, 256)],
+        ids=str,
+    )
+    def test_product_table_matches_matrix_products(self, ring, n):
+        space = get_space(ring, n)
+        els = space.elements
+        assert els == list(all_matrices(ring, n))
+        assert all(space.index[x] == i for i, x in enumerate(els))
+        for i, x in enumerate(els):
+            assert space.mul[i] == [space.index[x * y] for y in els]
+
+    def test_product_table_gf2_3x3_sampled_rows(self):
+        space = get_space(GF2, 3)
+        els = space.elements
+        assert len(els) == 512
+        assert els == list(all_matrices(GF2, 3))
+        one = space.identity_idx
+        assert els[one] == SquareMatrix.identity(GF2, 3)
+        assert space.mul[one] == list(range(512))
+        assert [row[one] for row in space.mul] == list(range(512))
+        for i in random.Random(0x7AB1E).sample(range(512), 24):
+            assert space.mul[i] == [space.index[els[i] * y] for y in els]
+
 
 class TestEnumeration:
     def test_scalar_gf2_count_and_contents(self):

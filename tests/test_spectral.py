@@ -593,6 +593,25 @@ class TestResolventTrust:
                 with pytest.raises(FormulaViolation, match="no unit"):
                     invertibility_transfer(q, [Fraction(1)])
 
+    @pytest.mark.parametrize("ring", [RING_Q, gf(5), zmod(4)], ids=str)
+    def test_unit_verdict_needs_cayley_hamilton(self, ring):
+        # 1 - ac is singular at lambda = 1 and bd = 0, so r = I passes the
+        # two-sided check; a bumped c_n makes X a unit, and only the
+        # closure check can refuse the "1 - ac invertible" verdict.
+        a = SquareMatrix(ring, [[1, 0], [0, 2]])
+        zero = SquareMatrix.zeros(ring, 2)
+        q = Quadruple(a, zero, SquareMatrix.identity(ring, 2), zero)
+
+        def bump(cs):
+            cs[-1] += 1
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(drazin_core, "_berkowitz", perturbed_berkowitz(bump))
+            with pytest.raises(FormulaViolation, match="Cayley-Hamilton"):
+                jacobson_inverse(q, 1)
+            with pytest.raises(FormulaViolation, match="Cayley-Hamilton"):
+                invertibility_transfer(q, [Fraction(1)])
+
     @given(st.integers(0, 500))
     def test_resolvent_terms_match_inverse(self, pick):
         # sum t^(n-1-k) C_k is B adj(t I - A) D, and adj(t I - A) is

@@ -135,10 +135,6 @@ def _quadruple_over_q(q: Quadruple) -> Quadruple:
     return Quadruple(*(over_q(m) for m in (q.a, q.b, q.c, q.d)))
 
 
-def _parse_flavor(text: str) -> Flavor:
-    return Flavor(text)
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -225,14 +221,14 @@ def _construct_flavor_certificate(
 
 def _cmd_drazin(args: argparse.Namespace, out: TextIO) -> int:
     a = _load(args.infile, matrix_from_json)
-    cert = _construct_flavor_certificate(a, _parse_flavor(args.flavor))
+    cert = _construct_flavor_certificate(a, Flavor(args.flavor))
     _emit(out, cert.to_json())
     return EXIT_OK
 
 
 def _cmd_cline(args: argparse.Namespace, out: TextIO) -> int:
     q = _load_quadruple(args.infile)
-    flavor = _parse_flavor(args.flavor)
+    flavor = Flavor(args.flavor)
     if q.ring.is_field:
         try:
             result = cline_generalized(q, flavor)
@@ -340,7 +336,7 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
             raise _Malformed(
                 f"matrix ring {a.ring} does not embed in --ring {ring}"
             )
-    flavor = _parse_flavor(args.flavor)
+    flavor = Flavor(args.flavor)
     try:
         certs = brute_force_inverse(a, flavor)
     except BudgetExceeded as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .errors import (
     DimensionMismatch,
@@ -250,16 +250,13 @@ def index_of(a: SquareMatrix) -> int:
 
 
 def _power_identity_index(
-    a: SquareMatrix,
-    x: SquareMatrix,
-    member: Callable[[SquareMatrix], bool],
-    bound: int,
+    a: SquareMatrix, x: SquareMatrix, bound: int
 ) -> Optional[int]:
-    """Smallest k in [0, bound] with a^k - a^(k+1) x in the given class."""
+    """Smallest k in [0, bound] with a^k - a^(k+1) x in the radical."""
     a_k = SquareMatrix.identity(a.ring, a.n)
     for k in range(bound + 1):
         a_k1 = a_k * a
-        if member(a_k - a_k1 * x):
+        if in_radical(a_k - a_k1 * x):
             return k
         a_k = a_k1
     return None
@@ -274,17 +271,18 @@ def verify_axioms(a: SquareMatrix, x: SquareMatrix, flavor: Flavor) -> DrazinCer
     """
     a._require_compatible(x)
     checks: list[AxiomCheck] = []
-    commute = a * x == x * a
+    ax = a * x
+    commute = ax == x * a
     checks.append(
         AxiomCheck("commutes", commute, "a x = x a" if commute else "a x != x a")
     )
-    absorb = x * a * x == x
+    absorb = x * ax == x
     checks.append(
         AxiomCheck("absorbs", absorb, "x a x = x" if absorb else "x a x != x")
     )
     bound = _nilpotency_bound(a)
     if flavor is Flavor.PDRAZIN:
-        index = _power_identity_index(a, x, in_radical, bound)
+        index = _power_identity_index(a, x, bound)
         checks.append(
             AxiomCheck(
                 "core-radical",
@@ -295,11 +293,16 @@ def verify_axioms(a: SquareMatrix, x: SquareMatrix, flavor: Flavor) -> DrazinCer
             )
         )
         return DrazinCertificate(a, x, flavor, index, tuple(checks))
-    index = _power_identity_index(a, x, lambda m: m.is_zero, bound)
     # Quasinilpotent and nilpotent coincide in every ring supported here
     # (Koliha 1996): a finite ring is strongly pi-regular, and Z embeds in Q.
-    # quadruple_lab.is_qnil_by_definition is the independent oracle.
-    nil, degree = is_nilpotent(a - (a * a) * x)
+    # quadruple_lab.is_qnil_by_definition is the independent oracle. With
+    # a x = x a and x a x = x, a x is an idempotent commuting with a, so
+    # (a - a^2 x)^k = a^k - a^(k+1) x for k >= 1: the index is the core's
+    # nilpotency degree, or 0 when a x = 1.
+    nil, degree = is_nilpotent(a - a * ax)
+    index = None
+    if commute and absorb and nil:
+        index = 0 if ax == SquareMatrix.identity(a.ring, a.n) else degree
     checks.append(
         AxiomCheck(
             "core-qnil" if flavor is Flavor.GDRAZIN else "core-nilpotent",
@@ -311,13 +314,8 @@ def verify_axioms(a: SquareMatrix, x: SquareMatrix, flavor: Flavor) -> DrazinCer
     )
     if flavor is Flavor.GROUP:
         ok = index is not None and index <= 1
-        checks.append(
-            AxiomCheck(
-                "index-at-most-one",
-                ok,
-                f"index {index}" if index is not None else "index undefined",
-            )
-        )
+        witness = f"index {index}" if index is not None else "index undefined"
+        checks.append(AxiomCheck("index-at-most-one", ok, witness))
     return DrazinCertificate(a, x, flavor, index, tuple(checks))
 
 

@@ -169,12 +169,6 @@ class Poly:
         c = Fraction(c)
         return Poly(c * a for a in self.coeffs)
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if self.is_zero:
-            return self
-        return Poly((RAT_ZERO,) * k + self.coeffs)
-
     def monic(self) -> "Poly":
         if self.is_zero:
             return self

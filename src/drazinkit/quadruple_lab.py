@@ -50,6 +50,8 @@ MAX_SPACE_ELEMENTS = 512
 # coset over Q; keeps solve_for_d total even when the nullspace is large.
 _CANDIDATE_CAP = 4096
 
+MAX_SOLVE_UNKNOWNS = 64  # n * n, the unknowns of the system solve_for_d reduces
+
 
 # Element encoding: over Z/m at dimension n, the matrix with row-major
 # entries e_0 ... e_(n*n-1) in [0, m) has index sum e_k m^(n*n-1-k), the
@@ -275,18 +277,27 @@ def solve_for_d(
     particular solution over fields, full coset enumeration over small
     finite spaces); the second is quadratic and applied as a filter. Up to
     budget solutions are returned in a deterministic order. Raises
-    NoSolution when the linear relation is inconsistent.
+    NoSolution when the linear relation is inconsistent, and BudgetExceeded
+    up front when n * n exceeds MAX_SOLVE_UNKNOWNS.
     """
     a._require_compatible(b)
     a._require_compatible(c)
     if budget < 1:
         raise DrazinkitError("budget must be >= 1")
+    _check_solve_budget(a.n)
     ring = a.ring
     if _fits_space_budget(ring, a.n):
         return _solve_by_enumeration(a, b, c, budget)
     if ring.is_field:
         return _solve_by_elimination(a, b, c, budget)
     raise BudgetExceeded(f"no solve route for {ring} at dimension {a.n}")
+
+
+def _check_solve_budget(n: int) -> None:
+    if n * n > MAX_SOLVE_UNKNOWNS:
+        raise BudgetExceeded(
+            f"linear solve needs {n * n} unknowns, budget is {MAX_SOLVE_UNKNOWNS}"
+        )
 
 
 def _solve_by_enumeration(
@@ -461,6 +472,7 @@ def enumerate_quadruples(
                             continue
                         yield Quadruple(els[ai], els[bi], els[ci], els[di])
         return
+    _check_solve_budget(space.n)
     rng = random.Random(seed)
     for _ in range(space.budget):
         a = random_matrix(space.ring, space.n, rng)

@@ -414,6 +414,15 @@ class TestSearch:
         )
         assert code == 1
 
+    def test_linear_solve_dimension_over_the_unknown_cap(self, capsys):
+        # MAX_SOLVE_UNKNOWNS is 64, so 9 is the smallest dimension over it.
+        code, out, err = run(
+            capsys, "search", "--ring", "gf2", "--dim", "9",
+            "--strategy", "linear-solve", "--budget", "1",
+        )
+        assert code == 1
+        assert "linear solve needs 81 unknowns, budget is 64" in out + err
+
     def test_linear_solve_deterministic(self, capsys):
         args = ("search", "--ring", "zmod4", "--dim", "2",
                 "--strategy", "linear-solve", "--budget", "12", "--seed", "3")

@@ -34,11 +34,14 @@ from drazinkit.matrix_rings import (
     RING_Q,
     RING_Z,
     SquareMatrix,
+    _nilpotency_bound,
+    all_matrices,
     gf,
     inverse,
     over_q,
     zmod,
 )
+from drazinkit.quadruple_lab import get_space, seeded_rational_suite
 
 
 def m(ring, rows) -> SquareMatrix:
@@ -236,6 +239,87 @@ class TestVerifyAxioms:
         assert cert.valid
         assert any(c.check == "core-qnil" for c in cert.checks)
         assert "(a - a^2 x)^2 = 0" in [c.witness for c in cert.checks]
+
+
+def reference_index(a: SquareMatrix, x: SquareMatrix):
+    """Smallest k <= the nilpotency bound with a^k - a^(k+1) x = 0."""
+    a_k = SquareMatrix.identity(a.ring, a.n)
+    for k in range(_nilpotency_bound(a) + 1):
+        a_k1 = a_k * a
+        if (a_k - a_k1 * x).is_zero:
+            return k
+        a_k = a_k1
+    return None
+
+
+NILPOTENT_FLAVORS = (Flavor.DRAZIN, Flavor.GROUP, Flavor.GDRAZIN)
+
+
+class TestIndexFromCore:
+    """The index is read off the core's one nilpotency proof; with x
+    commuting and absorbing it is the smallest k with a^k = a^(k+1) x."""
+
+    @staticmethod
+    def expected(a, x):
+        ax = a * x
+        if ax != x * a or x * ax != x:
+            return None
+        return reference_index(a, x)
+
+    def test_every_pair_over_m2_gf2(self):
+        elements = list(all_matrices(gf(2), 2))
+        for a in elements:
+            for x in elements:
+                want = self.expected(a, x)
+                for flavor in NILPOTENT_FLAVORS:
+                    assert verify_axioms(a, x, flavor).index == want, (a, x, flavor)
+
+    def test_commuting_absorbing_pairs_over_m2_z4(self):
+        space = get_space(zmod(4), 2)
+        mul, els = space.mul, space.elements
+        pairs = [
+            (els[a], els[x])
+            for a in range(len(els))
+            for x in range(len(els))
+            if mul[a][x] == mul[x][a] and mul[mul[x][a]][x] == x
+        ]
+        assert len(pairs) == 544
+        for a, x in pairs:
+            want = reference_index(a, x)
+            for flavor in NILPOTENT_FLAVORS:
+                assert verify_axioms(a, x, flavor).index == want, (a, x, flavor)
+
+    def test_rational_suite(self):
+        for q in seeded_rational_suite(60, seed=9301):
+            for e in (q.ac, q.bd):
+                cert = drazin_inverse(e)
+                assert cert.index == reference_index(e, cert.inverse)
+
+    def test_one_nilpotency_proof(self, monkeypatch):
+        calls = []
+        mul = SquareMatrix.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(SquareMatrix, "__mul__", counted)
+        # Strictly upper triangular 3 x 3 with Drazin inverse 0: degree 3.
+        a = m(RING_Q, [[0, 1, 2], [0, 0, 3], [0, 0, 0]])
+        cert = verify_axioms(a, SquareMatrix.zeros(RING_Q, 3), Flavor.DRAZIN)
+        assert cert.valid and cert.index == 3
+        assert len(calls) <= 3 + 3
+
+    def test_non_commuting_candidate_has_no_index(self):
+        # a x = a != x a = x, yet x a x = x and a - a^2 x = 0, so
+        # a^1 - a^2 x = 0 would give index 1 without the commuting axiom.
+        a = m(RING_Q, [[1, 0], [0, 0]])
+        x = m(RING_Q, [[1, 0], [1, 0]])
+        assert reference_index(a, x) == 1
+        for flavor in NILPOTENT_FLAVORS:
+            cert = verify_axioms(a, x, flavor)
+            assert cert.index is None
+            assert [c.check for c in cert.checks if not c.passed][0] == "commutes"
 
 
 class TestQuadruple:

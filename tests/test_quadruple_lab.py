@@ -1,6 +1,7 @@
 """Finite-ring oracles, quadruple generation, and the d-solver."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from drazinkit.matrix_rings import (
 )
 from drazinkit.quadruple_lab import (
     DEFAULT_SEED,
+    MAX_SOLVE_UNKNOWNS,
     SearchSpace,
     Strategy,
     brute_force_inverse,
@@ -220,6 +222,20 @@ class TestSolveForD:
         with pytest.raises(DrazinkitError):
             solve_for_d(eye, eye, eye, budget=8)
 
+    def test_dimension_over_the_unknown_cap_is_refused_before_any_system(
+        self, monkeypatch
+    ):
+        def no_reduce(*args):
+            raise AssertionError("system reduced over the unknown cap")
+
+        monkeypatch.setattr(quadruple_lab, "_reduce", no_reduce)
+        n = math.isqrt(MAX_SOLVE_UNKNOWNS) + 1
+        zero = SquareMatrix.zeros(RING_Q, n)
+        with pytest.raises(BudgetExceeded, match=(
+            f"^linear solve needs {n * n} unknowns, budget is {MAX_SOLVE_UNKNOWNS}$"
+        )):
+            solve_for_d(zero, zero, zero, budget=1)
+
     @given(st.integers(0, 10_000))
     def test_solutions_always_satisfy_relations(self, pick):
         rng = random.Random(pick)
@@ -344,6 +360,17 @@ class TestEnumeration:
         space = SearchSpace(ring=gf(3), n=3, strategy=Strategy.EXHAUSTIVE,
                             budget=10)
         with pytest.raises(BudgetExceeded, match="^GF\\(3\\) dimension 3 has 19683"):
+            list(enumerate_quadruples(space))
+
+    def test_linear_solve_dimension_checked_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("matrix drawn over the unknown cap")
+
+        monkeypatch.setattr(quadruple_lab, "random_matrix", no_draw)
+        n = math.isqrt(MAX_SOLVE_UNKNOWNS) + 1
+        space = SearchSpace(ring=GF2, n=n, strategy=Strategy.LINEAR_SOLVE,
+                            budget=1)
+        with pytest.raises(BudgetExceeded, match="^linear solve needs"):
             list(enumerate_quadruples(space))
 
     def test_linear_solve_strategy_emits_valid_quadruples(self):

@@ -42,7 +42,6 @@ from .errors import (
     RelationViolation,
     RingMismatch,
     UnsupportedRing,
-    ZeroLambda,
 )
 from .exact_arith import parse_rational
 from .fixtures import EXAMPLE_IDS, example_matrices
@@ -292,8 +291,6 @@ def _cmd_spectrum(args: argparse.Namespace, out: TextIO) -> int:
             raise _Malformed("--lambdas entries must be nonzero")
     try:
         report = quadruple_spectrum_report(q, lambdas)
-    except ZeroLambda as exc:
-        raise _Rejected(str(exc)) from exc
     except BudgetExceeded as exc:
         raise _Rejected(f"{exc}; pass --lambdas to skip it") from exc
     _emit(out, report)

@@ -140,12 +140,6 @@ class RingSpec:
             return x % self.modulus != 0  # type: ignore[operator]
         return gcd(int(x), self.modulus) == 1  # type: ignore[arg-type]
 
-    def scalars(self) -> Iterator[Scalar]:
-        """Every scalar of a finite ring, in canonical order."""
-        if not self.is_finite:
-            raise DrazinkitError(f"{self} is not finite")
-        return iter(range(self.modulus))  # type: ignore[arg-type]
-
     # -- text and JSON forms --------------------------------------------------
 
     def parse_scalar(self, text: str) -> Scalar:

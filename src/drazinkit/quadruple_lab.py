@@ -359,9 +359,10 @@ def _solve_by_elimination(
             vec[col] = -rows[r][f]
         basis.append(vec)
 
-    alphabet = list(ring.scalars()) if ring.is_finite else [0, 1, -1, 2, -2]
+    # A candidate's entry at free column f is its coefficient there, so
+    # distinct coefficient tuples give distinct candidates.
+    alphabet = (0, 1, -1, 2, -2) if m is None else range(m)
     out: list[SquareMatrix] = []
-    seen: set[SquareMatrix] = set()
     examined = 0
     for coeffs in itertools.product(alphabet, repeat=len(basis)):
         examined += 1
@@ -372,9 +373,6 @@ def _solve_by_elimination(
             if coef:
                 vec = [v + coef * t for v, t in zip(vec, bvec)]
         x = _from_rows(ring, [vec[i * n:(i + 1) * n] for i in range(n)], den)
-        if x in seen:
-            continue
-        seen.add(x)
         if x * b * x == ac * x:
             out.append(x)
             if len(out) == budget:
@@ -437,10 +435,10 @@ def enumerate_quadruples(
 ) -> Iterator[Quadruple]:
     """Stream of validated quadruples per the space's strategy.
 
-    Exhaustive: every relation-satisfying (a, b, c, d) over the finite ring
-    in lexicographic order, pre-screened through the index tables and then
-    re-validated by the Quadruple constructor. Linear-solve: seeded random
-    sampling of (a, b, c) with d solved for; budget counts the samples drawn.
+    Exhaustive: every (a, b, c) over the finite ring in lexicographic order,
+    with every d. Linear-solve: seeded random (a, b, c), with up to 4 d each;
+    budget counts the triples drawn. Either way solve_for_d finds each d and
+    the Quadruple constructor re-validates it.
     """
     if space.strategy is Strategy.EXHAUSTIVE:
         # Count before building the tables; a space over the element budget
@@ -451,35 +449,20 @@ def enumerate_quadruples(
                 raise BudgetExceeded(
                     f"exhaustive sweep needs {total} candidates, budget is {space.budget}"
                 )
-        ps = get_space(space.ring, space.n)
-        m = len(ps.elements)
-        mul = ps.mul
-        els = ps.elements
-        for ai in range(m):
-            row_a = mul[ai]
-            for bi in range(m):
-                ba = mul[bi][ai]
-                row_b = mul[bi]
-                for ci in range(m):
-                    bac = mul[ba][ci]
-                    aci = row_a[ci]
-                    row_ac = mul[aci]
-                    for di in range(m):
-                        bd = row_b[di]
-                        if mul[bd][bi] != bac:
-                            continue
-                        if mul[mul[di][bi]][di] != row_ac[di]:
-                            continue
-                        yield Quadruple(els[ai], els[bi], els[ci], els[di])
-        return
-    _check_solve_budget(space.n)
-    rng = random.Random(seed)
-    for _ in range(space.budget):
-        a = random_matrix(space.ring, space.n, rng)
-        b = random_matrix(space.ring, space.n, rng)
-        c = random_matrix(space.ring, space.n, rng)
+        elements = get_space(space.ring, space.n).elements
+        triples = itertools.product(elements, repeat=3)
+        per_triple = len(elements)
+    else:
+        _check_solve_budget(space.n)
+        rng = random.Random(seed)
+        triples = (
+            tuple(random_matrix(space.ring, space.n, rng) for _ in range(3))
+            for _ in range(space.budget)
+        )
+        per_triple = 4
+    for a, b, c in triples:
         try:
-            ds = solve_for_d(a, b, c, budget=4)
+            ds = solve_for_d(a, b, c, budget=per_triple)
         except NoSolution:
             continue
         for d in ds:

@@ -25,7 +25,10 @@ transfer where no other pin reaches it: jacobson at the default lambda
 over GF(5), once with 1 - ac a unit and once with it singular, and
 spectrum with explicit lambdas on a 4x4 linear-solve Q quadruple whose b
 is singular and whose b, d, ac and bd all have denominators above 1, with
-1 - ac singular at lambda = 1. Every hash was
+1 - ac singular at lambda = 1. A seventh group pins the search stream of
+both strategies: the exhaustive sweeps over GF(2) at dimensions 1 and 2
+and over Z/4 and GF(3) at dimension 1, and 200 linear-solve draws over
+Z/4 at dimension 2. Every hash was
 recorded before the code it pins was reworked, so a changed byte in any
 of these reports fails here.
 """
@@ -307,6 +310,35 @@ UNIT_TRANSFER = {
     ),
 }
 
+SEARCH = {
+    "search-gf2-dim2-exhaustive": (
+        ["search", "--ring", "gf2", "--dim", "2", "--strategy", "exhaustive"],
+        0,
+        "b2abe1483f83c90a4617b749c4f997f52a942f6d4bd2a59790c96cf021805a6a",
+    ),
+    "search-zmod4-dim2-linear-solve": (
+        ["search", "--ring", "zmod4", "--dim", "2", "--strategy", "linear-solve",
+         "--budget", "200"],
+        0,
+        "83b85198eecf05f64ed60c2f676c5cf9d3c065d2ee7bf7a2063a97db8357125b",
+    ),
+    "search-gf2-dim1-exhaustive": (
+        ["search", "--ring", "gf2", "--dim", "1", "--strategy", "exhaustive"],
+        0,
+        "7ac26f6506146905f0f2aa44b0b58e33bedc1136a51671c1f8205e2402b65e32",
+    ),
+    "search-zmod4-dim1-exhaustive": (
+        ["search", "--ring", "zmod4", "--dim", "1", "--strategy", "exhaustive"],
+        0,
+        "01fee8c5eec70bfbb7a7cfd00e4e8f116eefabde322eeb7174f73986e9c579dd",
+    ),
+    "search-gf3-dim1-exhaustive": (
+        ["search", "--ring", "gf3", "--dim", "1", "--strategy", "exhaustive"],
+        0,
+        "e947676fa2d0e2a84232fa3def2737f42f9e07863ec8bfd1b2c8ca4360fc8154",
+    ),
+}
+
 CASES = [pytest.param(*g, id=g[0][0]) for g in GOLDEN] + [
     pytest.param(*g, id=name)
     for name, g in (
@@ -315,6 +347,7 @@ CASES = [pytest.param(*g, id=g[0][0]) for g in GOLDEN] + [
         | SCALED_SPECTRUM
         | FLAVOR_CONSTRUCTION
         | UNIT_TRANSFER
+        | SEARCH
     ).items()
 ]
 

@@ -182,6 +182,18 @@ class TestBruteForce:
             if pd:
                 assert gd and pd <= gd
 
+    def test_pdrazin_equals_drazin_on_m2_z4(self):
+        # The radical of M2(Z/4) is nil, so a p-Drazin inverse is the Drazin
+        # inverse; only its index can be smaller.
+        smaller = 0
+        for a in all_matrices(Z4, 2):
+            pd = {c.inverse: c.index for c in brute_force_inverse(a, Flavor.PDRAZIN)}
+            (cert,) = brute_force_inverse(a, Flavor.DRAZIN)
+            assert set(pd) == {cert.inverse}, a
+            assert pd[cert.inverse] <= cert.index, a
+            smaller += pd[cert.inverse] < cert.index
+        assert smaller == 99
+
 
 class TestSolveForD:
     def test_recovers_published_d(self):
@@ -193,11 +205,15 @@ class TestSolveForD:
         eye = SquareMatrix.identity(RING_Q, 2)
         assert solve_for_d(eye, eye, eye, budget=8) == [eye]
 
-    def test_zero_b_keeps_annihilators(self):
-        a = m(GF2, [[1, 0], [0, 0]])
-        zero = SquareMatrix.zeros(GF2, 2)
+    # M2(GF(5)) has 625 elements, over the table budget, so GF(5) and Q
+    # take the elimination route; with b = 0 every unknown is free.
+    @pytest.mark.parametrize("ring", [GF2, gf(5), RING_Q], ids=str)
+    def test_zero_b_keeps_annihilators(self, ring):
+        a = m(ring, [[1, 0], [0, 0]])
+        zero = SquareMatrix.zeros(ring, 2)
         ds = solve_for_d(a, zero, a, budget=300)
         assert ds
+        assert len(set(ds)) == len(ds)
         for d in ds:
             assert (a * a * d).is_zero
             Quadruple(a, zero, a, d)

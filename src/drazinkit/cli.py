@@ -5,18 +5,20 @@ confirmed; 1 when well-formed input is rejected (intertwining relations
 fail, a required inverse does not exist, an enumeration or search budget is
 exceeded); 2 when the input itself is malformed (bad JSON, bad matrix schema,
 unusable flag values); 3 when an internal check fails (FormulaViolation: a
-computed result failed its own verification, which is always a bug in this
-package, never a verdict on the input). Reports go to standard output;
-nonzero exits also put a structured {"error", "detail"} object on standard
-error. Identical (command, input, seed) invocations produce byte-identical
-reports.
+computed result failed its own verification or a transfer cross-check, which
+is always a bug in this package, never a verdict on the input). main is the
+one place that maps an exception to its exit code; handlers raise only the
+refusals whose wording they supply. Reports go to standard output; nonzero
+exits also put a structured {"error", "detail"} object on standard error,
+after the intertwining report when the relations fail. Identical (command,
+input, --seed) invocations produce byte-identical reports: no environment
+variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Callable, Optional, TextIO, TypeVar
 
@@ -82,10 +84,6 @@ class _Malformed(Exception):
 class _Rejected(Exception):
     """Internal marker: well-formed input whose hypothesis fails."""
 
-    def __init__(self, message: str, report: Optional[dict] = None):
-        super().__init__(message)
-        self.report = report
-
 
 def _emit(out: TextIO, report: dict) -> None:
     out.write(json.dumps(report, indent=2, sort_keys=True))
@@ -117,12 +115,11 @@ def _load(path: str, from_json: Callable[[object], T]) -> T:
 
 
 def _load_quadruple(path: str) -> Quadruple:
-    """Parse and validate; rejection carries the intertwining report."""
+    """Parse and validate; a RelationViolation carries the intertwining
+    report to main."""
     mats = _load(path, Quadruple.matrices_from_json)
     try:
         return Quadruple(*mats)
-    except RelationViolation as exc:
-        raise _Rejected(str(exc), report=exc.report) from exc
     except (RingMismatch, DimensionMismatch) as exc:
         raise _Malformed(str(exc)) from exc
 
@@ -234,10 +231,7 @@ def _cmd_cline(args: argparse.Namespace, out: TextIO) -> int:
         except NoGroupInverse as exc:
             raise _Rejected(f"ac has no group inverse: {exc}") from exc
     elif q.ring.is_finite:
-        try:
-            certs = brute_force_inverse(q.ac, flavor)
-        except BudgetExceeded as exc:
-            raise _Rejected(str(exc)) from exc
+        certs = brute_force_inverse(q.ac, flavor)
         if not certs:
             raise _Rejected(f"ac has no {flavor.value} inverse in this ring")
         result = cline_generalized(q, flavor, h=certs[0].inverse)
@@ -294,8 +288,7 @@ def _cmd_spectrum(args: argparse.Namespace, out: TextIO) -> int:
     except BudgetExceeded as exc:
         raise _Rejected(f"{exc}; pass --lambdas to skip it") from exc
     _emit(out, report)
-    transfer_ok = report["transfer"]["all_hold"]  # type: ignore[index]
-    return EXIT_OK if transfer_ok else EXIT_REJECTED
+    return EXIT_OK
 
 
 def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
@@ -312,12 +305,9 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     except DrazinkitError as exc:
         raise _Malformed(str(exc)) from exc
     count = 0
-    try:
-        for quad in enumerate_quadruples(space, seed=args.seed):
-            _emit_line(out, quad.to_json())
-            count += 1
-    except BudgetExceeded as exc:
-        raise _Rejected(str(exc)) from exc
+    for quad in enumerate_quadruples(space, seed=args.seed):
+        _emit_line(out, quad.to_json())
+        count += 1
     _emit_line(out, {"quadruples": count})
     return EXIT_OK
 
@@ -334,10 +324,7 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
                 f"matrix ring {a.ring} does not embed in --ring {ring}"
             )
     flavor = Flavor(args.flavor)
-    try:
-        certs = brute_force_inverse(a, flavor)
-    except BudgetExceeded as exc:
-        raise _Rejected(str(exc)) from exc
+    certs = brute_force_inverse(a, flavor)
     _emit(
         out,
         {
@@ -440,17 +427,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         if code is None:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_MALFORMED
-    if "seed" in vars(args):
-        env_seed = os.environ.get("DRAZINKIT_SEED")
-        if env_seed is not None:
-            try:
-                args.seed = int(env_seed)
-            except ValueError:
-                _emit_error(
-                    "malformed-input",
-                    f"DRAZINKIT_SEED must be an integer, got {env_seed!r}",
-                )
-                return EXIT_MALFORMED
     handler = _HANDLERS[args.command]
     close_out = False
     if args.out is not None:
@@ -467,7 +443,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _Malformed as exc:
         _emit_error("malformed-input", str(exc))
         return EXIT_MALFORMED
-    except (_Rejected, UnsupportedRing) as exc:
+    except (_Rejected, BudgetExceeded, RelationViolation, UnsupportedRing) as exc:
         report = getattr(exc, "report", None)
         if report is not None:
             _emit(out, report)

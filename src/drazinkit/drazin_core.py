@@ -97,16 +97,12 @@ class DrazinCertificate:
 def _relation_entry(
     name: str, left: SquareMatrix, right: SquareMatrix
 ) -> dict[str, object]:
+    fmt = left.ring.format_scalar
     diffs = [
-        {
-            "row": i,
-            "col": j,
-            "left": left.ring.format_scalar(left.entries[i][j]),
-            "right": right.ring.format_scalar(right.entries[i][j]),
-        }
-        for i in range(left.n)
-        for j in range(left.n)
-        if left.entries[i][j] != right.entries[i][j]
+        {"row": i, "col": j, "left": fmt(x), "right": fmt(y)}
+        for i, (lrow, rrow) in enumerate(zip(left.entries, right.entries))
+        for j, (x, y) in enumerate(zip(lrow, rrow))
+        if x != y
     ]
     return {
         "relation": name,

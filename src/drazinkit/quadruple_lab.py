@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from math import lcm
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .drazin_core import (
     AxiomCheck,
@@ -29,7 +29,13 @@ from .drazin_core import (
     Quadruple,
     verify_axioms,
 )
-from .errors import BudgetExceeded, DrazinkitError, NoSolution
+from .errors import (
+    BudgetExceeded,
+    DrazinkitError,
+    FormulaViolation,
+    NoSolution,
+    RelationViolation,
+)
 from .matrix_rings import (
     RING_Q,
     RingSpec,
@@ -39,7 +45,6 @@ from .matrix_rings import (
     all_matrices,
     is_invertible,
     is_nilpotent,
-    matrix_to_json,
 )
 
 DEFAULT_SEED = 0x5EED
@@ -227,29 +232,19 @@ def _fits_space_budget(ring: RingSpec, n: int) -> bool:
 
 
 def qnil_transfer_check(q: Quadruple) -> dict[str, object]:
-    """If ac is quasinilpotent then bd must be; the report carries both
-    verdicts, and on a violation the witnessing commuting element.
+    """If ac is quasinilpotent then bd is; the report carries both verdicts.
 
     Nilpotency decides both verdicts, as in verify_axioms (Koliha 1996);
-    is_qnil_by_definition is the oracle for that.
+    is_qnil_by_definition is the oracle for that. For a validated quadruple
+    (bd)^(k+1) = b (ac)^k d, so a nilpotent ac with bd not nilpotent raises
+    FormulaViolation (a bug). The "holds" and "witness" keys stay in the
+    report for its readers, always true and null.
     """
     ac_qnil = is_nilpotent(q.ac)[0]
     bd_qnil = is_nilpotent(q.bd)[0]
-    holds = (not ac_qnil) or bd_qnil
-    witness: Optional[dict[str, object]] = None
-    if not holds and _fits_space_budget(q.ring, q.n):
-        space = get_space(q.ring, q.n)
-        bd_idx = space.index[q.bd]
-        for x in space.comm_indices(bd_idx):
-            if not space.unit[space.one_plus[space.mul[bd_idx][x]]]:
-                witness = matrix_to_json(space.elements[x])
-                break
-    return {
-        "ac_qnil": ac_qnil,
-        "bd_qnil": bd_qnil,
-        "holds": holds,
-        "witness": witness,
-    }
+    if ac_qnil and not bd_qnil:
+        raise FormulaViolation("ac is nilpotent but bd is not")
+    return {"ac_qnil": ac_qnil, "bd_qnil": bd_qnil, "holds": True, "witness": None}
 
 
 def brute_force_inverse(
@@ -438,7 +433,8 @@ def enumerate_quadruples(
     Exhaustive: every (a, b, c) over the finite ring in lexicographic order,
     with every d. Linear-solve: seeded random (a, b, c), with up to 4 d each;
     budget counts the triples drawn. Either way solve_for_d finds each d and
-    the Quadruple constructor re-validates it.
+    the Quadruple constructor re-validates it; a d it refuses raises
+    FormulaViolation (a bug).
     """
     if space.strategy is Strategy.EXHAUSTIVE:
         # Count before building the tables; a space over the element budget
@@ -466,7 +462,13 @@ def enumerate_quadruples(
         except NoSolution:
             continue
         for d in ds:
-            yield Quadruple(a, b, c, d)
+            try:
+                q = Quadruple(a, b, c, d)
+            except RelationViolation as exc:
+                raise FormulaViolation(
+                    f"solve_for_d returned an invalid d: {exc}"
+                ) from exc
+            yield q
 
 
 def seeded_rational_suite(

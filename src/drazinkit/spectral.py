@@ -12,7 +12,8 @@ Cayley-Hamilton resolvent of ac per quadruple (drazin_core._Resolvent)
 builds (1 - bd/lambda)^(-1) at every lambda where lambda - ac is
 invertible and verifies it two-sided in integers; at every lambda where
 it finds lambda - ac singular, an elimination inverse must agree; and the
-bd side is an independent determinant.
+bd side is an independent determinant, which must find lambda - bd a unit
+wherever lambda - ac is one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .drazin_core import Quadruple, _Resolvent, drazin_inverse
-from .errors import NotInvertible
+from .errors import FormulaViolation, NotInvertible
 from .exact_arith import Poly, format_rational, rational_roots, squarefree_part
 from .matrix_rings import SquareMatrix, _berkowitz, det, matrix_to_json, over_q
 
@@ -165,8 +166,9 @@ def invertibility_transfer(
     inverse(lambda - ac) must confirm that by raising NotInvertible, so no
     row holds on the resolvent's word alone. The bd side is decided
     independently, by the determinant of the integer numerators of
-    lambda - bd. Both side verdicts are recorded even when the hypothesis
-    fails.
+    lambda - bd. Where lambda - ac is proven a unit, a bd-side determinant
+    that is no unit raises FormulaViolation (a bug), so every row holds;
+    where lambda - ac is singular both side verdicts are recorded.
     """
     rows: list[TransferRow] = []
     resolvent = _Resolvent(q)
@@ -178,6 +180,11 @@ def invertibility_transfer(
             v = resolvent.shifted_bd(lam)
             ac_ok = False
         bd_ok = q.ring.is_unit_scalar(det(v))
+        if ac_ok and not bd_ok:
+            raise FormulaViolation(
+                "lambda - ac is a unit but lambda - bd is not at lambda = "
+                + format_rational(lam)
+            )
         rows.append(TransferRow(lam, ac_ok, bd_ok, True if ac_ok else None))
     return TransferReport(tuple(rows))
 

@@ -12,6 +12,7 @@ from drazinkit.fixtures import example_matrices, example_quadruple
 from drazinkit.matrix_rings import (
     RING_Q,
     SquareMatrix,
+    gf,
     matrix_from_json,
     matrix_to_json,
     zmod,
@@ -186,6 +187,20 @@ class TestCline:
         assert code == 1
         assert json.loads(out)["accepted"] is False
 
+    def test_finite_ring_over_the_enumeration_budget(self, capsys, tmp_path):
+        # M2(Z/6) has 1296 matrices, over the 512-element brute-force tables.
+        eye = matrix_to_json(SquareMatrix.identity(zmod(6), 2))
+        path = write_json(tmp_path / "quad_z6.json", {k: eye for k in "abcd"})
+        code, out, err = run(capsys, "cline", "--in", path)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "rejected",
+            "detail": "Zmod(6) dimension 2 has 1296 matrices, over the "
+            "512-element enumeration budget",
+        }
+
     def test_gdrazin_over_gf5(self, capsys, tmp_path):
         # A classical (a, b, b, a) quadruple over GF(5): both certificates
         # check the g-Drazin core without the 512-element tables.
@@ -340,6 +355,12 @@ INTERNAL_FAULTS = {
         "drazinkit.cli.SearchSpace", _raise_formula_violation,
         lambda tmp: ["search", "--ring", "gf2", "--dim", "1", "--strategy", "exhaustive"],
     ),
+    # lambda - ac is proven a unit at every lambda but the eigenvalue 1, so
+    # a singular lambda - bd there contradicts the unit transfer.
+    "spectrum-det": (
+        "drazinkit.spectral.det", lambda v: 0,
+        lambda tmp: ["spectrum", "--in", quad_file(tmp, "2.5")],
+    ),
 }
 
 
@@ -431,21 +452,39 @@ class TestSearch:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_env_seed_overrides_flag(self, capsys, monkeypatch):
-        args = ("search", "--ring", "zmod4", "--dim", "2",
-                "--strategy", "linear-solve", "--budget", "12", "--seed", "3")
-        _, baseline, _ = run(capsys, *args)
-        monkeypatch.setenv("DRAZINKIT_SEED", "99")
-        _, overridden, _ = run(capsys, *args)
-        assert baseline != overridden
+    SEEDED_SEARCH = ("search", "--ring", "zmod4", "--dim", "2",
+                     "--strategy", "linear-solve", "--budget", "12", "--seed", "3")
 
-    def test_bad_env_seed_is_malformed(self, capsys, monkeypatch):
+    def test_seed_comes_from_the_flag_alone(self, capsys, monkeypatch):
+        # The environment is no second source of the seed: the same command
+        # line prints the same bytes whatever DRAZINKIT_SEED holds.
+        baseline = run(capsys, *self.SEEDED_SEARCH)[:2]
+        assert baseline[0] == 0
+        monkeypatch.setenv("DRAZINKIT_SEED", "99")
+        assert run(capsys, *self.SEEDED_SEARCH)[:2] == baseline
+
+    def test_non_integer_env_seed_is_not_read(self, capsys, monkeypatch):
+        # A value that is no integer is not parsed either, so it cannot turn
+        # a valid command line into a malformed one.
+        baseline = run(capsys, *self.SEEDED_SEARCH)[:2]
+        assert baseline[0] == 0
         monkeypatch.setenv("DRAZINKIT_SEED", "pi")
+        assert run(capsys, *self.SEEDED_SEARCH)[:2] == baseline
+
+    def test_quadruple_refused_on_revalidation_is_internal(self, capsys, monkeypatch):
+        # A d from solve_for_d that fails the relations is a solver bug, not
+        # a rejected hypothesis: exit 3 after the quadruples already printed.
+        monkeypatch.setattr(
+            "drazinkit.quadruple_lab.solve_for_d",
+            lambda a, b, c, budget: [SquareMatrix.identity(a.ring, a.n)],
+        )
         code, _, err = run(
             capsys, "search", "--ring", "gf2", "--dim", "1",
             "--strategy", "exhaustive",
         )
-        assert code == 2
+        assert code == 3
+        lines = err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "internal-error"
 
     def test_every_emitted_quadruple_revalidates(self, capsys):
         from drazinkit.drazin_core import Quadruple
@@ -496,6 +535,20 @@ class TestOracle:
         )
         assert code == 1
         assert json.loads(out)["count"] == 0
+
+    def test_space_over_the_enumeration_budget(self, capsys, tmp_path):
+        # M3(GF(3)) has 19683 matrices, over the 512-element tables.
+        eye = SquareMatrix.identity(gf(3), 3)
+        path = write_json(tmp_path / "eye3.json", matrix_to_json(eye))
+        code, out, err = run(capsys, "oracle", "--in", path, "--ring", "gf3")
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "rejected",
+            "detail": "GF(3) dimension 3 has 19683 matrices, over the "
+            "512-element enumeration budget",
+        }
 
     def test_fractional_entries_do_not_embed(self, capsys, tmp_path):
         half = SquareMatrix(RING_Q, [[0.5]])

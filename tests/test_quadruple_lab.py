@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 import drazinkit.quadruple_lab as quadruple_lab
 from drazinkit.drazin_core import Flavor, Quadruple
-from drazinkit.errors import BudgetExceeded, DrazinkitError, NoSolution
+from drazinkit.errors import (
+    BudgetExceeded,
+    DrazinkitError,
+    FormulaViolation,
+    NoSolution,
+)
 from drazinkit.fixtures import example_matrices, example_quadruple
 from drazinkit.matrix_rings import (
     RING_Q,
@@ -122,6 +127,18 @@ class TestQnilTransfer:
         zero = SquareMatrix.zeros(GF2, 2)
         report = qnil_transfer_check(Quadruple(zero, zero, zero, zero))
         assert report["holds"] and report["witness"] is None
+
+    def test_nilpotent_ac_beside_a_non_nilpotent_bd_is_a_bug(self, monkeypatch):
+        # (bd)^(k+1) = b (ac)^k d for a validated quadruple, so a nilpotent
+        # ac forces a nilpotent bd; the opposite verdict is refused.
+        q = example_quadruple("3.6")
+        real = quadruple_lab.is_nilpotent
+        monkeypatch.setattr(
+            quadruple_lab, "is_nilpotent",
+            lambda x: (False, None) if x == q.bd else real(x),
+        )
+        with pytest.raises(FormulaViolation):
+            qnil_transfer_check(q)
 
     @pytest.mark.parametrize("ring", [GF2, gf(3), Z4], ids=str)
     def test_verdicts_match_the_definition(self, ring):

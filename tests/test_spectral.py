@@ -306,6 +306,13 @@ class TestInvertibilityTransfer:
         assert (row.ac_side_invertible, row.bd_side_invertible) == (False, False)
         assert row.formula_verified is None and row.holds
 
+    def test_singular_bd_side_beside_a_unit_ac_side_is_a_bug(self, monkeypatch):
+        # At lambda = 2, lambda - ac is proven a unit, so lambda - bd is one
+        # too; a determinant that says otherwise is refused, not reported.
+        monkeypatch.setattr("drazinkit.spectral.det", lambda v: 0)
+        with pytest.raises(FormulaViolation):
+            invertibility_transfer(example_quadruple("2.5"), [Fraction(2)])
+
     @given(st.integers(0, 300))
     def test_transfer_on_random_quadruples(self, pick):
         from drazinkit.quadruple_lab import seeded_rational_suite

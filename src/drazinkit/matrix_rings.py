@@ -176,7 +176,7 @@ class RingSpec:
         if isinstance(obj, dict) and len(obj) == 1:
             (kind, modulus), = obj.items()
             if kind in ("GF", "Zmod") and isinstance(modulus, int):
-                return RingSpec(kind, modulus)
+                return _interned(kind, modulus)
         raise DrazinkitError(f"not a ring descriptor: {obj!r}")
 
     def __str__(self) -> str:
@@ -188,13 +188,26 @@ class RingSpec:
 RING_Q = RingSpec("Q")
 RING_Z = RingSpec("Z")
 
+# One RingSpec per (kind, modulus) from gf, zmod and from_json, so that
+# `ring is other.ring` decides ring equality without a dataclass __eq__.
+# A RingSpec built directly still compares equal to the interned one.
+_INTERNED: dict[tuple[str, int], RingSpec] = {}
+
+
+def _interned(kind: str, modulus: int) -> RingSpec:
+    ring = _INTERNED.get((kind, modulus))
+    if ring is None:
+        # An invalid modulus raises here, before anything is cached.
+        ring = _INTERNED[kind, modulus] = RingSpec(kind, modulus)
+    return ring
+
 
 def gf(p: int) -> RingSpec:
-    return RingSpec("GF", p)
+    return _interned("GF", p)
 
 
 def zmod(n: int) -> RingSpec:
-    return RingSpec("Zmod", n)
+    return _interned("Zmod", n)
 
 
 def _rational(rows: Iterable[Iterable[int]], den: int) -> "SquareMatrix":
@@ -246,13 +259,18 @@ class SquareMatrix:
         if n < 1:
             raise DimensionMismatch("matrices must have dimension >= 1")
         is_q = ring.kind == "Q"
-        # Over Q an int is its own canonical numerator over 1.
-        canon = (lambda x: x if type(x) is int else Fraction(x)) if is_q else ring.canon
+        m = ring.modulus
+        # An int is its own canonical form over Q and Z, and x % m over GF(m)
+        # and Z/m; anything else goes through ring.canon (Fraction over Q).
+        canon = Fraction if is_q else ring.canon
         ents = []
         for row in rows:
             if len(row) != n:
                 raise DimensionMismatch(f"expected {n} columns, got {len(row)}")
-            ents.append(tuple(canon(x) for x in row))
+            if m is None:
+                ents.append(tuple([x if type(x) is int else canon(x) for x in row]))
+            else:
+                ents.append(tuple([x % m if type(x) is int else canon(x) for x in row]))
         den = 1
         if is_q:
             # Over the lcm of the reduced denominators the numerators share
@@ -369,16 +387,19 @@ class SquareMatrix:
         numerator rows multiply as integers over the product of the two
         denominators, and one gcd over the result puts it in lowest terms.
         """
-        self._require_compatible(other)
         ring = self.ring
+        if (ring is not other.ring and ring != other.ring) or self.n != other.n:
+            self._require_compatible(other)
         cols = tuple(zip(*other.num))
-        if ring.is_finite:
-            m = ring.modulus
+        # List comprehensions, which run faster than generator expressions
+        # on every Python this package supports.
+        m = ring.modulus
+        if m is not None:
             rows = tuple(
-                tuple(sum(map(mul, row, col)) % m for col in cols) for row in self.num
+                [tuple([sum(map(mul, row, col)) % m for col in cols]) for row in self.num]
             )
             return SquareMatrix._trusted(ring, rows)
-        rows = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num)
+        rows = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num])
         den = self.den * other.den
         return SquareMatrix._trusted(ring, rows) if den == 1 else _rational(rows, den)
 

@@ -2,14 +2,16 @@
 
 Tiny matrix spaces (at most 512 elements) are packed into index tables: a
 multiplication table over element indices plus per-element caches for
-commutants, unit flags, quasinilpotence, and brute-forced inverses. The
-multiplication table is computed from the base-m digits of the element
-indices, with no SquareMatrix per product, and a test holds it against
-SquareMatrix products. The exhaustive sweeps and the 10^5-sample
-residue-ring runs all reduce to table lookups, while every quadruple that
-leaves this module is re-validated by the Quadruple constructor with direct
-matrix arithmetic, so the tables never become a single point of trust. The quasinilpotence sweep and brute force
-are oracles only: qnil_transfer_check decides by nilpotency.
+commutants, unit flags, quasinilpotence, brute-forced inverses, and the
+solutions of b x b = t grouped by t for each b. The multiplication table
+is computed from the base-m digits of the element indices, with no
+SquareMatrix per product, and a test holds it against SquareMatrix
+products. The exhaustive sweeps and the 10^5-sample residue-ring runs all
+reduce to table lookups, while every quadruple that leaves this module is
+re-validated by the Quadruple constructor with direct matrix arithmetic,
+so the tables never become a single point of trust. The quasinilpotence
+sweep and brute force are oracles only: qnil_transfer_check decides by
+nilpotency.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from math import lcm
@@ -49,7 +52,7 @@ from .matrix_rings import (
 
 DEFAULT_SEED = 0x5EED
 
-MAX_SPACE_ELEMENTS = 512
+MAX_SPACE_ELEMENTS = 512  # element indices must fit array("H") in PackedSpace
 
 # Cap on coefficient tuples examined when enumerating an infinite solution
 # coset over Q; keeps solve_for_d total even when the nullspace is large.
@@ -129,6 +132,26 @@ class PackedSpace:
         self._comm: dict[int, tuple[int, ...]] = {}
         self._qnil: dict[int, bool] = {}
         self._brute: dict[tuple[int, Flavor], tuple[DrazinCertificate, ...]] = {}
+        self._sandwich: dict[int, tuple[array, array]] = {}
+
+    def sandwich(self, b: int) -> tuple[array, array]:
+        """(order, start): the x with b x b = t are order[start[t]:start[t + 1]].
+
+        A counting-sort layout of x -> b x b, built on b's first use: order
+        holds every element index grouped by target t, in increasing x within
+        a group (the sort is stable), and start the offset of each group.
+        """
+        cached = self._sandwich.get(b)
+        if cached is None:
+            mul = self.mul
+            targets = [mul[bx][b] for bx in mul[b]]
+            counts = [0] * len(targets)
+            for t in targets:
+                counts[t] += 1
+            order = array("H", sorted(range(len(targets)), key=targets.__getitem__))
+            start = array("H", itertools.accumulate(counts, initial=0))
+            cached = self._sandwich[b] = (order, start)
+        return cached
 
     def comm_indices(self, i: int) -> tuple[int, ...]:
         cached = self._comm.get(i)
@@ -269,11 +292,12 @@ def solve_for_d(
     """Solutions d of b d b = b a c and d b d = a c d, given a, b, c.
 
     The first relation is linear in d and is solved exactly (nullspace plus
-    particular solution over fields, full coset enumeration over small
-    finite spaces); the second is quadratic and applied as a filter. Up to
-    budget solutions are returned in a deterministic order. Raises
-    NoSolution when the linear relation is inconsistent, and BudgetExceeded
-    up front when n * n exceeds MAX_SOLVE_UNKNOWNS.
+    particular solution over fields, the whole solution set read from
+    PackedSpace.sandwich over small finite spaces); the second is quadratic
+    and applied as a filter. Up to budget solutions are returned in a
+    deterministic order. Raises NoSolution when the linear relation is
+    inconsistent, and BudgetExceeded up front when n * n exceeds
+    MAX_SOLVE_UNKNOWNS.
     """
     a._require_compatible(b)
     a._require_compatible(c)
@@ -303,8 +327,8 @@ def _solve_by_enumeration(
     ai, bi, ci = space.index[a], space.index[b], space.index[c]
     target = mul[mul[bi][ai]][ci]
     ac = mul[ai][ci]
-    row_b = mul[bi]
-    linear = [x for x in range(len(space.elements)) if mul[row_b[x]][bi] == target]
+    order, start = space.sandwich(bi)
+    linear = order[start[target]:start[target + 1]]
     if not linear:
         raise NoSolution("b X b = b a c has no solution")
     out = []

@@ -27,8 +27,10 @@ spectrum with explicit lambdas on a 4x4 linear-solve Q quadruple whose b
 is singular and whose b, d, ac and bd all have denominators above 1, with
 1 - ac singular at lambda = 1. A seventh group pins the search stream of
 both strategies: the exhaustive sweeps over GF(2) at dimensions 1 and 2
-and over Z/4 and GF(3) at dimension 1, and 200 linear-solve draws over
-Z/4 at dimension 2. Every hash was
+and over Z/4 and GF(3) at dimension 1, 200 linear-solve draws over Z/4 at
+dimension 2, and 300 seeded linear-solve draws over GF(2) at dimension 3,
+whose 512 matrices are the largest space the enumeration tables take.
+Every hash was
 recorded before the code it pins was reworked, so a changed byte in any
 of these reports fails here.
 """
@@ -336,6 +338,12 @@ SEARCH = {
         ["search", "--ring", "gf3", "--dim", "1", "--strategy", "exhaustive"],
         0,
         "e947676fa2d0e2a84232fa3def2737f42f9e07863ec8bfd1b2c8ca4360fc8154",
+    ),
+    "search-gf2-dim3-linear-solve": (
+        ["search", "--ring", "gf2", "--dim", "3", "--strategy", "linear-solve",
+         "--budget", "300", "--seed", "7"],
+        0,
+        "8e33c7c074ea3a62c70bf2bcff58c0451d1c06f7bc7b56c3d322d78ff60bed1d",
     ),
 }
 

@@ -264,6 +264,23 @@ class TestRingSpec:
         for ring in (RING_Q, RING_Z, gf(5), zmod(12)):
             assert RingSpec.from_json(ring.to_json()) == ring
 
+    def test_rings_are_interned(self):
+        assert zmod(4) is zmod(4) and gf(5) is gf(5)
+        assert RingSpec.from_json({"GF": 5}) is gf(5)
+        assert RingSpec.from_json({"Zmod": 4}) is zmod(4)
+        assert RingSpec.from_json("Q") is RING_Q and RingSpec.from_json("Z") is RING_Z
+
+    def test_invalid_moduli_raise_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(NotAField):
+                gf(4)
+            with pytest.raises(NotAField):
+                RingSpec.from_json({"GF": 4})
+            with pytest.raises(DrazinkitError):
+                zmod(1)
+            with pytest.raises(DrazinkitError):
+                RingSpec.from_json({"Zmod": 0})
+
 
 class TestMatrixBasics:
     def test_product_from_first_demo_instance(self):
@@ -289,6 +306,46 @@ class TestMatrixBasics:
     def test_ring_mismatch_raises(self):
         with pytest.raises(RingMismatch):
             m(RING_Q, [[1]]) * m(RING_Z, [[1]])
+
+    def test_mismatches_raise_from_mul(self):
+        with pytest.raises(RingMismatch):
+            m(zmod(4), [[1]]) * m(zmod(6), [[1]])
+        with pytest.raises(RingMismatch):
+            m(zmod(4), [[1]]) * SquareMatrix.identity(gf(2), 2)
+        with pytest.raises(DimensionMismatch):
+            m(zmod(4), [[1]]) * SquareMatrix.identity(zmod(4), 2)
+        with pytest.raises(DimensionMismatch):
+            m(RingSpec("Zmod", 4), [[1]]) * SquareMatrix.identity(zmod(4), 2)
+
+    def test_directly_built_ring_meets_the_interned_one(self):
+        direct = RingSpec("Zmod", 4)
+        assert direct is not zmod(4) and direct == zmod(4)
+        x = m(direct, [[1, 2], [3, 0]])
+        y = m(zmod(4), [[1, 2], [3, 0]])
+        assert x == y and hash(x) == hash(y)
+        assert x * y == y * x == y * y == m(zmod(4), [[3, 2], [3, 2]])
+        assert x + y == y + y and x - y == SquareMatrix.zeros(zmod(4), 2)
+
+    @pytest.mark.parametrize(
+        "ring, num",
+        [
+            (RING_Q, ((-1, 1), (2, -9))),
+            (RING_Z, ((-1, 1), (2, -9))),
+            (zmod(4), ((3, 1), (2, 3))),
+            (gf(5), ((4, 1), (2, 1))),
+        ],
+        ids=str,
+    )
+    def test_constructor_canonicalizes_scalars(self, ring, num):
+        x = SquareMatrix(ring, [[-1, True], [Fraction(6, 3), -9]])
+        assert (x.num, x.den) == (num, 1)
+        assert all(type(v) is int for row in x.num for v in row)
+        if ring.kind == "Q":
+            half = SquareMatrix(ring, [[Fraction(1, 2)]])
+            assert (half.num, half.den) == (((1,),), 2)
+        else:
+            with pytest.raises(DrazinkitError):
+                SquareMatrix(ring, [[Fraction(1, 2)]])
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionMismatch):

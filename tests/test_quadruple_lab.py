@@ -29,6 +29,7 @@ from drazinkit.matrix_rings import (
 from drazinkit.quadruple_lab import (
     DEFAULT_SEED,
     MAX_SOLVE_UNKNOWNS,
+    MAX_SPACE_ELEMENTS,
     SearchSpace,
     Strategy,
     brute_force_inverse,
@@ -283,6 +284,23 @@ class TestSolveForD:
         for d in ds:
             Quadruple(a, b, c, d)
 
+    @pytest.mark.parametrize("ring", [Z4, GF2], ids=str)
+    def test_table_route_matches_the_definition_in_order(self, ring):
+        # The first budget solutions in enumeration order, found by direct
+        # matrix arithmetic; NoSolution exactly when b X b = b a c has none.
+        els = list(all_matrices(ring, 2))
+        rng = random.Random(0x50D)
+        for budget in (1, 4, 300) * 6:
+            a, b, c = (random_matrix(ring, 2, rng) for _ in range(3))
+            bac, ac = b * a * c, a * c
+            linear = [x for x in els if b * x * b == bac]
+            expected = [x for x in linear if x * b * x == ac * x][:budget]
+            if not linear:
+                with pytest.raises(NoSolution):
+                    solve_for_d(a, b, c, budget=budget)
+            else:
+                assert solve_for_d(a, b, c, budget=budget) == expected
+
     def test_invertible_b_gives_conjugate_product(self):
         rng = random.Random(5)
         from drazinkit.quadruple_lab import random_invertible_matrix
@@ -336,6 +354,31 @@ class TestPackedSpace:
         assert [row[one] for row in space.mul] == list(range(512))
         for i in random.Random(0x7AB1E).sample(range(512), 24):
             assert space.mul[i] == [space.index[els[i] * y] for y in els]
+
+    def test_element_indices_fit_the_sandwich_index_type(self):
+        # PackedSpace.sandwich stores element indices as array("H").
+        assert MAX_SPACE_ELEMENTS < 2**16
+
+    @pytest.mark.parametrize("ring, n, sample", [(Z4, 2, None), (GF2, 3, 24)], ids=str)
+    def test_sandwich_groups_match_the_literal_scan(self, ring, n, sample):
+        space = get_space(ring, n)
+        mul = space.mul
+        size = len(space.elements)
+        bs = range(size) if sample is None else random.Random(0xB).sample(range(size), sample)
+        for b in bs:
+            order, start = space.sandwich(b)
+            # The groups partition range(size): start runs 0 .. size without
+            # going down, and order is a permutation of the element indices.
+            assert len(start) == size + 1 and start[0] == 0 and start[-1] == size
+            assert all(start[t] <= start[t + 1] for t in range(size))
+            assert sorted(order) == list(range(size))
+            # One pass over x fills, for every target t, the literal scan
+            # [x for x in range(size) if mul[mul[b][x]][b] == t] in order.
+            scans: list[list[int]] = [[] for _ in range(size)]
+            for x in range(size):
+                scans[mul[mul[b][x]][b]].append(x)
+            for t in range(size):
+                assert list(order[start[t]:start[t + 1]]) == scans[t]
 
 
 class TestEnumeration:

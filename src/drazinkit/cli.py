@@ -6,19 +6,22 @@ fail, a required inverse does not exist, an enumeration or search budget is
 exceeded); 2 when the input itself is malformed (bad JSON, bad matrix schema,
 unusable flag values); 3 when an internal check fails (FormulaViolation: a
 computed result failed its own verification or a transfer cross-check, which
-is always a bug in this package, never a verdict on the input). main is the
-one place that maps an exception to its exit code; handlers raise only the
-refusals whose wording they supply. Reports go to standard output; nonzero
-exits also put a structured {"error", "detail"} object on standard error,
-after the intertwining report when the relations fail. Identical (command,
-input, --seed) invocations produce byte-identical reports: no environment
-variable is read.
+is always a bug in this package, never a verdict on the input); 141 when
+standard output is closed before the report is written out (the reader of
+a pipe exited, as `| head` does), with nothing more written and no
+traceback. main is the one place that maps an exception to its exit
+code; handlers raise only the refusals whose wording they supply. Reports
+go to standard output; nonzero exits also put a structured {"error",
+"detail"} object on standard error, after the intertwining report when the
+relations fail. Identical (command, input, --seed) invocations produce
+byte-identical reports: no environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, Optional, TextIO, TypeVar
 
@@ -69,6 +72,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_MALFORMED = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a piped writer cut off
 
 _RING_FLAGS = {"gf2": gf(2), "gf3": gf(3), "zmod4": zmod(4)}
 
@@ -439,6 +443,29 @@ def main(argv: Optional[list[str]] = None) -> int:
     else:
         out = sys.stdout
     try:
+        code = _run(handler, args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away, as `| head` does. The interpreter
+        # flushes stdout once more at exit; pointed at devnull, that flush
+        # stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    finally:
+        if close_out:
+            out.close()
+
+
+def _run(
+    handler: Callable[[argparse.Namespace, TextIO], int],
+    args: argparse.Namespace,
+    out: TextIO,
+) -> int:
+    """The handler's exit code, or the one its library exception maps to."""
+    try:
         return handler(args, out)
     except _Malformed as exc:
         _emit_error("malformed-input", str(exc))
@@ -452,9 +479,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FormulaViolation as exc:
         _emit_error("internal-error", str(exc))
         return EXIT_INTERNAL
-    finally:
-        if close_out:
-            out.close()
 
 
 def _emit_error(kind: str, detail: str) -> None:

@@ -9,8 +9,9 @@ fields, by flavor_inverse alone: one formula for every flavor, verified once
 under the flavor asked for. Over Z and Z/n only verification is available,
 with brute-force search providing candidates from the lab module. The unit
 transfer (jacobson_inverse) has one route in all four rings: a
-Cayley-Hamilton resolvent of ac, built once per quadruple and verified at
-every lambda by exact integer multiplication.
+Cayley-Hamilton resolvent of ac, built once per quadruple, whose formula is
+proven for every lambda at once by one polynomial identity checked in
+exact integer products.
 """
 
 from __future__ import annotations
@@ -333,8 +334,10 @@ def flavor_inverse(a: SquareMatrix, flavor: Flavor) -> DrazinCertificate:
     k = index_of(a)
     if flavor is Flavor.GROUP and k > 1:
         raise NoGroupInverse(f"index {k} exceeds 1")
-    a_k = a.power(k)
-    x = a_k * inner_inverse(a.power(2 * k + 1)) * a_k
+    x = inner_inverse(a.power(2 * k + 1))
+    if k:
+        a_k = a.power(k)
+        x = a_k * x * a_k
     cert = verify_axioms(a, x, flavor)
     if not cert.valid or cert.index != k:
         raise FormulaViolation(f"constructed {flavor.value} inverse failed verification")
@@ -479,20 +482,26 @@ class _Resolvent:
     is (alpha s)^n det(lambda - ac), and Y = sum (p alpha)^(n-1-k) s^k C_k
     give r = R / (beta delta X) with R = beta delta X I + alpha s Y.
 
-    Nothing is taken on trust. Where X is a unit of the ring, R is checked
-    two-sided in integers against V = p eps I - s E, the numerators of
-    s eps (lambda - bd): V R = R V = p eps beta delta X I, which is
-    (lambda - bd) r = r (lambda - bd) = lambda. The verdict that lambda - ac
-    is a unit rests on Cayley-Hamilton closure, checked once per resolvent
-    at the first such lambda: with M_0 = c_0 I, A M_(n-1) + c_n I = 0. Then
-    X I = (u I - s A) Q(A) for an integer polynomial Q, u = p alpha, so a
-    unit X makes lambda - ac a unit. Where X is no unit, lambda - ac must be
-    singular, and inverse(lambda - ac) is asked to confirm it by raising
-    NotInvertible. Any other outcome raises FormulaViolation.
+    Nothing is taken on trust, and the proofs are made once per quadruple,
+    at the first lambda whose X is a unit of the ring. The verdict that
+    lambda - ac is a unit rests on Cayley-Hamilton closure: with
+    M_0 = c_0 I, A M_(n-1) + c_n I = 0. Then X I = (u I - s A) Q(A) for an
+    integer polynomial Q, u = p alpha, so a unit X makes lambda - ac a
+    unit. The formula rests on one polynomial identity. With V = p eps I -
+    s E, the numerators of s eps (lambda - bd), V R - p eps beta delta X I
+    is s times a form in (u, s) whose u^(n-k) s^k coefficient is
+    eps C_k - beta delta c_k E - alpha E C_(k-1) (C_(-1) = C_n = 0), and
+    R V gives the same with C_(k-1) E. All 2(n + 1) coefficients are checked
+    zero in integers (mod m on residues), from 2n products E C_k and C_k E
+    made for the check alone. That proves (lambda - bd) r = r (lambda - bd)
+    = lambda at every lambda where X is a unit. Where X is no unit,
+    lambda - ac must be singular, and inverse(lambda - ac) is asked to
+    confirm it by raising NotInvertible. Any other outcome raises
+    FormulaViolation.
     """
 
     __slots__ = (
-        "q", "zring", "m", "alpha", "bd_den", "eps", "e_flat", "cs", "cks", "closed"
+        "q", "zring", "m", "alpha", "bd_den", "eps", "e_flat", "cs", "cks", "proven"
     )
 
     def __init__(self, q: Quadruple):
@@ -517,7 +526,7 @@ class _Resolvent:
         self.q, self.zring, self.m, self.cs, self.cks = q, zring, m, cs, cks
         self.alpha, self.bd_den, self.eps = alpha, bd_den, eps
         self.e_flat = list(chain.from_iterable(bd.num))
-        self.closed = False
+        self.proven = False
 
     def _check_closure(self) -> None:
         """Raise FormulaViolation unless sum c_k A^(n-k) = 0, by the
@@ -531,7 +540,31 @@ class _Resolvent:
             raise FormulaViolation(
                 "the characteristic polynomial of ac fails Cayley-Hamilton"
             )
-        self.closed = True
+
+    def _check_identity(self) -> None:
+        """Raise FormulaViolation unless every coefficient of V R and R V
+        minus p eps beta delta X I vanishes, by 2n integer products."""
+        n, m, zring, e_flat = self.q.n, self.m, self.zring, self.e_flat
+        e_int = SquareMatrix._trusted(zring, self.q.bd.num)
+        zero = [0] * (n * n)
+        e_prev = prev_e = zero  # E C_(k-1) and C_(k-1) E
+        for k, c in enumerate(self.cs):
+            ck = self.cks[k] if k < n else zero
+            part = [
+                self.eps * x - self.bd_den * c * y for x, y in zip(ck, e_flat)
+            ]
+            for prod in (e_prev, prev_e):
+                coeff = [x - self.alpha * y for x, y in zip(part, prod)]
+                if m is not None:
+                    coeff = [x % m for x in coeff]
+                if any(coeff):
+                    raise FormulaViolation(
+                        "1 + b (lambda - ac)^(-1) d failed to invert 1 - bd/lambda"
+                    )
+            if k < n:
+                ck_int = SquareMatrix._trusted(zring, _rows(ck, n))
+                e_prev = list(chain.from_iterable((e_int * ck_int).num))
+                prev_e = list(chain.from_iterable((ck_int * e_int).num))
 
     def _split(self, lam: Scalar) -> tuple[int, int]:
         """(p, s) with lambda = p / s and s > 0, after the checks on lambda."""
@@ -553,43 +586,48 @@ class _Resolvent:
 
     def shifted_bd(self, lam: Scalar) -> SquareMatrix:
         """V = p eps I - s E, the integer numerators of s eps (lambda - bd)."""
-        return self._shifted_bd(*self._split(lam))
-
-    def _shifted_bd(self, p: int, s: int) -> SquareMatrix:
+        p, s = self._split(lam)
         return self._matrix([-s * x for x in self.e_flat], p * self.eps)
 
-    def at(self, lam: Scalar) -> tuple[SquareMatrix, SquareMatrix, int]:
-        """(V, R, beta delta X), with r = R / (beta delta X) verified; raises
-        NotInvertible, from inverse, when lambda - ac is singular."""
+    def unit_numerator(self, lam: Scalar) -> int:
+        """X = (alpha s)^n det(lambda - ac), proven a unit of the ring
+        together with the formula for r; raises NotInvertible, from
+        inverse, when lambda - ac is singular."""
         p, s = self._split(lam)
-        q, m, n, cs, cks = self.q, self.m, self.q.n, self.cs, self.cks
+        q, cs = self.q, self.cs
         u = p * self.alpha
-        # X and Y by Horner's rule, homogeneous in (u, s).
-        x, y, s_k = cs[0], cks[0], 1
-        for k in range(1, n + 1):
+        # Horner's rule, homogeneous in (u, s).
+        x, s_k = cs[0], 1
+        for c in cs[1:]:
             s_k *= s
-            x = x * u + cs[k] * s_k
-            if k < n:
-                y = [e * u + s_k * c for e, c in zip(y, cks[k])]
-        if m is not None:
-            x %= m
+            x = x * u + c * s_k
+        if self.m is not None:
+            x %= self.m
         if not q.ring.is_unit_scalar(x):
-            inverse(SquareMatrix.identity(q.ring, n).scalar_mul(lam) - q.ac)
+            inverse(SquareMatrix.identity(q.ring, q.n).scalar_mul(lam) - q.ac)
             raise FormulaViolation(
                 "lambda - ac inverted although its resolvent determinant is no unit"
             )
-        if not self.closed:
+        if not self.proven:
             self._check_closure()
+            self._check_identity()
+            self.proven = True
+        return x
+
+    def inverse_at(self, lam: Scalar) -> SquareMatrix:
+        """r = R / (beta delta X), proven by unit_numerator."""
+        x = self.unit_numerator(lam)
+        p, s = self._split(lam)
+        cks = self.cks
+        u = p * self.alpha
+        y, s_k = cks[0], 1
+        for ck in cks[1:]:
+            s_k *= s
+            y = [e * u + s_k * c for e, c in zip(y, ck)]
         den = self.bd_den * x
         scale = self.alpha * s
         big_r = self._matrix([scale * e for e in y], den)
-        v = self._shifted_bd(p, s)
-        target = self._matrix([0] * (n * n), p * self.eps * den)
-        if v * big_r != target or big_r * v != target:
-            raise FormulaViolation(
-                "1 + b (lambda - ac)^(-1) d failed to invert 1 - bd/lambda"
-            )
-        return v, big_r, den
+        return _from_rows(self.q.ring, big_r.num, den)
 
 
 def _rows(flat: list[int], n: int) -> tuple[tuple[int, ...], ...]:
@@ -601,13 +639,13 @@ def jacobson_inverse(q: Quadruple, lam: Scalar = 1) -> SquareMatrix:
     """(1 - bd/lambda)^(-1) as r = 1 + b (lambda - ac)^(-1) d.
 
     The unit transfer: lambda - bd is a unit whenever lambda - ac is. From
-    bdb = bac and dbd = acd, (lambda - bd) r = r (lambda - bd) = lambda, so
-    r is checked two-sided against lambda I, in integers, with no matrix
-    scaled by 1/lambda. r comes from the Cayley-Hamilton resolvent of ac,
-    the one route in all four rings (see _Resolvent). Raises ZeroLambda for
-    lambda = 0, UnsupportedRing for lambda != 1 outside Q, and
-    NotInvertible, with inverse's own text, when lambda - ac is singular.
-    A failed check raises FormulaViolation (always an implementation bug).
+    bdb = bac and dbd = acd, (lambda - bd) r = r (lambda - bd) = lambda. r
+    comes from the Cayley-Hamilton resolvent of ac, the one route in all
+    four rings, which proves that two-sided identity in integers for every
+    lambda at once, with no matrix scaled by 1/lambda (see _Resolvent).
+    Raises ZeroLambda for lambda = 0, UnsupportedRing for lambda != 1
+    outside Q, and NotInvertible, with inverse's own text, when
+    lambda - ac is singular. A failed check raises FormulaViolation
+    (always an implementation bug).
     """
-    _, big_r, den = _Resolvent(q).at(lam)
-    return _from_rows(q.ring, big_r.num, den)
+    return _Resolvent(q).inverse_at(lam)

@@ -416,14 +416,22 @@ class SquareMatrix:
         return _rational(rows, self.den * c.denominator)
 
     def power(self, k: int) -> "SquareMatrix":
+        """self^k by binary powering; the product starts from the first
+        factor, so self^1 is self and costs no product."""
         if k < 0:
             raise DrazinkitError("power exponent must be >= 0")
-        result = SquareMatrix.identity(self.ring, self.n)
+        if k == 0:
+            return SquareMatrix.identity(self.ring, self.n)
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 result = result * base
-            base = base * base if k > 1 else base
             k >>= 1
         return result
 

@@ -22,7 +22,6 @@ import random
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from math import lcm
 from typing import Iterator
 
 from .drazin_core import (
@@ -45,6 +44,7 @@ from .matrix_rings import (
     SquareMatrix,
     _from_rows,
     _reduce,
+    _with_identity,
     all_matrices,
     is_invertible,
     is_nilpotent,
@@ -58,7 +58,9 @@ MAX_SPACE_ELEMENTS = 512  # element indices must fit array("H") in PackedSpace
 # coset over Q; keeps solve_for_d total even when the nullspace is large.
 _CANDIDATE_CAP = 4096
 
-MAX_SOLVE_UNKNOWNS = 64  # n * n, the unknowns of the system solve_for_d reduces
+# n * n, the unknown entries of d in b d b = b a c; solve_for_d and the
+# linear-solve search refuse larger dimensions up front.
+MAX_SOLVE_UNKNOWNS = 64
 
 
 # Element encoding: over Z/m at dimension n, the matrix with row-major
@@ -291,13 +293,15 @@ def solve_for_d(
 ) -> list[SquareMatrix]:
     """Solutions d of b d b = b a c and d b d = a c d, given a, b, c.
 
-    The first relation is linear in d and is solved exactly (nullspace plus
-    particular solution over fields, the whole solution set read from
-    PackedSpace.sandwich over small finite spaces); the second is quadratic
-    and applied as a filter. Up to budget solutions are returned in a
-    deterministic order. Raises NoSolution when the linear relation is
-    inconsistent, and BudgetExceeded up front when n * n exceeds
-    MAX_SOLVE_UNKNOWNS.
+    The first relation is linear in d and is solved exactly: over small
+    finite spaces the whole solution set is read from PackedSpace.sandwich;
+    over other fields a particular solution plus a nullspace basis come from
+    two n x 2n reductions, of [b | I] and [b^T | I], since the n^2 x n^2
+    system matrix is the Kronecker product of b and b^T. The second
+    relation is quadratic and applied as a filter. Up to budget solutions
+    are returned in a deterministic order. Raises NoSolution when the
+    linear relation is inconsistent, and BudgetExceeded up front when n * n
+    exceeds MAX_SOLVE_UNKNOWNS.
     """
     a._require_compatible(b)
     a._require_compatible(c)
@@ -346,36 +350,42 @@ def _solve_by_elimination(
     ring = a.ring
     m = ring.modulus
     n = a.n
-    nn = n * n
-    bac = b * a * c
     ac = a * c
-    # Row (i, j) of the system states (b X b)[i][j] = (b a c)[i][j]; the
-    # coefficient of X[k][l] there is b[i][k] * b[l][j]. Over Q the
-    # coefficients are numerators over b.den**2 and the right side over
-    # bac.den, so both are put over their lcm; off Q both scales are 1.
-    scale = lcm(b.den**2, bac.den)
-    fb, fv = scale // b.den**2, scale // bac.den
-    bn = b.num
-    aug: list[list[int]] = []
-    for i in range(n):
-        for j in range(n):
-            row = [fb * bn[i][k] * bn[l][j] for k in range(n) for l in range(n)]
-            row.append(fv * bac.num[i][j])
-            aug.append(row if m is None else [x % m for x in row])
-    rows, pivots, den = _reduce(aug, nn, m)
-    if any(row[nn] != 0 for row in rows[len(pivots):]):
+    bac = b * ac
+    # Entry (i, j) of b X b = b a c has the coefficient b[i][k] * b[l][j] at
+    # X[k][l], so the system matrix on row-major X is the Kronecker product
+    # of b and b^T. Its reduced echelon form is the Kronecker product of
+    # theirs: with P1 b = R1 and P2 b^T = R2 reduced, pivots p_i and q_j and
+    # r = rank b, the system reads R1 X R2^T = T for T = P1 (b a c) P2^T.
+    # It is consistent iff T is zero outside its leading r x r block; the
+    # pivot unknowns are X[p_i][q_j], and the solutions are T[i][j] there,
+    # plus for each free (k, l) any multiple of
+    # e_(k,l) - sum R1[i][k] R2[j][l] e_(p_i,q_j).
+    bt = SquareMatrix._trusted(ring, tuple(zip(*b.num)), b.den)
+    rows1, piv1, d1 = _reduce(_with_identity(b), n, m)
+    rows2, piv2, d2 = _reduce(_with_identity(bt), n, m)
+    p1 = _from_rows(ring, [row[n:] for row in rows1], d1)
+    p2t = _from_rows(ring, list(zip(*(row[n:] for row in rows2))), d2)
+    rhs = p1 * bac * p2t
+    r = len(piv1)
+    if any(map(any, rhs.num[r:])) or any(any(row[r:]) for row in rhs.num[:r]):
         raise NoSolution("b X b = b a c is inconsistent")
-    # The solutions are particular + span(basis), numerators over den.
-    free = [col for col in range(nn) if col not in pivots]
-    particular = [0] * nn
-    for r, col in enumerate(pivots):
-        particular[col] = rows[r][nn]
+    # The solutions are particular + span(basis), numerators over den, in
+    # the order of the free unknowns in row-major X.
+    den = rhs.den * d1 * d2
+    particular = [0] * (n * n)
+    for i, pi in enumerate(piv1):
+        for j, qj in enumerate(piv2):
+            particular[pi * n + qj] = d1 * d2 * rhs.num[i][j]
     basis = []
-    for f in free:
-        vec = [0] * nn
-        vec[f] = den
-        for r, col in enumerate(pivots):
-            vec[col] = -rows[r][f]
+    for k, l in itertools.product(range(n), repeat=2):
+        if k in piv1 and l in piv2:
+            continue
+        vec = [0] * (n * n)
+        vec[k * n + l] = den
+        for i, pi in enumerate(piv1):
+            for j, qj in enumerate(piv2):
+                vec[pi * n + qj] = -rhs.den * rows1[i][k] * rows2[j][l]
         basis.append(vec)
 
     # A candidate's entry at free column f is its coefficient there, so

@@ -9,11 +9,12 @@ reduced to monic squarefree parts by the integer gcd kernel of exact_arith,
 and the sets agree iff those polynomials are identical. Pointwise unit
 transfer at sampled nonzero lambda complements the set comparison: one
 Cayley-Hamilton resolvent of ac per quadruple (drazin_core._Resolvent)
-builds (1 - bd/lambda)^(-1) at every lambda where lambda - ac is
-invertible and verifies it two-sided in integers; at every lambda where
-it finds lambda - ac singular, an elimination inverse must agree; and the
-bd side is an independent determinant, which must find lambda - bd a unit
-wherever lambda - ac is one.
+decides at every lambda whether lambda - ac is invertible, and proves the
+formula for (1 - bd/lambda)^(-1) two-sided in integers once, for every
+such lambda at once; at every lambda where it finds lambda - ac singular,
+an elimination inverse must agree; and the bd side is an independent
+determinant, which must find lambda - bd a unit wherever lambda - ac is
+one.
 """
 
 from __future__ import annotations
@@ -160,26 +161,28 @@ def invertibility_transfer(
     1 + b (lambda - ac)^(-1) d must invert 1 - bd/lambda, which is the
     statement that lambda - bd is a unit whenever lambda - ac is. One
     Cayley-Hamilton resolvent of ac serves every lambda (the route of
-    jacobson_inverse): at each lambda where it finds lambda - ac invertible
-    it builds the formula and verifies it two-sided by exact integer
-    multiplication, and at each lambda where it finds lambda - ac singular,
-    inverse(lambda - ac) must confirm that by raising NotInvertible, so no
-    row holds on the resolvent's word alone. The bd side is decided
-    independently, by the determinant of the integer numerators of
-    lambda - bd. Where lambda - ac is proven a unit, a bd-side determinant
-    that is no unit raises FormulaViolation (a bug), so every row holds;
-    where lambda - ac is singular both side verdicts are recorded.
+    jacobson_inverse). At the first lambda where it finds lambda - ac
+    invertible it proves the formula two-sided, by exact integer
+    multiplication, for every lambda at once; after that each lambda costs
+    one Horner evaluation of the resolvent determinant, and the formula
+    itself is never assembled. At each lambda where it finds lambda - ac
+    singular, inverse(lambda - ac) must confirm that by raising
+    NotInvertible, so no row holds on the resolvent's word alone. The bd
+    side is decided independently at every lambda, by the determinant of
+    the integer numerators of lambda - bd. Where lambda - ac is proven a
+    unit, a bd-side determinant that is no unit raises FormulaViolation (a
+    bug), so every row holds; where lambda - ac is singular both side
+    verdicts are recorded.
     """
     rows: list[TransferRow] = []
     resolvent = _Resolvent(q)
     for lam in map(Fraction, lambdas):
         try:
-            v = resolvent.at(lam)[0]
+            resolvent.unit_numerator(lam)
             ac_ok = True
         except NotInvertible:
-            v = resolvent.shifted_bd(lam)
             ac_ok = False
-        bd_ok = q.ring.is_unit_scalar(det(v))
+        bd_ok = q.ring.is_unit_scalar(det(resolvent.shifted_bd(lam)))
         if ac_ok and not bd_ok:
             raise FormulaViolation(
                 "lambda - ac is a unit but lambda - bd is not at lambda = "

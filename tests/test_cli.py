@@ -1,11 +1,15 @@
 """End-to-end command tests: exit codes, report shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import drazinkit
 from drazinkit.cli import main
 from drazinkit.errors import FormulaViolation
 from drazinkit.fixtures import example_matrices, example_quadruple
@@ -602,3 +606,30 @@ class TestReportInvariants:
 
     def test_no_command_is_usage_error(self, capsys):
         assert run(capsys)[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("demo", "--example", "2.5"),
+    ("demo", "--example", "2.4"),
+    ("search", "--ring", "gf2", "--dim", "2", "--strategy", "exhaustive"),
+], ids=" ".join)
+def test_closed_stdout_exits_quietly(argv):
+    # The read end of the child's stdout is closed before the child starts,
+    # so its first write to the pipe fails whatever the output size, as in
+    # `drazinkit demo | head -c 10` once head has exited.
+    src = os.path.dirname(os.path.dirname(drazinkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "drazinkit.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -167,6 +167,30 @@ class TestSingleConstruction:
         assert cert.valid and cert.flavor is flavor and cert.index == 1
         assert verify_calls == [flavor]
 
+    @pytest.mark.parametrize(
+        "flavor, products",
+        [(Flavor.DRAZIN, 6), (Flavor.GROUP, 6), (Flavor.GDRAZIN, 6), (Flavor.PDRAZIN, 7)],
+        ids=lambda v: getattr(v, "value", v),
+    )
+    def test_invertible_element_costs_no_identity_products(
+        self, monkeypatch, flavor, products
+    ):
+        # Index 0: x is the inner inverse of a itself, with no a^0 = I
+        # factors around it. Two products confirm a x a = a, four verify
+        # the axioms, and the p-Drazin radical walk takes one more.
+        calls = []
+        mul = SquareMatrix.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(SquareMatrix, "__mul__", counted)
+        a = m(RING_Q, [[2, 1, 0], [1, 1, 0], [0, Fraction(1, 3), 5]])
+        cert = flavor_inverse(a, flavor)
+        assert cert.valid and cert.index == 0
+        assert len(calls) == products
+
     def test_group_refusal_builds_nothing(self, verify_calls):
         a = m(RING_Q, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         with pytest.raises(NoGroupInverse, match="^index 3 exceeds 1$"):

@@ -357,6 +357,28 @@ class TestMatrixBasics:
         assert n.power(2).is_zero
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    def test_power_starts_from_the_first_factor(self, ring, monkeypatch):
+        # a^k by squaring costs bit_length(k) - 1 squarings and
+        # popcount(k) - 1 further products, none of them by the identity.
+        a = m(ring, [[1, 2], [3, 1]])
+        expected = [SquareMatrix.identity(ring, 2)]
+        for _ in range(9):
+            expected.append(expected[-1] * a)
+        calls = []
+        mul = SquareMatrix.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(SquareMatrix, "__mul__", counted)
+        for k, want in enumerate(expected):
+            calls.clear()
+            assert a.power(k) == want
+            cost = k.bit_length() + bin(k).count("1") - 2 if k else 0
+            assert len(calls) == cost
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @given(data=st.data())
     def test_product_matches_reference(self, ring, data):
         a, b = kernel_operands(data, ring, 2)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,7 @@ from drazinkit.matrix_rings import (
     all_matrices,
     gf,
     is_nilpotent,
+    reduced_echelon,
     zmod,
 )
 from drazinkit.quadruple_lab import (
@@ -52,6 +54,61 @@ Z4 = zmod(4)
 GF2_2X2_QUADRUPLE_COUNT = 9412
 GF2_SCALAR_QUADRUPLE_COUNT = 11
 Z4_SCALAR_QUADRUPLE_COUNT = 108
+
+
+def kronecker_solve(a, b, c, budget):
+    """solve_for_d by elimination of the whole n^2 x (n^2 + 1) system, the
+    reference for the factored solve.
+
+    Row (i, j) states (b X b)[i][j] = (b a c)[i][j], with the coefficient
+    b[i][k] b[l][j] at X[k][l]. The solutions are the particular one plus
+    the nullspace basis, one vector per free unknown in row-major order,
+    walked with the same coefficient alphabet, cap and dbd = acd filter.
+    """
+    ring, n = a.ring, a.n
+    nn = n * n
+    be, target = b.entries, (b * a * c).entries
+    aug = [
+        [ring.mul(be[i][k], be[l][j]) for k in range(n) for l in range(n)]
+        + [target[i][j]]
+        for i in range(n)
+        for j in range(n)
+    ]
+    rows, pivots = reduced_echelon(ring, aug, nn)
+    if any(row[nn] != 0 for row in rows[len(pivots):]):
+        raise NoSolution("b X b = b a c is inconsistent")
+    particular = [ring.zero] * nn
+    for r, col in enumerate(pivots):
+        particular[col] = rows[r][nn]
+    basis = []
+    for f in range(nn):
+        if f not in pivots:
+            vec = [ring.zero] * nn
+            vec[f] = 1
+            for r, col in enumerate(pivots):
+                vec[col] = -rows[r][f]
+            basis.append(vec)
+    # Integer numerators over one denominator keep the walk off Fractions.
+    den = math.lcm(*(Fraction(x).denominator for x in particular + sum(basis, [])))
+    particular = [int(x * den) for x in particular]
+    basis = [[int(x * den) for x in vec] for vec in basis]
+    alphabet = (0, 1, -1, 2, -2) if ring.modulus is None else range(ring.modulus)
+    candidates = itertools.product(alphabet, repeat=len(basis))
+    ac = a * c
+    out = []
+    for coeffs in itertools.islice(candidates, quadruple_lab._CANDIDATE_CAP):
+        vec = particular
+        for coef, bvec in zip(coeffs, basis):
+            if coef:
+                vec = [v + coef * t for v, t in zip(vec, bvec)]
+        x = SquareMatrix(
+            ring, [[Fraction(v, den) for v in vec[i * n:(i + 1) * n]] for i in range(n)]
+        )
+        if x * b * x == ac * x:
+            out.append(x)
+            if len(out) == budget:
+                break
+    return out
 
 
 def m(ring, rows) -> SquareMatrix:
@@ -300,6 +357,47 @@ class TestSolveForD:
                     solve_for_d(a, b, c, budget=budget)
             else:
                 assert solve_for_d(a, b, c, budget=budget) == expected
+
+    # Every (ring, n) here is over the table budget, so solve_for_d takes
+    # the factored elimination route.
+    @pytest.mark.parametrize(
+        "ring, n",
+        [(RING_Q, 1), (RING_Q, 2), (RING_Q, 3), (RING_Q, 4),
+         (GF2, 4), (gf(3), 3), (gf(5), 2)],
+        ids=str,
+    )
+    def test_factored_solve_matches_the_kronecker_reference(self, ring, n):
+        rng = random.Random(0x50D + n)
+
+        def draw_b(kind):
+            b = random_matrix(ring, n, rng)
+            if kind == 1:  # rank at most 1
+                u, v = random_matrix(ring, n, rng).num[0], b.num[0]
+                return SquareMatrix(ring, [[x * y for y in v] for x in u])
+            if kind == 2:  # rank at most n - 1
+                rows = [list(r) for r in b.num]
+                rows[-1] = [sum(col) for col in zip(*rows[:-1])] if n > 1 else [0]
+                return SquareMatrix(ring, rows)
+            return b
+
+        outcomes = set()
+        for trial in range(18):
+            a, b = random_matrix(ring, n, rng), draw_b(trial % 3)
+            # c = b makes the linear relation consistent (d = a solves it)
+            # however singular b is.
+            c = b if trial % 2 else random_matrix(ring, n, rng)
+            budget = (1, 4, 16)[trial // 6]
+            try:
+                expected = kronecker_solve(a, b, c, budget)
+            except NoSolution:
+                with pytest.raises(NoSolution):
+                    solve_for_d(a, b, c, budget=budget)
+                outcomes.add("none")
+                continue
+            assert solve_for_d(a, b, c, budget=budget) == expected
+            outcomes.add("some" if expected else "filtered")
+        # At n = 1 only b = 0 is singular, and then b a c = 0 too.
+        assert outcomes >= ({"some"} if n == 1 else {"none", "some"})
 
     def test_invertible_b_gives_conjugate_product(self):
         rng = random.Random(5)

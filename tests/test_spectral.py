@@ -619,6 +619,51 @@ class TestResolventTrust:
             with pytest.raises(FormulaViolation, match="Cayley-Hamilton"):
                 invertibility_transfer(q, [Fraction(1)])
 
+    @given(st.integers(0, 300), st.data())
+    def test_bumped_resolvent_term_is_refused(self, pick, data):
+        # C_k changed after construction moves eps C_k, and nothing else, in
+        # the u^(n-k) s^k coefficient of the identity, which must then fail.
+        init = _Resolvent.__init__
+        for q in quadruples_with_unit_at_one(pick):
+            k = data.draw(st.integers(0, q.n - 1))
+            at = data.draw(st.integers(0, q.n * q.n - 1))
+            m = q.ring.modulus
+
+            def bumped(self, quad):
+                init(self, quad)
+                ck = self.cks[k]
+                ck[at] = ck[at] + 1 if m is None else (ck[at] + 1) % m
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_Resolvent, "__init__", bumped)
+                with pytest.raises(FormulaViolation, match="failed to invert"):
+                    jacobson_inverse(q, 1)
+                with pytest.raises(FormulaViolation, match="failed to invert"):
+                    invertibility_transfer(q, [Fraction(1)])
+
+    def test_transfer_products_do_not_grow_with_lambdas(self, monkeypatch):
+        # n - 1 products build the C_k, n check closure and 2n the identity,
+        # once per quadruple; a lambda adds none.
+        calls = []
+        mul = SquareMatrix.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        more = DEFAULT_LAMBDAS + tuple(Fraction(k, 11) for k in range(1, 8))
+        quads = [q for q in seeded_rational_suite(12, seed=41)
+                 if reference_unit(q, 1) is not None]
+        assert {q.n for q in quads} == {1, 2, 3, 4}
+        monkeypatch.setattr(SquareMatrix, "__mul__", counted)
+        for q in quads:
+            counts = []
+            for lams in (DEFAULT_LAMBDAS, more):
+                calls.clear()
+                invertibility_transfer(q, lams)
+                counts.append(len(calls))
+            assert counts == [4 * q.n - 1] * 2
+
     @given(st.integers(0, 500))
     def test_resolvent_terms_match_inverse(self, pick):
         # sum t^(n-1-k) C_k is B adj(t I - A) D, and adj(t I - A) is

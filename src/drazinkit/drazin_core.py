@@ -547,13 +547,13 @@ class _Resolvent:
         n, m, zring, e_flat = self.q.n, self.m, self.zring, self.e_flat
         e_int = SquareMatrix._trusted(zring, self.q.bd.num)
         zero = [0] * (n * n)
-        e_prev = prev_e = zero  # E C_(k-1) and C_(k-1) E
+        e_c = c_e = zero  # E C_(k-1) and C_(k-1) E
         for k, c in enumerate(self.cs):
             ck = self.cks[k] if k < n else zero
             part = [
                 self.eps * x - self.bd_den * c * y for x, y in zip(ck, e_flat)
             ]
-            for prod in (e_prev, prev_e):
+            for prod in (e_c, c_e):
                 coeff = [x - self.alpha * y for x, y in zip(part, prod)]
                 if m is not None:
                     coeff = [x % m for x in coeff]
@@ -563,8 +563,8 @@ class _Resolvent:
                     )
             if k < n:
                 ck_int = SquareMatrix._trusted(zring, _rows(ck, n))
-                e_prev = list(chain.from_iterable((e_int * ck_int).num))
-                prev_e = list(chain.from_iterable((ck_int * e_int).num))
+                e_c = list(chain.from_iterable((e_int * ck_int).num))
+                c_e = list(chain.from_iterable((ck_int * e_int).num))
 
     def _split(self, lam: Scalar) -> tuple[int, int]:
         """(p, s) with lambda = p / s and s > 0, after the checks on lambda."""

@@ -11,14 +11,15 @@ with brute-force search providing candidates from the lab module. The unit
 transfer (jacobson_inverse) has one route in all four rings: a
 Cayley-Hamilton resolvent of ac, built once per quadruple, whose formula is
 proven for every lambda at once by one polynomial identity checked in
-exact integer products.
+exact integer products. The identity is checked on one side only: once it
+holds, both factors are polynomials in bd and commute, so the proof is
+two-sided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import Optional, Union
 
 from .errors import (
@@ -480,7 +481,10 @@ class _Resolvent:
     C_k = alpha E C_(k-1) / eps + c_k C_0, each division exact. At
     lambda = p / s, the integers X = sum c_k (p alpha)^(n-k) s^k, which
     is (alpha s)^n det(lambda - ac), and Y = sum (p alpha)^(n-1-k) s^k C_k
-    give r = R / (beta delta X) with R = beta delta X I + alpha s Y.
+    give r = R / (beta delta X) with R = beta delta X I + alpha s Y. E and
+    every C_k are matrices over Z (over the residue ring itself on GF(m)
+    and Z/m), and each combination of them is brought to stored form by
+    matrix_rings._from_rows.
 
     Nothing is taken on trust, and the proofs are made once per quadruple,
     at the first lambda whose X is a unit of the ring. The verdict that
@@ -490,81 +494,80 @@ class _Resolvent:
     unit. The formula rests on one polynomial identity. With V = p eps I -
     s E, the numerators of s eps (lambda - bd), V R - p eps beta delta X I
     is s times a form in (u, s) whose u^(n-k) s^k coefficient is
-    eps C_k - beta delta c_k E - alpha E C_(k-1) (C_(-1) = C_n = 0), and
-    R V gives the same with C_(k-1) E. All 2(n + 1) coefficients are checked
-    zero in integers (mod m on residues), from 2n products E C_k and C_k E
-    made for the check alone. That proves (lambda - bd) r = r (lambda - bd)
-    = lambda at every lambda where X is a unit. Where X is no unit,
-    lambda - ac must be singular, and inverse(lambda - ac) is asked to
-    confirm it by raising NotInvertible. Any other outcome raises
-    FormulaViolation.
+    eps C_k - beta delta c_k E - alpha E C_(k-1) (C_(-1) = C_n = 0). All
+    n + 1 coefficients are checked zero in integers (mod m on residues),
+    from n products E C_k made for the check alone. That proves
+    (lambda - bd) r = lambda, and r (lambda - bd) = lambda follows with no
+    check of its own: once the coefficients vanish, each C_k is a
+    polynomial in E (over Q; eps = 1 on residues), so R and V commute.
+    Hence the identity is two-sided at every lambda where X is a unit.
+    Where X is no unit, lambda - ac must be singular, and
+    inverse(lambda - ac) is asked to confirm it by raising NotInvertible.
+    Any other outcome raises FormulaViolation.
     """
 
-    __slots__ = (
-        "q", "zring", "m", "alpha", "bd_den", "eps", "e_flat", "cs", "cks", "proven"
-    )
+    __slots__ = ("q", "zring", "alpha", "bd_den", "eps", "e", "cs", "cks", "proven")
 
     def __init__(self, q: Quadruple):
         ring = q.ring
-        m = ring.modulus
         # The integer numerators live over Z off the residue rings.
-        zring = ring if m is not None else RING_Z
+        zring = ring if ring.is_finite else RING_Z
         ac, bd = q.ac, q.bd
         alpha, bd_den, eps = ac.den, q.b.den * q.d.den, bd.den
-        cs = _berkowitz(ac.num, m)
-        e_int = SquareMatrix._trusted(zring, bd.num)
-        c0 = [bd_den * x // eps for x in chain.from_iterable(bd.num)]
+        cs = _berkowitz(ac.num, ring.modulus)
+        e = SquareMatrix._trusted(zring, bd.num)
+        c0 = _from_rows(zring, [[bd_den * x for x in row] for row in e.num], eps)
         cks = [c0]
-        ck = SquareMatrix._trusted(zring, _rows(c0, q.n))
         for c in cs[1:q.n]:
-            ek = chain.from_iterable((e_int * ck).num)
-            flat = [alpha * x // eps + c * y for x, y in zip(ek, c0)]
-            if m is not None:
-                flat = [x % m for x in flat]
-            cks.append(flat)
-            ck = SquareMatrix._trusted(zring, _rows(flat, q.n))
-        self.q, self.zring, self.m, self.cs, self.cks = q, zring, m, cs, cks
+            rows = [
+                [alpha * x + eps * c * y for x, y in zip(r1, r2)]
+                for r1, r2 in zip((e * cks[-1]).num, c0.num)
+            ]
+            cks.append(_from_rows(zring, rows, eps))
+        self.q, self.zring, self.e, self.cs, self.cks = q, zring, e, cs, cks
         self.alpha, self.bd_den, self.eps = alpha, bd_den, eps
-        self.e_flat = list(chain.from_iterable(bd.num))
         self.proven = False
 
     def _check_closure(self) -> None:
         """Raise FormulaViolation unless sum c_k A^(n-k) = 0, by the
         recurrence M_k = A M_(k-1) + c_k I, n integer products."""
-        n, cs = self.q.n, self.cs
-        big_a = SquareMatrix._trusted(self.zring, self.q.ac.num)
-        mk = self._matrix([0] * (n * n), cs[0])
+        n, cs, zring = self.q.n, self.cs, self.zring
+        big_a = SquareMatrix._trusted(zring, self.q.ac.num)
+        rows = [[cs[0] * (i == j) for j in range(n)] for i in range(n)]
+        mk = _from_rows(zring, rows, 1)
         for c in cs[1:]:
-            mk = self._matrix(list(chain.from_iterable((big_a * mk).num)), c)
+            rows = [
+                [x + c * (i == j) for j, x in enumerate(row)]
+                for i, row in enumerate((big_a * mk).num)
+            ]
+            mk = _from_rows(zring, rows, 1)
         if not mk.is_zero:
             raise FormulaViolation(
                 "the characteristic polynomial of ac fails Cayley-Hamilton"
             )
 
     def _check_identity(self) -> None:
-        """Raise FormulaViolation unless every coefficient of V R and R V
-        minus p eps beta delta X I vanishes, by 2n integer products."""
-        n, m, zring, e_flat = self.q.n, self.m, self.zring, self.e_flat
-        e_int = SquareMatrix._trusted(zring, self.q.bd.num)
-        zero = [0] * (n * n)
-        e_c = c_e = zero  # E C_(k-1) and C_(k-1) E
+        """Raise FormulaViolation unless every coefficient of V R minus
+        p eps beta delta X I vanishes, by n integer products. R V needs no
+        check: while the coefficients below k vanish, C_(k-1) is a
+        polynomial in E, so C_(k-1) E = E C_(k-1) and the R V coefficient
+        at k is the V R one."""
+        n, zring, e = self.q.n, self.zring, self.e
+        zero = SquareMatrix.zeros(zring, n)
+        e_c = zero  # E C_(k-1)
         for k, c in enumerate(self.cs):
             ck = self.cks[k] if k < n else zero
-            part = [
-                self.eps * x - self.bd_den * c * y for x, y in zip(ck, e_flat)
+            rows = [
+                [self.eps * x - self.bd_den * c * y - self.alpha * z
+                 for x, y, z in zip(r1, r2, r3)]
+                for r1, r2, r3 in zip(ck.num, e.num, e_c.num)
             ]
-            for prod in (e_c, c_e):
-                coeff = [x - self.alpha * y for x, y in zip(part, prod)]
-                if m is not None:
-                    coeff = [x % m for x in coeff]
-                if any(coeff):
-                    raise FormulaViolation(
-                        "1 + b (lambda - ac)^(-1) d failed to invert 1 - bd/lambda"
-                    )
+            if not _from_rows(zring, rows, 1).is_zero:
+                raise FormulaViolation(
+                    "1 + b (lambda - ac)^(-1) d failed to invert 1 - bd/lambda"
+                )
             if k < n:
-                ck_int = SquareMatrix._trusted(zring, _rows(ck, n))
-                e_c = list(chain.from_iterable((e_int * ck_int).num))
-                c_e = list(chain.from_iterable((ck_int * e_int).num))
+                e_c = e * ck
 
     def _split(self, lam: Scalar) -> tuple[int, int]:
         """(p, s) with lambda = p / s and s > 0, after the checks on lambda."""
@@ -574,20 +577,15 @@ class _Resolvent:
             raise UnsupportedRing(f"scaling needs Q, got {self.q.ring}")
         return lam.numerator, lam.denominator
 
-    def _matrix(self, flat: list[int], diag: int) -> SquareMatrix:
-        """The zring matrix with the n x n entries flat, plus diag I; flat is
-        updated in place."""
-        n, m = self.q.n, self.m
-        for i in range(0, n * n, n + 1):
-            flat[i] += diag
-        if m is not None:
-            flat = [x % m for x in flat]
-        return SquareMatrix._trusted(self.zring, _rows(flat, n))
-
     def shifted_bd(self, lam: Scalar) -> SquareMatrix:
         """V = p eps I - s E, the integer numerators of s eps (lambda - bd)."""
         p, s = self._split(lam)
-        return self._matrix([-s * x for x in self.e_flat], p * self.eps)
+        diag = p * self.eps
+        rows = [
+            [diag * (i == j) - s * x for j, x in enumerate(row)]
+            for i, row in enumerate(self.e.num)
+        ]
+        return _from_rows(self.zring, rows, 1)
 
     def unit_numerator(self, lam: Scalar) -> int:
         """X = (alpha s)^n det(lambda - ac), proven a unit of the ring
@@ -601,8 +599,7 @@ class _Resolvent:
         for c in cs[1:]:
             s_k *= s
             x = x * u + c * s_k
-        if self.m is not None:
-            x %= self.m
+        x = self.zring.canon(x)
         if not q.ring.is_unit_scalar(x):
             inverse(SquareMatrix.identity(q.ring, q.n).scalar_mul(lam) - q.ac)
             raise FormulaViolation(
@@ -618,21 +615,18 @@ class _Resolvent:
         """r = R / (beta delta X), proven by unit_numerator."""
         x = self.unit_numerator(lam)
         p, s = self._split(lam)
-        cks = self.cks
         u = p * self.alpha
-        y, s_k = cks[0], 1
-        for ck in cks[1:]:
+        y, s_k = self.cks[0].num, 1
+        for ck in self.cks[1:]:
             s_k *= s
-            y = [e * u + s_k * c for e, c in zip(y, ck)]
+            y = [[e * u + s_k * c for e, c in zip(r1, r2)] for r1, r2 in zip(y, ck.num)]
         den = self.bd_den * x
         scale = self.alpha * s
-        big_r = self._matrix([scale * e for e in y], den)
-        return _from_rows(self.q.ring, big_r.num, den)
-
-
-def _rows(flat: list[int], n: int) -> tuple[tuple[int, ...], ...]:
-    """The n x n rows of a row-major flat list."""
-    return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
+        rows = [
+            [scale * e + den * (i == j) for j, e in enumerate(row)]
+            for i, row in enumerate(y)
+        ]
+        return _from_rows(self.q.ring, rows, den)
 
 
 def jacobson_inverse(q: Quadruple, lam: Scalar = 1) -> SquareMatrix:
@@ -641,8 +635,10 @@ def jacobson_inverse(q: Quadruple, lam: Scalar = 1) -> SquareMatrix:
     The unit transfer: lambda - bd is a unit whenever lambda - ac is. From
     bdb = bac and dbd = acd, (lambda - bd) r = r (lambda - bd) = lambda. r
     comes from the Cayley-Hamilton resolvent of ac, the one route in all
-    four rings, which proves that two-sided identity in integers for every
-    lambda at once, with no matrix scaled by 1/lambda (see _Resolvent).
+    four rings, which proves (lambda - bd) r = lambda in integers for every
+    lambda at once, with no matrix scaled by 1/lambda (see _Resolvent). The
+    other side needs no check of its own: r and lambda - bd are then both
+    polynomials in bd, so they commute and the identity is two-sided.
     Raises ZeroLambda for lambda = 0, UnsupportedRing for lambda != 1
     outside Q, and NotInvertible, with inverse's own text, when
     lambda - ac is singular. A failed check raises FormulaViolation

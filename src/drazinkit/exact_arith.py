@@ -174,9 +174,6 @@ class Poly:
             return self
         return self.scale(1 / self.leading())
 
-    def derivative(self) -> "Poly":
-        return Poly(k * c for k, c in enumerate(self.coeffs) if k > 0)
-
     def __call__(self, x: Fraction | int) -> Fraction:
         x = Fraction(x)
         acc = RAT_ZERO

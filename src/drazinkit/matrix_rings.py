@@ -10,6 +10,13 @@ characteristic polynomial has one kernel too, Berkowitz's division-free
 recurrence on the same integer rows, behind spectral.char_poly and the
 unit-transfer resolvent of drazin_core. Nothing ever leaves the ring.
 
+The stored form (lowest terms over Q, exact integers over Z, residues over
+GF(p) and Z/n) is coded twice: SquareMatrix(...) validates outside input
+into it, and _from_rows puts every derived matrix into it from integer
+rows over a denominator. Sums, negations, scalar multiples, inverses and
+the resolvent's combinations all go through _from_rows. Only the product
+reduces inline, mod m and on its den = 1 path, since it is the hot path.
+
 Matrices are immutable and hashable, so they can serve as cache keys for
 the brute-force layers built on top.
 """
@@ -99,10 +106,6 @@ class RingSpec:
     @property
     def is_finite(self) -> bool:
         return self.kind in ("GF", "Zmod")
-
-    @property
-    def scalar_count(self) -> int | None:
-        return self.modulus if self.is_finite else None
 
     # -- scalar arithmetic ----------------------------------------------------
 
@@ -208,23 +211,6 @@ def gf(p: int) -> RingSpec:
 
 def zmod(n: int) -> RingSpec:
     return _interned("Zmod", n)
-
-
-def _rational(rows: Iterable[Iterable[int]], den: int) -> "SquareMatrix":
-    """The Q matrix with entries rows[i][j] / den, put in lowest terms.
-
-    den may be negative or share a factor with every numerator; one gcd
-    over the whole matrix brings it to the stored form.
-    """
-    rows = tuple(map(tuple, rows))
-    if den < 0:
-        den = -den
-        rows = tuple(tuple(-x for x in row) for row in rows)
-    g = gcd(den, *chain.from_iterable(rows))
-    if g != 1:
-        rows = tuple(tuple(x // g for x in row) for row in rows)
-        den //= g
-    return SquareMatrix._trusted(RING_Q, rows, den)
 
 
 def over_q(a: SquareMatrix) -> SquareMatrix:
@@ -349,22 +335,17 @@ class SquareMatrix:
         return not any(map(any, self.num))
 
     def _combine(self, other: "SquareMatrix", sign: int) -> "SquareMatrix":
-        """self + sign * other, sign = 1 or -1; over Q on the lcm of the
-        two denominators."""
+        """self + sign * other, sign = 1 or -1, on the lcm of the two
+        denominators."""
         self._require_compatible(other)
-        ring = self.ring
-        pairs = zip(self.num, other.num)
-        if ring.is_finite:
-            m = ring.modulus
-            rows = tuple(
-                tuple((x + sign * y) % m for x, y in zip(r1, r2)) for r1, r2 in pairs
-            )
-            return SquareMatrix._trusted(ring, rows)
         da, db = self.den, other.den
         den = lcm(da, db)
         fa, fb = den // da, sign * (den // db)
-        rows = tuple(tuple(fa * x + fb * y for x, y in zip(r1, r2)) for r1, r2 in pairs)
-        return SquareMatrix._trusted(ring, rows) if den == 1 else _rational(rows, den)
+        rows = [
+            [fa * x + fb * y for x, y in zip(r1, r2)]
+            for r1, r2 in zip(self.num, other.num)
+        ]
+        return _from_rows(self.ring, rows, den)
 
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
         return self._combine(other, 1)
@@ -373,12 +354,7 @@ class SquareMatrix:
         return self._combine(other, -1)
 
     def __neg__(self) -> "SquareMatrix":
-        m = self.ring.modulus
-        if m is None:
-            rows = tuple(tuple(-x for x in row) for row in self.num)
-        else:
-            rows = tuple(tuple(-x % m for x in row) for row in self.num)
-        return SquareMatrix._trusted(self.ring, rows, self.den)
+        return _from_rows(self.ring, [[-x for x in row] for row in self.num], self.den)
 
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
         """Row-by-column integer dot products, one per output entry.
@@ -401,19 +377,14 @@ class SquareMatrix:
             return SquareMatrix._trusted(ring, rows)
         rows = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num])
         den = self.den * other.den
-        return SquareMatrix._trusted(ring, rows) if den == 1 else _rational(rows, den)
+        if den == 1:
+            return SquareMatrix._trusted(ring, rows)
+        return _from_rows(ring, rows, den)
 
     def scalar_mul(self, c: Scalar) -> "SquareMatrix":
-        ring = self.ring
-        c = ring.canon(c)
-        if ring.is_finite:
-            m = ring.modulus
-            rows = tuple(tuple(c * x % m for x in row) for row in self.num)
-            return SquareMatrix._trusted(ring, rows)
-        rows = tuple(tuple(c.numerator * x for x in row) for row in self.num)
-        if ring.kind == "Z":
-            return SquareMatrix._trusted(ring, rows)
-        return _rational(rows, self.den * c.denominator)
+        c = self.ring.canon(c)
+        rows = [[c.numerator * x for x in row] for row in self.num]
+        return _from_rows(self.ring, rows, self.den * c.denominator)
 
     def power(self, k: int) -> "SquareMatrix":
         """self^k by binary powering; the product starts from the first
@@ -588,19 +559,36 @@ def _with_identity(a: SquareMatrix) -> list[list[int]]:
     ]
 
 
-def _from_rows(ring: RingSpec, rows: list[list[int]], den: int) -> SquareMatrix:
-    """The matrix rows / den in stored form: in lowest terms over Q, exact
-    division over Z, times the inverse of den modulo m over GF(m) and Z/m.
-    den must divide every entry over Z and be a unit modulo m."""
+def _from_rows(
+    ring: RingSpec, rows: Iterable[Iterable[int]], den: int
+) -> SquareMatrix:
+    """The matrix rows / den in stored form, the one normaliser of derived
+    integer rows: in lowest terms over Q, exact division over Z, times the
+    inverse of den modulo m over GF(m) and Z/m. den must divide every entry
+    over Z and be a unit modulo m. Over Q it may be negative or share a
+    factor with every entry; one gcd over the whole matrix brings it to the
+    stored form.
+    """
     m = ring.modulus
     if m is not None:
         inv = pow(den, -1, m)
         return SquareMatrix._trusted(
-            ring, tuple(tuple(x * inv % m for x in row) for row in rows)
+            ring, tuple([tuple([x * inv % m for x in row]) for row in rows])
         )
-    if ring.kind == "Q":
-        return _rational(rows, den)
-    return SquareMatrix._trusted(ring, tuple(tuple(x // den for x in r) for r in rows))
+    if den == 1:
+        return SquareMatrix._trusted(ring, tuple(map(tuple, rows)))
+    if ring.kind == "Z":
+        rows = tuple(tuple(x // den for x in row) for row in rows)
+        return SquareMatrix._trusted(ring, rows)
+    rows = tuple(map(tuple, rows))
+    if den < 0:
+        den = -den
+        rows = tuple(tuple(-x for x in row) for row in rows)
+    g = gcd(den, *chain.from_iterable(rows))
+    if g != 1:
+        rows = tuple(tuple(x // g for x in row) for row in rows)
+        den //= g
+    return SquareMatrix._trusted(ring, rows, den)
 
 
 def _det_in_ring(ring: RingSpec, det_num: int, den: int, n: int) -> Scalar:

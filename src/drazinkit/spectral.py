@@ -10,11 +10,12 @@ and the sets agree iff those polynomials are identical. Pointwise unit
 transfer at sampled nonzero lambda complements the set comparison: one
 Cayley-Hamilton resolvent of ac per quadruple (drazin_core._Resolvent)
 decides at every lambda whether lambda - ac is invertible, and proves the
-formula for (1 - bd/lambda)^(-1) two-sided in integers once, for every
-such lambda at once; at every lambda where it finds lambda - ac singular,
-an elimination inverse must agree; and the bd side is an independent
-determinant, which must find lambda - bd a unit wherever lambda - ac is
-one.
+formula for (1 - bd/lambda)^(-1) in integers once, for every such lambda
+at once (one side is checked; the other follows because both factors are
+then polynomials in bd, which commute); at every lambda where it finds
+lambda - ac singular, an elimination inverse must agree; and the bd side
+is an independent determinant, which must find lambda - bd a unit
+wherever lambda - ac is one.
 """
 
 from __future__ import annotations
@@ -162,10 +163,12 @@ def invertibility_transfer(
     statement that lambda - bd is a unit whenever lambda - ac is. One
     Cayley-Hamilton resolvent of ac serves every lambda (the route of
     jacobson_inverse). At the first lambda where it finds lambda - ac
-    invertible it proves the formula two-sided, by exact integer
-    multiplication, for every lambda at once; after that each lambda costs
-    one Horner evaluation of the resolvent determinant, and the formula
-    itself is never assembled. At each lambda where it finds lambda - ac
+    invertible it proves the formula, by exact integer multiplication, for
+    every lambda at once: it checks (lambda - bd) r = lambda, and
+    r (lambda - bd) = lambda follows because both factors are then
+    polynomials in bd, so the proof is two-sided. After that each lambda
+    costs one Horner evaluation of the resolvent determinant, and the
+    formula itself is never assembled. At each lambda where it finds lambda - ac
     singular, inverse(lambda - ac) must confirm that by raising
     NotInvertible, so no row holds on the resolvent's word alone. The bd
     side is decided independently at every lambda, by the determinant of

@@ -112,7 +112,7 @@ class TestDrazinInverse:
     def test_axioms_exactly(self, ring, n):
         import random
 
-        rng = random.Random(n * 1000 + ring.scalar_count if ring.is_finite else n)
+        rng = random.Random(n * 1000 + ring.modulus if ring.is_finite else n)
         from drazinkit.quadruple_lab import random_matrix
 
         for _ in range(25):

@@ -1,6 +1,7 @@
 """Coefficient rings, exact matrices, elimination, and radical tests."""
 
 import itertools
+import random
 import time
 from fractions import Fraction
 from math import gcd
@@ -23,6 +24,7 @@ from drazinkit.matrix_rings import (
     RING_Z,
     RingSpec,
     SquareMatrix,
+    _from_rows,
     all_matrices,
     det,
     det_bareiss,
@@ -245,11 +247,6 @@ class TestRingSpec:
         with pytest.raises(UnsupportedRing):
             RingSpec("R", None)
 
-    def test_scalar_counts(self):
-        assert gf(3).scalar_count == 3
-        assert zmod(12).scalar_count == 12
-        assert RING_Q.scalar_count is None
-
     def test_parse_scalar_strict(self):
         assert RING_Q.parse_scalar("3/6") == Fraction(1, 2)
         with pytest.raises(DrazinkitError):
@@ -403,6 +400,33 @@ class TestMatrixBasics:
             results.append(over_q(a))
         for r in results:
             assert_canonical(r)
+
+    # (den, f): the rows are f times seeded integers. A negative den, a den
+    # sharing the factor f with every entry, den = 1, and units mod m.
+    @pytest.mark.parametrize("ring,den,f", [
+        (RING_Q, 1, 1), (RING_Q, -6, 1), (RING_Q, 6, 3), (RING_Q, -10, 10),
+        (RING_Z, 1, 1), (RING_Z, -4, 4), (RING_Z, 3, 3),
+        (gf(5), 1, 1), (gf(5), -2, 1), (gf(5), 6, 3),
+        (zmod(12), 1, 1), (zmod(12), -1, 1), (zmod(12), 7, 1), (zmod(12), 5, 5),
+    ], ids=str)
+    def test_normaliser_matches_validated_constructor(self, ring, den, f):
+        rng = random.Random(den * 100 + f)
+        for n in (1, 2, 3):
+            for _ in range(20):
+                rows = [[f * rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+                if ring.is_finite:
+                    # The residue y with den y = x mod m, found by search.
+                    m = ring.modulus
+                    want = [
+                        [next(y for y in range(m) if (den * y - x) % m == 0)
+                         for x in row]
+                        for row in rows
+                    ]
+                else:
+                    want = [[Fraction(x, den) for x in row] for row in rows]
+                got = _from_rows(ring, rows, den)
+                assert got == SquareMatrix(ring, want)
+                assert_canonical(got)
 
     @given(data=st.data())
     def test_q_products_associate_with_equal_hashes(self, data):

@@ -495,8 +495,12 @@ class _Resolvent:
     s E, the numerators of s eps (lambda - bd), V R - p eps beta delta X I
     is s times a form in (u, s) whose u^(n-k) s^k coefficient is
     eps C_k - beta delta c_k E - alpha E C_(k-1) (C_(-1) = C_n = 0). All
-    n + 1 coefficients are checked zero in integers (mod m on residues),
-    from n products E C_k made for the check alone. That proves
+    n + 1 coefficients are checked zero in integers (mod m on residues).
+    The products E C_0 ... E C_(n-2) are the ones that built C_1 ... C_(n-1),
+    kept from construction (the same operands through the same exact
+    product, so a second run could not disagree): the checks at k < n prove
+    each division by eps exact, and one product E C_(n-1) is made for the
+    check at k = n. That proves
     (lambda - bd) r = lambda, and r (lambda - bd) = lambda follows with no
     check of its own: once the coefficients vanish, each C_k is a
     polynomial in E (over Q; eps = 1 on residues), so R and V commute.
@@ -506,7 +510,7 @@ class _Resolvent:
     Any other outcome raises FormulaViolation.
     """
 
-    __slots__ = ("q", "zring", "alpha", "bd_den", "eps", "e", "cs", "cks", "proven")
+    __slots__ = ("q", "zring", "alpha", "bd_den", "eps", "e", "cs", "cks", "ecs", "proven")
 
     def __init__(self, q: Quadruple):
         ring = q.ring
@@ -517,14 +521,16 @@ class _Resolvent:
         cs = _berkowitz(ac.num, ring.modulus)
         e = SquareMatrix._trusted(zring, bd.num)
         c0 = _from_rows(zring, [[bd_den * x for x in row] for row in e.num], eps)
-        cks = [c0]
+        cks, ecs = [c0], []  # ecs[k] = E C_k
         for c in cs[1:q.n]:
+            ecs.append(e * cks[-1])
             rows = [
                 [alpha * x + eps * c * y for x, y in zip(r1, r2)]
-                for r1, r2 in zip((e * cks[-1]).num, c0.num)
+                for r1, r2 in zip(ecs[-1].num, c0.num)
             ]
             cks.append(_from_rows(zring, rows, eps))
         self.q, self.zring, self.e, self.cs, self.cks = q, zring, e, cs, cks
+        self.ecs = ecs
         self.alpha, self.bd_den, self.eps = alpha, bd_den, eps
         self.proven = False
 
@@ -548,15 +554,16 @@ class _Resolvent:
 
     def _check_identity(self) -> None:
         """Raise FormulaViolation unless every coefficient of V R minus
-        p eps beta delta X I vanishes, by n integer products. R V needs no
-        check: while the coefficients below k vanish, C_(k-1) is a
-        polynomial in E, so C_(k-1) E = E C_(k-1) and the R V coefficient
-        at k is the V R one."""
-        n, zring, e = self.q.n, self.zring, self.e
-        zero = SquareMatrix.zeros(zring, n)
-        e_c = zero  # E C_(k-1)
-        for k, c in enumerate(self.cs):
-            ck = self.cks[k] if k < n else zero
+        p eps beta delta X I vanishes, by one integer product, E C_(n-1);
+        the E C_(k-1) below it are the construction's own. A C_k changed
+        after construction, or a division by eps that was not exact, still
+        leaves coefficient k nonzero. R V needs no check: while the
+        coefficients below k vanish, C_(k-1) is a polynomial in E, so
+        C_(k-1) E = E C_(k-1) and the R V coefficient at k is the V R one."""
+        zring, e = self.zring, self.e
+        zero = SquareMatrix.zeros(zring, self.q.n)
+        e_cs = [zero, *self.ecs, e * self.cks[-1]]  # E C_(k-1), C_(-1) = 0
+        for c, ck, e_c in zip(self.cs, self.cks + [zero], e_cs):
             rows = [
                 [self.eps * x - self.bd_den * c * y - self.alpha * z
                  for x, y, z in zip(r1, r2, r3)]
@@ -566,8 +573,6 @@ class _Resolvent:
                 raise FormulaViolation(
                     "1 + b (lambda - ac)^(-1) d failed to invert 1 - bd/lambda"
                 )
-            if k < n:
-                e_c = e * ck
 
     def _split(self, lam: Scalar) -> tuple[int, int]:
         """(p, s) with lambda = p / s and s > 0, after the checks on lambda."""

@@ -1,9 +1,11 @@
 """Exact scalar and polynomial arithmetic.
 
-Scalars are arbitrary-precision rationals; polynomials carry rational
-coefficients lowest degree first, and gcds, squarefree parts and root tests
-run on their primitive integer forms. Nothing in this module ever rounds, so
-every identity checked elsewhere is an exact ring identity rather than an
+Scalars are arbitrary-precision rationals. Polynomials are tuples of
+integers, lowest degree first, with no trailing zeros, and every polynomial
+returned is in primitive form (content 1, positive leading coefficient);
+gcds, squarefree parts and root tests run on them, and rationals enter only
+as the roots found. Nothing in this module ever rounds,
+so every identity checked elsewhere is an exact ring identity rather than an
 approximation.
 
 ``Rational`` is the standard-library ``Fraction``, which already maintains
@@ -17,14 +19,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
+from math import gcd, isqrt
+from typing import Sequence
 
 from .errors import BudgetExceeded, DivisionByZero, DrazinkitError, ZeroPolynomial
 
 Rational = Fraction
-
-RAT_ZERO = Fraction(0)
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
 
@@ -92,168 +92,17 @@ def format_rational(x: Fraction | int) -> str:
     return num if x.denominator == 1 else f"{num}/{_long_decimal(x.denominator)}"
 
 
-class Poly:
-    """Immutable univariate polynomial over the rationals.
-
-    The zero polynomial is the empty coefficient tuple, so structural
-    equality is value equality. The spectral module depends on that: it
-    compares eigenvalue sets by comparing canonical polynomials.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Poly is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return RAT_ZERO
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly()
-        out = [RAT_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    def scale(self, c: Fraction | int) -> "Poly":
-        c = Fraction(c)
-        return Poly(c * a for a in self.coeffs)
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading())
-
-    def __call__(self, x: Fraction | int) -> Fraction:
-        x = Fraction(x)
-        acc = RAT_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Euclidean division: self = q*other + r with deg r < deg other."""
-        if other.is_zero:
-            raise ZeroPolynomial("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [RAT_ZERO] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead = other.leading()
-        dn = other.degree
-        while rem and len(rem) - 1 >= dn:
-            k = len(rem) - 1 - dn
-            f = rem[-1] / lead
-            q[k] = f
-            for j, c in enumerate(other.coeffs):
-                rem[k + j] -= f * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(q), Poly(rem)
-
-    __divmod__ = divmod
-
-    def __repr__(self) -> str:
-        return f"Poly({list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                term = format_rational(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else format_rational(abs(c)) + "*"
-                term = f"{mag}x" if k == 1 else f"{mag}x^{k}"
-            if not parts:
-                parts.append(term if c > 0 else "-" + term)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(parts)
-
-    def coeff_strings(self) -> list[str]:
-        """Coefficients lowest degree first, in exact rational syntax."""
-        return [format_rational(c) for c in self.coeffs]
-
-
-POLY_ZERO = Poly()
-POLY_ONE = Poly((1,))
-POLY_X = Poly((0, 1))
-
-
 # Integer tuples, lowest degree first, stand for polynomials up to a nonzero
 # factor. The primitive form (content 1, leading coefficient positive) is
 # canonical: two polynomials have the same monic form iff their primitive
-# forms are equal, so gcds and squarefree parts run on integers.
+# forms are equal, so gcds, squarefree parts and root tests run on integers
+# and equal tuples mean equal monic polynomials.
 
 
 def primitive(cs: Sequence[int]) -> tuple[int, ...]:
     """cs, with no trailing zeros, over its content with a positive lead."""
     g = gcd(*cs) if cs and cs[-1] > 0 else -gcd(*cs)
     return tuple(c // g for c in cs)
-
-
-def _cleared(cs: Sequence[Fraction]) -> list[int]:
-    """cs times the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs]
-
-
-def integer_form(p: Poly) -> tuple[int, ...]:
-    """The primitive form of p, which has the roots of p."""
-    return primitive(_cleared(p.coeffs))
 
 
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -284,26 +133,14 @@ def int_poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def int_squarefree(a: Sequence[int]) -> tuple[int, ...]:
-    """Primitive a / gcd(a, a') for a nonzero a: each distinct root once."""
-    q, r = _pseudo_divmod(a, int_poly_gcd(a, [k * c for k, c in enumerate(a)][1:]))
+def squarefree_part(cs: Sequence[int]) -> tuple[int, ...]:
+    """Primitive cs / gcd(cs, cs'): each distinct root of cs exactly once."""
+    if not cs:
+        raise ZeroPolynomial("squarefree part of the zero polynomial")
+    q, r = _pseudo_divmod(cs, int_poly_gcd(cs, [k * c for k, c in enumerate(cs)][1:]))
     if r:
         raise DrazinkitError("gcd fails to divide its argument; arithmetic bug")
     return primitive(q)
-
-
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd; gcd(p, 0) = monic(p) and gcd(0, 0) = 0."""
-    g = int_poly_gcd(integer_form(p), integer_form(q))
-    return Poly([Fraction(c, g[-1]) for c in g])
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """Monic p / gcd(p, p'): each distinct root of p exactly once."""
-    if p.is_zero:
-        raise ZeroPolynomial("squarefree part of the zero polynomial")
-    s = int_squarefree(integer_form(p))
-    return Poly([Fraction(c, s[-1]) for c in s])
 
 
 def _divisors(n: int) -> list[int]:
@@ -325,31 +162,28 @@ def _divisors(n: int) -> list[int]:
 ROOT_SEARCH_BUDGET = 100_000
 
 
-def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of p, ascending, each listed once.
+def rational_roots(cs: Sequence[int]) -> list[Fraction]:
+    """All rational roots of the integer polynomial cs, ascending, each
+    listed once.
 
     Candidates come from the rational root bound applied to the primitive
-    integer form of p, so the list is complete, not heuristic. Raises
+    form of cs, so the list is complete, not heuristic. Raises
     BudgetExceeded up front when finding the divisors of its constant and
     leading coefficients, or testing every pair of them, would take more
     than ROOT_SEARCH_BUDGET steps.
     """
-    if p.is_zero:
+    if not cs:
         raise ZeroPolynomial("root search on the zero polynomial")
     k = 0
-    while p.coeffs[k] == 0:
+    while cs[k] == 0:
         k += 1
-    roots: set[Fraction] = set()
-    if k > 0:
-        roots.add(RAT_ZERO)
-    trimmed = p.coeffs[k:]
-    if len(trimmed) >= 2:
-        ints = _cleared(trimmed)
-        trials = isqrt(abs(ints[0])) + isqrt(abs(ints[-1]))
+    roots: set[Fraction] = {Fraction(0)} if k > 0 else set()
+    form = primitive(cs[k:])
+    if len(form) >= 2:
+        trials = isqrt(abs(form[0])) + isqrt(abs(form[-1]))
         _check_root_budget(trials, "trial divisions")
-        nums, dens = _divisors(ints[0]), _divisors(ints[-1])
+        nums, dens = _divisors(form[0]), _divisors(form[-1])
         _check_root_budget(len(nums) * len(dens), "candidate pairs")
-        form = primitive(ints)
         for den in dens:
             # x/den is a root iff den^deg p(x/den), Horner in x on the
             # coefficients c_i den^(deg-i), vanishes.

@@ -122,18 +122,6 @@ class RingSpec:
         assert self.modulus is not None
         return int(x) % self.modulus
 
-    def add(self, x: Scalar, y: Scalar) -> Scalar:
-        s = x + y
-        return s % self.modulus if self.is_finite else s
-
-    def mul(self, x: Scalar, y: Scalar) -> Scalar:
-        s = x * y
-        return s % self.modulus if self.is_finite else s
-
-    @property
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.kind == "Q" else 0
-
     def is_unit_scalar(self, x: Scalar) -> bool:
         if self.kind == "Q":
             return x != 0

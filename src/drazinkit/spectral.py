@@ -3,19 +3,21 @@
 Every square matrix is Drazin invertible, so the Drazin-type spectra of
 finite matrices are empty and carry no information. The meaningful finite
 surrogate is the set of nonzero eigenvalues, compared here without ever
-extracting an eigenvalue: both characteristic polynomials, by the Berkowitz
-recurrence on integer numerators, are stripped of their power of lambda and
-reduced to monic squarefree parts by the integer gcd kernel of exact_arith,
-and the sets agree iff those polynomials are identical. Pointwise unit
-transfer at sampled nonzero lambda complements the set comparison: one
-Cayley-Hamilton resolvent of ac per quadruple (drazin_core._Resolvent)
-decides at every lambda whether lambda - ac is invertible, and proves the
-formula for (1 - bd/lambda)^(-1) in integers once, for every such lambda
-at once (one side is checked; the other follows because both factors are
-then polynomials in bd, which commute); at every lambda where it finds
-lambda - ac singular, an elimination inverse must agree; and the bd side
-is an independent determinant, which must find lambda - bd a unit
-wherever lambda - ac is one.
+extracting an eigenvalue. Both characteristic polynomials come from the
+Berkowitz recurrence on integer numerators as primitive integer tuples; each
+is stripped of its power of lambda and reduced to its primitive squarefree
+part by the integer gcd kernel of exact_arith, and the sets agree iff those
+tuples are identical (primitive forms are canonical, so equal tuples are
+equal monic polynomials). Monic rational coefficients appear only in the
+JSON reports. Pointwise unit transfer at sampled nonzero lambda complements
+the set comparison: one Cayley-Hamilton resolvent of ac per quadruple
+(drazin_core._Resolvent) decides at every lambda whether lambda - ac is
+invertible, and proves the formula for (1 - bd/lambda)^(-1) in integers
+once, for every such lambda at once (one side is checked; the other follows
+because both factors are then polynomials in bd, which commute); at every
+lambda where it finds lambda - ac singular, an elimination inverse must
+agree; and the bd side is an independent determinant, which must find
+lambda - bd a unit wherever lambda - ac is one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 
 from .drazin_core import Quadruple, _Resolvent, drazin_inverse
 from .errors import FormulaViolation, NotInvertible
-from .exact_arith import Poly, format_rational, rational_roots, squarefree_part
+from .exact_arith import format_rational, primitive, rational_roots, squarefree_part
 from .matrix_rings import SquareMatrix, _berkowitz, det, matrix_to_json, over_q
 
 DEFAULT_LAMBDAS: tuple[Fraction, ...] = (
@@ -40,38 +42,46 @@ DEFAULT_LAMBDAS: tuple[Fraction, ...] = (
 )
 
 
-def char_poly(a: SquareMatrix) -> Poly:
-    """Monic characteristic polynomial det(lambda I - a) over Q.
+def char_poly(a: SquareMatrix) -> tuple[int, ...]:
+    """Primitive form of the characteristic polynomial det(lambda I - a).
 
     With a = N / den, Berkowitz's recurrence on the integer rows N gives
-    det(x I - N) = sum c_k x^(n-k), so det(x I - a) = sum c_k x^(n-k) / den^k.
+    det(x I - N) = sum c_k x^(n-k), so det(den x I - N), which is
+    den^n det(x I - a), has the coefficient c_(n-j) den^j at x^j.
     """
     aq = over_q(a)
     den = aq.den
-    return Poly([Fraction(c, den**k) for k, c in enumerate(_berkowitz(aq.num))][::-1])
+    return primitive([c * den**j for j, c in enumerate(reversed(_berkowitz(aq.num)))])
+
+
+def _monic_strings(p: Sequence[int]) -> list[str]:
+    """The coefficients of the monic form of p, lowest degree first, in
+    exact rational syntax: the one place a report sees rationals."""
+    return [format_rational(Fraction(c, p[-1])) for c in p]
 
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """char_poly factored as lambda^z times a nonzero-rooted part."""
+    """char_poly factored as lambda^z times a nonzero-rooted part, both
+    primitive integer forms."""
 
-    char: Poly
+    char: tuple[int, ...]
     zero_multiplicity: int
-    nonzero_part: Poly
+    nonzero_part: tuple[int, ...]
 
     @staticmethod
     def of(a: SquareMatrix) -> "SpectrumSummary":
         p = char_poly(a)
         z = 0
-        while p.coeffs[z] == 0:
+        while p[z] == 0:
             z += 1
-        return SpectrumSummary(p, z, squarefree_part(Poly(p.coeffs[z:])))
+        return SpectrumSummary(p, z, squarefree_part(p[z:]))
 
     def to_json(self) -> dict[str, object]:
         return {
-            "char_poly": self.char.coeff_strings(),
+            "char_poly": _monic_strings(self.char),
             "zero_multiplicity": self.zero_multiplicity,
-            "nonzero_part_squarefree": self.nonzero_part.coeff_strings(),
+            "nonzero_part_squarefree": _monic_strings(self.nonzero_part),
         }
 
 
@@ -101,8 +111,9 @@ class SpectrumComparison:
 def nonzero_spectrum_equal(p: SquareMatrix, q: SquareMatrix) -> SpectrumComparison:
     """Do p and q have the same set of nonzero eigenvalues, exactly?
 
-    Equality means identical monic squarefree nonzero parts of the two
-    characteristic polynomials; dimensions may differ.
+    Equality means identical primitive squarefree nonzero parts of the two
+    characteristic polynomials, which is identical monic ones; dimensions
+    may differ.
     """
     left = SpectrumSummary.of(p)
     right = SpectrumSummary.of(q)
@@ -110,10 +121,10 @@ def nonzero_spectrum_equal(p: SquareMatrix, q: SquareMatrix) -> SpectrumComparis
         equal=left.nonzero_part == right.nonzero_part,
         left=left,
         right=right,
-        # char is monic, so its nonzero-rooted parts are monic as they stand.
+        # Dropping the zero low coefficients of a primitive char leaves it
+        # primitive, so its nonzero-rooted parts compare as they stand.
         multiplicity_equal=(
-            left.char.coeffs[left.zero_multiplicity:]
-            == right.char.coeffs[right.zero_multiplicity:]
+            left.char[left.zero_multiplicity:] == right.char[right.zero_multiplicity:]
         ),
     )
 
@@ -202,7 +213,7 @@ def transfer_lambdas(q: Quadruple) -> tuple[Fraction, ...]:
     return _with_eigenvalues(char_poly(m) for m in (q.ac, q.bd))
 
 
-def _with_eigenvalues(chars: Iterable[Poly]) -> tuple[Fraction, ...]:
+def _with_eigenvalues(chars: Iterable[tuple[int, ...]]) -> tuple[Fraction, ...]:
     extra: set[Fraction] = set()
     for p in chars:
         for root in rational_roots(p):

@@ -172,15 +172,18 @@ def q_matrices(n: int, max_denominator: int = 12):
 
 
 def reference_product(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    """Triple loop through the ring's scalar add and mul, one entry at a time."""
-    ring = a.ring
+    """Triple loop on the scalars, one entry at a time, reduced mod m after
+    every step on the finite rings."""
+    ring, m = a.ring, a.ring.modulus
     rows = []
     for i in range(a.n):
         row = []
         for j in range(a.n):
-            acc = ring.zero
+            acc = 0
             for k in range(a.n):
-                acc = ring.add(acc, ring.mul(a.entries[i][k], b.entries[k][j]))
+                acc += a.entries[i][k] * b.entries[k][j]
+                if m is not None:
+                    acc %= m
             row.append(acc)
         rows.append(row)
     return SquareMatrix(ring, rows)

@@ -65,11 +65,12 @@ def kronecker_solve(a, b, c, budget):
     the nullspace basis, one vector per free unknown in row-major order,
     walked with the same coefficient alphabet, cap and dbd = acd filter.
     """
-    ring, n = a.ring, a.n
+    ring, n, m = a.ring, a.n, a.ring.modulus
     nn = n * n
     be, target = b.entries, (b * a * c).entries
     aug = [
-        [ring.mul(be[i][k], be[l][j]) for k in range(n) for l in range(n)]
+        [be[i][k] * be[l][j] if m is None else be[i][k] * be[l][j] % m
+         for k in range(n) for l in range(n)]
         + [target[i][j]]
         for i in range(n)
         for j in range(n)
@@ -77,13 +78,13 @@ def kronecker_solve(a, b, c, budget):
     rows, pivots = reduced_echelon(ring, aug, nn)
     if any(row[nn] != 0 for row in rows[len(pivots):]):
         raise NoSolution("b X b = b a c is inconsistent")
-    particular = [ring.zero] * nn
+    particular = [0] * nn
     for r, col in enumerate(pivots):
         particular[col] = rows[r][nn]
     basis = []
     for f in range(nn):
         if f not in pivots:
-            vec = [ring.zero] * nn
+            vec = [0] * nn
             vec[f] = 1
             for r, col in enumerate(pivots):
                 vec[col] = -rows[r][f]

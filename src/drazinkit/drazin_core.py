@@ -466,6 +466,18 @@ def cline_classical(
     return cline_generalized(q, flavor).e_cert
 
 
+def _shifted_det(cs: list[int], u: int, s: int) -> int:
+    """det(u I - s A) = sum c_k u^(n-k) s^k, from the coefficients
+    [c_0, ..., c_n] of det(t I - A), by Horner's rule homogeneous in (u, s).
+    With u = p den and A the integer numerators of a = A / den, it is
+    (s den)^n det(lambda - a) at lambda = p / s."""
+    x, s_k = cs[0], 1
+    for c in cs[1:]:
+        s_k *= s
+        x = x * u + c * s_k
+    return x
+
+
 class _Resolvent:
     """The unit transfer r = 1 + b (lambda - ac)^(-1) d of one quadruple at
     any nonzero lambda, from one Cayley-Hamilton resolvent of ac.
@@ -583,7 +595,10 @@ class _Resolvent:
         return lam.numerator, lam.denominator
 
     def shifted_bd(self, lam: Scalar) -> SquareMatrix:
-        """V = p eps I - s E, the integer numerators of s eps (lambda - bd)."""
+        """V = p eps I - s E, the integer numerators of s eps (lambda - bd).
+        The unit transfer takes its determinant only where lambda - ac is
+        singular, as the elimination cross-check of the bd verdict that
+        the characteristic polynomial of E gives (spectral)."""
         p, s = self._split(lam)
         diag = p * self.eps
         rows = [
@@ -597,14 +612,8 @@ class _Resolvent:
         together with the formula for r; raises NotInvertible, from
         inverse, when lambda - ac is singular."""
         p, s = self._split(lam)
-        q, cs = self.q, self.cs
-        u = p * self.alpha
-        # Horner's rule, homogeneous in (u, s).
-        x, s_k = cs[0], 1
-        for c in cs[1:]:
-            s_k *= s
-            x = x * u + c * s_k
-        x = self.zring.canon(x)
+        q = self.q
+        x = self.zring.canon(_shifted_det(self.cs, p * self.alpha, s))
         if not q.ring.is_unit_scalar(x):
             inverse(SquareMatrix.identity(q.ring, q.n).scalar_mul(lam) - q.ac)
             raise FormulaViolation(

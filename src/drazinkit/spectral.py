@@ -16,8 +16,12 @@ invertible, and proves the formula for (1 - bd/lambda)^(-1) in integers
 once, for every such lambda at once (one side is checked; the other follows
 because both factors are then polynomials in bd, which commute); at every
 lambda where it finds lambda - ac singular, an elimination inverse must
-agree; and the bd side is an independent determinant, which must find
-lambda - bd a unit wherever lambda - ac is one.
+agree. The bd side is decided at every lambda by one characteristic
+polynomial of bd per quadruple, and each verdict rests on two routes: where
+lambda - ac is a unit, the proven formula makes lambda - bd one, and a
+characteristic polynomial that says otherwise is a bug; where lambda - ac is
+singular, the elimination determinant of lambda - bd must give the same
+verdict.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .drazin_core import Quadruple, _Resolvent, drazin_inverse
+from .drazin_core import Quadruple, _Resolvent, _shifted_det, drazin_inverse
 from .errors import FormulaViolation, NotInvertible
 from .exact_arith import format_rational, primitive, rational_roots, squarefree_part
 from .matrix_rings import SquareMatrix, _berkowitz, det, matrix_to_json, over_q
@@ -181,26 +185,38 @@ def invertibility_transfer(
     costs one Horner evaluation of the resolvent determinant, and the
     formula itself is never assembled. At each lambda where it finds lambda - ac
     singular, inverse(lambda - ac) must confirm that by raising
-    NotInvertible, so no row holds on the resolvent's word alone. The bd
-    side is decided independently at every lambda, by the determinant of
-    the integer numerators of lambda - bd. Where lambda - ac is proven a
-    unit, a bd-side determinant that is no unit raises FormulaViolation (a
-    bug), so every row holds; where lambda - ac is singular both side
-    verdicts are recorded.
+    NotInvertible, so no row holds on the resolvent's word alone.
+
+    The bd side takes one Berkowitz run per quadruple, on the integer
+    numerators E of bd = E / eps, and at lambda = p / s the same Horner
+    evaluation, det(p eps I - s E) = (s eps)^n det(lambda - bd). Each
+    verdict rests on two routes. Where lambda - ac is proven a unit, the
+    formula has proven lambda - bd one, and a characteristic polynomial
+    that finds no unit raises FormulaViolation (a bug), so every row holds.
+    Where lambda - ac is singular, the elimination determinant of
+    lambda - bd must return the same verdict, or FormulaViolation is
+    raised; both side verdicts are recorded.
     """
     rows: list[TransferRow] = []
     resolvent = _Resolvent(q)
+    chi_e = _berkowitz(resolvent.e.num, q.ring.modulus)
     for lam in map(Fraction, lambdas):
         try:
             resolvent.unit_numerator(lam)
             ac_ok = True
         except NotInvertible:
             ac_ok = False
-        bd_ok = q.ring.is_unit_scalar(det(resolvent.shifted_bd(lam)))
+        y = _shifted_det(chi_e, lam.numerator * resolvent.eps, lam.denominator)
+        bd_ok = q.ring.is_unit_scalar(resolvent.zring.canon(y))
         if ac_ok and not bd_ok:
             raise FormulaViolation(
                 "lambda - ac is a unit but lambda - bd is not at lambda = "
                 + format_rational(lam)
+            )
+        if not ac_ok and bd_ok != q.ring.is_unit_scalar(det(resolvent.shifted_bd(lam))):
+            raise FormulaViolation(
+                "the characteristic polynomial and the determinant of lambda - bd "
+                "disagree on a unit at lambda = " + format_rational(lam)
             )
         rows.append(TransferRow(lam, ac_ok, bd_ok, True if ac_ok else None))
     return TransferReport(tuple(rows))

@@ -633,3 +633,23 @@ def test_closed_stdout_exits_quietly(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_package_runs_as_a_module():
+    # From a source checkout, with src on the path and nothing installed,
+    # python -m drazinkit is the CLI of python -m drazinkit.cli, byte for byte.
+    src = os.path.dirname(os.path.dirname(drazinkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "demo", "--example", "2.5"],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        for module in ("drazinkit", "drazinkit.cli")
+    ]
+    assert [p.returncode for p in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.startswith(b"{")

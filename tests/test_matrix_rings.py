@@ -24,6 +24,7 @@ from drazinkit.matrix_rings import (
     RING_Z,
     RingSpec,
     SquareMatrix,
+    _berkowitz,
     _from_rows,
     all_matrices,
     det,
@@ -560,6 +561,20 @@ class TestDet:
         n = data.draw(st.integers(min_value=1, max_value=3))
         a = data.draw(entries_strategy(ring, n, max_denominator=12))
         assert det(a) == det_bareiss(a) == leibniz_det(a)
+
+    @pytest.mark.parametrize(
+        "ring", [RING_Q, RING_Z, gf(5), zmod(4), zmod(12)], ids=str
+    )
+    @given(data=st.data())
+    def test_berkowitz_at_one_is_det_of_one_minus_a(self, ring, data):
+        # det(t I - A) = sum c_k t^(n-k) at t = 1, on the integer rows of a
+        # (Q numerators, integers, residues), with every value reduced mod m
+        # on the finite rings.
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        big_a = SquareMatrix(ring, data.draw(entries_strategy(ring, n)).num)
+        cs = _berkowitz(big_a.num, ring.modulus)
+        eye = SquareMatrix.identity(ring, n)
+        assert ring.canon(sum(cs)) == det_bareiss(eye - big_a)
 
 
 class TestReducedEchelon:

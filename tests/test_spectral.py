@@ -1,6 +1,8 @@
 """Characteristic polynomials, nonzero-spectrum comparison, unit transfer."""
 
+import json
 import math
+import os
 import random
 import time
 from fractions import Fraction
@@ -10,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import drazinkit.drazin_core as drazin_core
-from drazinkit.drazin_core import Quadruple, _Resolvent, jacobson_inverse
+from drazinkit.drazin_core import Quadruple, _Resolvent, _shifted_det, jacobson_inverse
 from drazinkit.errors import (
     FormulaViolation,
     NotInvertible,
@@ -293,6 +295,32 @@ class TestScaledJacobsonInverse:
                 jacobson_inverse(q, lam)
 
 
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "corpus")
+
+
+def corpus_quadruple(name: str) -> Quadruple:
+    with open(os.path.join(CORPUS, name), encoding="utf-8") as f:
+        return Quadruple.from_json(json.load(f))
+
+
+def diagonal_ac_quadruple() -> Quadruple:
+    """ac = diag(1, 2) and bd = 0: lambda - ac is singular at 1 and 2,
+    lambda - bd a unit at every nonzero lambda."""
+    a = m(RING_Q, [[1, 0], [0, 2]])
+    zero = SquareMatrix.zeros(RING_Q, 2)
+    return Quadruple(a, zero, SquareMatrix.identity(RING_Q, 2), zero)
+
+
+# Rows at which lambda - ac is singular: both sides singular on the 3x3
+# corpus quadruple, the bd side a unit on the diagonal one.
+SINGULAR_AC_ROWS = [
+    (corpus_quadruple("quad_q3.json"), Fraction(-11)),
+    (corpus_quadruple("quad_q3.json"), Fraction(5)),
+    (diagonal_ac_quadruple(), Fraction(1)),
+]
+SINGULAR_AC_IDS = ["quad_q3 at -11", "quad_q3 at 5", "diag(1, 2) at 1"]
+
+
 class TestInvertibilityTransfer:
     def test_integer_demo_instance_at_lambda_one(self):
         q = integer_demo_over_q()
@@ -330,10 +358,35 @@ class TestInvertibilityTransfer:
 
     def test_singular_bd_side_beside_a_unit_ac_side_is_a_bug(self, monkeypatch):
         # At lambda = 2, lambda - ac is proven a unit, so lambda - bd is one
-        # too; a determinant that says otherwise is refused, not reported.
-        monkeypatch.setattr("drazinkit.spectral.det", lambda v: 0)
-        with pytest.raises(FormulaViolation):
+        # too; a characteristic polynomial of bd that says otherwise is
+        # refused, not reported. eps = 1 here, so its value at lambda = 2 is
+        # sum c_k 2^(n-k), which the shift makes 0.
+        def root_at_two(cs):
+            cs[-1] -= sum(c * 2 ** (len(cs) - 1 - k) for k, c in enumerate(cs))
+
+        monkeypatch.setattr(
+            "drazinkit.spectral._berkowitz", perturbed_berkowitz(root_at_two)
+        )
+        with pytest.raises(FormulaViolation, match="lambda - ac is a unit"):
             invertibility_transfer(example_quadruple("2.5"), [Fraction(2)])
+
+    @pytest.mark.parametrize("q, lam", SINGULAR_AC_ROWS, ids=SINGULAR_AC_IDS)
+    def test_determinant_disagreeing_at_a_singular_ac_side_is_a_bug(
+        self, monkeypatch, q, lam
+    ):
+        # Where lambda - ac is singular the bd verdict has no proof behind
+        # it, so the characteristic polynomial and the elimination
+        # determinant must agree; a determinant with the verdict flipped is
+        # refused in either direction.
+        row = invertibility_transfer(q, [lam]).rows[0]
+        assert not row.ac_side_invertible
+
+        def flipped(v):
+            return 0 if q.ring.is_unit_scalar(det(v)) else 1
+
+        monkeypatch.setattr("drazinkit.spectral.det", flipped)
+        with pytest.raises(FormulaViolation, match="disagree"):
+            invertibility_transfer(q, [lam])
 
     @given(st.integers(0, 300))
     def test_transfer_on_random_quadruples(self, pick):
@@ -743,3 +796,68 @@ class TestResolventTrust:
             invertibility_transfer(q, [Fraction(0), Fraction(2)])
         with pytest.raises(ZeroLambda, match="lambda must be nonzero"):
             jacobson_inverse(q, 0)
+
+
+# -- the bd side: one characteristic polynomial, det where ac is singular ------
+
+
+class TestBdSide:
+    @given(
+        st.integers(1, 4).flatmap(lambda n: st.lists(
+            st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )),
+        st.integers(-9, 9),
+        st.integers(1, 9),
+    )
+    def test_shifted_det_is_det_of_u_minus_s_a(self, rows, u, s):
+        # The one homogeneous Horner evaluation behind both sides of the
+        # transfer, against the Bareiss determinant of u I - s A.
+        a = SquareMatrix(RING_Z, rows)
+        eye = SquareMatrix.identity(RING_Z, a.n)
+        shifted = eye.scalar_mul(u) - a.scalar_mul(s)
+        assert _shifted_det(_berkowitz(rows), u, s) == det_bareiss(shifted)
+
+    def test_bd_verdicts_match_bareiss_on_rational_suite(self):
+        singular = 0
+        for q in seeded_rational_suite(40, seed=19):
+            eye = SquareMatrix.identity(q.ring, q.n)
+            for row in invertibility_transfer(q, transfer_lambdas(q)).rows:
+                shifted = eye.scalar_mul(row.lam) - q.bd
+                want = q.ring.is_unit_scalar(det_bareiss(shifted))
+                assert row.bd_side_invertible == want, (q, row.lam)
+                singular += not want
+        assert singular > 0
+
+    def test_det_runs_once_per_singular_ac_row_and_nowhere_else(self, monkeypatch):
+        calls = []
+
+        def counted(v):
+            calls.append(1)
+            return det(v)
+
+        monkeypatch.setattr("drazinkit.spectral.det", counted)
+        more = (
+            DEFAULT_LAMBDAS
+            + (Fraction(-11), Fraction(5))
+            + tuple(Fraction(k, 11) for k in range(1, 6))
+        )
+        assert len(more) == 14
+        quads = seeded_rational_suite(12, seed=41) + [
+            corpus_quadruple("quad_q3.json"),
+            diagonal_ac_quadruple(),
+            example_quadruple("2.5"),
+        ]
+        singular_rows = 0
+        for q in quads:
+            for lams in (DEFAULT_LAMBDAS, more):
+                calls.clear()
+                rows = invertibility_transfer(q, lams).rows
+                singular = sum(not r.ac_side_invertible for r in rows)
+                assert len(calls) == singular
+                singular_rows += singular
+                for lam in lams:
+                    calls.clear()
+                    row = invertibility_transfer(q, [lam]).rows[0]
+                    assert len(calls) == (0 if row.ac_side_invertible else 1)
+        assert singular_rows > 0

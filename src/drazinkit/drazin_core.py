@@ -39,6 +39,7 @@ from .matrix_rings import (
     Scalar,
     SquareMatrix,
     _berkowitz,
+    _first_power,
     _from_rows,
     _nilpotency_bound,
     in_radical,
@@ -247,25 +248,16 @@ def index_of(a: SquareMatrix) -> int:
     raise FormulaViolation("rank sequence failed to stabilize within n steps")
 
 
-def _power_identity_index(
-    a: SquareMatrix, x: SquareMatrix, bound: int
-) -> Optional[int]:
-    """Smallest k in [0, bound] with a^k - a^(k+1) x in the radical."""
-    a_k = SquareMatrix.identity(a.ring, a.n)
-    for k in range(bound + 1):
-        a_k1 = a_k * a
-        if in_radical(a_k - a_k1 * x):
-            return k
-        a_k = a_k1
-    return None
-
-
 def verify_axioms(a: SquareMatrix, x: SquareMatrix, flavor: Flavor) -> DrazinCertificate:
     """Certificate with the full transcript for x as a flavor-inverse of a.
 
     Failures are recorded in the transcript, never raised. The commuting
     axiom is checked as a x = x a; the literal double-commutant condition is
     enumerable only over finite rings and lives on the brute-force path.
+    Every flavor then walks the powers of the one core a - a^2 x once: to
+    zero for drazin, group and gdrazin, into the Jacobson radical for
+    pdrazin. A candidate passing both axioms gets the walk's degree as its
+    index, or 0 when a x = 1; any other candidate gets no index.
     """
     a._require_compatible(x)
     checks: list[AxiomCheck] = []
@@ -279,37 +271,32 @@ def verify_axioms(a: SquareMatrix, x: SquareMatrix, flavor: Flavor) -> DrazinCer
         AxiomCheck("absorbs", absorb, "x a x = x" if absorb else "x a x != x")
     )
     bound = _nilpotency_bound(a)
-    if flavor is Flavor.PDRAZIN:
-        index = _power_identity_index(a, x, bound)
-        checks.append(
-            AxiomCheck(
-                "core-radical",
-                index is not None,
-                f"a^k - a^(k+1) x in radical at k = {index}"
-                if index is not None
-                else f"a^k - a^(k+1) x outside radical for all k <= {bound}",
-            )
-        )
-        return DrazinCertificate(a, x, flavor, index, tuple(checks))
     # Quasinilpotent and nilpotent coincide in every ring supported here
     # (Koliha 1996): a finite ring is strongly pi-regular, and Z embeds in Q.
     # quadruple_lab.is_qnil_by_definition is the independent oracle. With
     # a x = x a and x a x = x, a x is an idempotent commuting with a, so
-    # (a - a^2 x)^k = a^k - a^(k+1) x for k >= 1: the index is the core's
-    # nilpotency degree, or 0 when a x = 1.
-    nil, degree = is_nilpotent(a - a * ax)
+    # (a - a^2 x)^k = a^k - a^(k+1) x for k >= 1, and the idempotent
+    # 1 - a x lies in the radical only when it is 0.
+    core = a - a * ax
+    pdrazin = flavor is Flavor.PDRAZIN
+    degree = _first_power(core, in_radical) if pdrazin else is_nilpotent(core)[1]
+    reached = degree is not None
     index = None
-    if commute and absorb and nil:
+    if commute and absorb and reached:
         index = 0 if ax == SquareMatrix.identity(a.ring, a.n) else degree
-    checks.append(
-        AxiomCheck(
-            "core-qnil" if flavor is Flavor.GDRAZIN else "core-nilpotent",
-            nil,
-            f"(a - a^2 x)^{degree} = 0"
-            if nil
-            else f"a - a^2 x not nilpotent within bound {bound}",
+    if pdrazin:
+        # Only the axioms make a^k - a^(k+1) x the core's k-th power.
+        power, k = (
+            ("a^k - a^(k+1) x", index) if commute and absorb else ("(a - a^2 x)^k", degree)
         )
-    )
+        name = "core-radical"
+        found = f"{power} in radical at k = {k}"
+        missed = f"{power} outside radical for all k <= {bound}"
+    else:
+        name = "core-qnil" if flavor is Flavor.GDRAZIN else "core-nilpotent"
+        found = f"(a - a^2 x)^{degree} = 0"
+        missed = f"a - a^2 x not nilpotent within bound {bound}"
+    checks.append(AxiomCheck(name, reached, found if reached else missed))
     if flavor is Flavor.GROUP:
         ok = index is not None and index <= 1
         witness = f"index {index}" if index is not None else "index undefined"

@@ -738,16 +738,26 @@ def _nilpotency_bound(a: SquareMatrix) -> int:
     return a.n
 
 
-def is_nilpotent(a: SquareMatrix) -> tuple[bool, int | None]:
-    """(True, degree) when some power vanishes, else (False, None)."""
+def _first_power(
+    a: SquareMatrix, reached: Callable[[SquareMatrix], bool]
+) -> int | None:
+    """Smallest k in [1, _nilpotency_bound(a)] with reached(a^k), else None:
+    the one walk over powers, to zero for is_nilpotent and into the radical
+    for the p-Drazin core. One product a step, none after the last check."""
     bound = _nilpotency_bound(a)
     b = a
     for k in range(1, bound + 1):
-        if b.is_zero:
-            return True, k
+        if reached(b):
+            return k
         if k < bound:
             b = b * a
-    return False, None
+    return None
+
+
+def is_nilpotent(a: SquareMatrix) -> tuple[bool, int | None]:
+    """(True, degree) when some power vanishes, else (False, None)."""
+    degree = _first_power(a, lambda b: b.is_zero)
+    return degree is not None, degree
 
 
 def in_radical(a: SquareMatrix) -> bool:

@@ -20,7 +20,7 @@ import itertools
 import operator
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator
 
@@ -53,6 +53,12 @@ from .matrix_rings import (
 DEFAULT_SEED = 0x5EED
 
 MAX_SPACE_ELEMENTS = 512  # element indices must fit array("H") in PackedSpace
+
+# The check brute force adds to every certificate it returns: only a
+# candidate x that passes it reaches verify_axioms.
+_DOUBLE_COMMUTANT = AxiomCheck(
+    "double-commutant", True, "x commutes with every element of comm(a)"
+)
 
 # Cap on coefficient tuples examined when enumerating an infinite solution
 # coset over Q; keeps solve_for_d total even when the nullspace is large.
@@ -105,6 +111,23 @@ def _product_table(m: int, n: int) -> list[list[int]]:
     return table
 
 
+def _space_refusal(ring: RingSpec, n: int) -> str | None:
+    """Why M_n over a finite ring is over MAX_SPACE_ELEMENTS, or None when it
+    fits. Past n * n = 9, where every m >= 2 is over, or past m = 512, the
+    count is written m^(n^2), never computed: str() may not print it."""
+    m, cells = ring.modulus, n * n
+    if cells <= 9 and m <= MAX_SPACE_ELEMENTS:
+        count = m**cells
+        if count <= MAX_SPACE_ELEMENTS:
+            return None
+    else:
+        count = m if cells == 1 else f"{m}^{cells}"
+    return (
+        f"{ring} dimension {n} has {count} matrices, over the "
+        f"{MAX_SPACE_ELEMENTS}-element enumeration budget"
+    )
+
+
 class PackedSpace:
     """Index tables for one finite matrix space, built once and cached.
 
@@ -114,12 +137,9 @@ class PackedSpace:
 
     def __init__(self, ring: RingSpec, n: int):
         assert ring.is_finite and ring.modulus is not None
-        count = ring.modulus ** (n * n)
-        if count > MAX_SPACE_ELEMENTS:
-            raise BudgetExceeded(
-                f"{ring} dimension {n} has {count} matrices, over the "
-                f"{MAX_SPACE_ELEMENTS}-element enumeration budget"
-            )
+        refusal = _space_refusal(ring, n)
+        if refusal is not None:
+            raise BudgetExceeded(refusal)
         self.ring = ring
         self.n = n
         self.elements: list[SquareMatrix] = list(all_matrices(ring, n))
@@ -195,20 +215,7 @@ class PackedSpace:
             if not self.double_comm(i, x):
                 continue
             cert = verify_axioms(a, self.elements[x], flavor)
-            cert = DrazinCertificate(
-                cert.element,
-                cert.inverse,
-                cert.flavor,
-                cert.index,
-                cert.checks
-                + (
-                    AxiomCheck(
-                        "double-commutant",
-                        True,
-                        "x commutes with every element of comm(a)",
-                    ),
-                ),
-            )
+            cert = replace(cert, checks=cert.checks + (_DOUBLE_COMMUTANT,))
             if cert.valid:
                 found.append(cert)
         result = tuple(found)
@@ -250,10 +257,6 @@ def is_qnil_by_definition(a: SquareMatrix) -> bool:
     """True iff 1 + a x is a unit for every x in comm(a)."""
     space = get_space(a.ring, a.n)
     return space.is_qnil(space.index[a])
-
-
-def _fits_space_budget(ring: RingSpec, n: int) -> bool:
-    return ring.is_finite and ring.modulus ** (n * n) <= MAX_SPACE_ELEMENTS
 
 
 def qnil_transfer_check(q: Quadruple) -> dict[str, object]:
@@ -309,7 +312,7 @@ def solve_for_d(
         raise DrazinkitError("budget must be >= 1")
     _check_solve_budget(a.n)
     ring = a.ring
-    if _fits_space_budget(ring, a.n):
+    if ring.is_finite and _space_refusal(ring, a.n) is None:
         return _solve_by_enumeration(a, b, c, budget)
     if ring.is_field:
         return _solve_by_elimination(a, b, c, budget)
@@ -473,7 +476,7 @@ def enumerate_quadruples(
     if space.strategy is Strategy.EXHAUSTIVE:
         # Count before building the tables; a space over the element budget
         # is still reported first, by get_space.
-        if _fits_space_budget(space.ring, space.n):
+        if _space_refusal(space.ring, space.n) is None:
             total = space.ring.modulus ** (space.n * space.n * 4)
             if total > space.budget:
                 raise BudgetExceeded(

@@ -157,6 +157,21 @@ class TestDrazin:
         assert code == 1
         assert "oracle" in json.loads(err)["detail"]
 
+    def test_huge_modulus_over_the_enumeration_budget(self, capsys, tmp_path):
+        # M3(Z/m) with a 1501-digit m: m^9 would have more digits than
+        # str() prints, so the refusal writes the count as a power.
+        big = 10**1500 + 1
+        eye = matrix_to_json(SquareMatrix.identity(zmod(big), 3))
+        path = write_json(tmp_path / "quad_big.json", {k: eye for k in "abcd"})
+        code, out, err = run(capsys, "cline", "--in", path)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["detail"] == (
+            f"Zmod({big}) dimension 3 has {big}^9 matrices, over the "
+            "512-element enumeration budget"
+        )
+
     def test_gdrazin_over_gf5(self, capsys, tmp_path):
         # GF(5) 2x2 has 625 matrices, past the 512-element enumeration
         # tables; the g-Drazin core is checked by nilpotency instead.
@@ -633,6 +648,36 @@ def test_closed_stdout_exits_quietly(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("command", ["search", "oracle"])
+def test_huge_dimension_is_refused_without_a_traceback(command, tmp_path):
+    # M120(GF(2)) has 2^14400 matrices; a count with 4335 digits is past
+    # Python's integer-to-text limit, so the refusal writes it as a power.
+    src = os.path.dirname(os.path.dirname(drazinkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if command == "search":
+        argv = ["search", "--ring", "gf2", "--dim", "120", "--strategy", "exhaustive"]
+    else:
+        zero = matrix_to_json(SquareMatrix.zeros(gf(2), 120))
+        argv = ["oracle", "--in", write_json(tmp_path / "zero.json", zero), "--ring", "gf2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "drazinkit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "rejected",
+        "detail": "GF(2) dimension 120 has 2^14400 matrices, over the "
+        "512-element enumeration budget",
+    }
 
 
 def test_package_runs_as_a_module():

@@ -1,5 +1,6 @@
 """Inverse construction, axiom verification, and the product-swap formulas."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,11 +38,17 @@ from drazinkit.matrix_rings import (
     _nilpotency_bound,
     all_matrices,
     gf,
+    in_radical,
     inverse,
     over_q,
     zmod,
 )
-from drazinkit.quadruple_lab import get_space, seeded_rational_suite
+from drazinkit.quadruple_lab import (
+    get_space,
+    random_invertible_matrix,
+    random_matrix,
+    seeded_rational_suite,
+)
 
 
 def m(ring, rows) -> SquareMatrix:
@@ -167,17 +174,12 @@ class TestSingleConstruction:
         assert cert.valid and cert.flavor is flavor and cert.index == 1
         assert verify_calls == [flavor]
 
-    @pytest.mark.parametrize(
-        "flavor, products",
-        [(Flavor.DRAZIN, 6), (Flavor.GROUP, 6), (Flavor.GDRAZIN, 6), (Flavor.PDRAZIN, 7)],
-        ids=lambda v: getattr(v, "value", v),
-    )
-    def test_invertible_element_costs_no_identity_products(
-        self, monkeypatch, flavor, products
-    ):
+    @pytest.mark.parametrize("flavor", list(Flavor), ids=lambda f: f.value)
+    def test_invertible_element_costs_no_identity_products(self, monkeypatch, flavor):
         # Index 0: x is the inner inverse of a itself, with no a^0 = I
-        # factors around it. Two products confirm a x a = a, four verify
-        # the axioms, and the p-Drazin radical walk takes one more.
+        # factors around it. Two products confirm a x a = a and four verify
+        # the axioms; the core a - a^2 x is already zero (or in the radical)
+        # at its first power, so no flavor's walk takes another.
         calls = []
         mul = SquareMatrix.__mul__
 
@@ -189,7 +191,7 @@ class TestSingleConstruction:
         a = m(RING_Q, [[2, 1, 0], [1, 1, 0], [0, Fraction(1, 3), 5]])
         cert = flavor_inverse(a, flavor)
         assert cert.valid and cert.index == 0
-        assert len(calls) == products
+        assert len(calls) == 6
 
     def test_group_refusal_builds_nothing(self, verify_calls):
         a = m(RING_Q, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -265,12 +267,14 @@ class TestVerifyAxioms:
         assert "(a - a^2 x)^2 = 0" in [c.witness for c in cert.checks]
 
 
-def reference_index(a: SquareMatrix, x: SquareMatrix):
-    """Smallest k <= the nilpotency bound with a^k - a^(k+1) x = 0."""
+def reference_index(a: SquareMatrix, x: SquareMatrix, reached=lambda b: b.is_zero):
+    """Smallest k <= the nilpotency bound with reached(a^k - a^(k+1) x):
+    zero, or with in_radical the p-Drazin index. The walk is over a^k and
+    a^(k+1) x, two products a step, independently of the core."""
     a_k = SquareMatrix.identity(a.ring, a.n)
     for k in range(_nilpotency_bound(a) + 1):
         a_k1 = a_k * a
-        if (a_k - a_k1 * x).is_zero:
+        if reached(a_k - a_k1 * x):
             return k
         a_k = a_k1
     return None
@@ -280,8 +284,9 @@ NILPOTENT_FLAVORS = (Flavor.DRAZIN, Flavor.GROUP, Flavor.GDRAZIN)
 
 
 class TestIndexFromCore:
-    """The index is read off the core's one nilpotency proof; with x
-    commuting and absorbing it is the smallest k with a^k = a^(k+1) x."""
+    """The index is read off the core's one walk; with x commuting and
+    absorbing it is the smallest k with a^k = a^(k+1) x, or for pdrazin
+    with a^k - a^(k+1) x in the radical."""
 
     @staticmethod
     def expected(a, x):
@@ -312,6 +317,9 @@ class TestIndexFromCore:
             want = reference_index(a, x)
             for flavor in NILPOTENT_FLAVORS:
                 assert verify_axioms(a, x, flavor).index == want, (a, x, flavor)
+            want = reference_index(a, x, in_radical)
+            cert = verify_axioms(a, x, Flavor.PDRAZIN)
+            assert (cert.index, cert.valid) == (want, want is not None), (a, x)
 
     def test_rational_suite(self):
         for q in seeded_rational_suite(60, seed=9301):
@@ -344,6 +352,97 @@ class TestIndexFromCore:
             cert = verify_axioms(a, x, flavor)
             assert cert.index is None
             assert [c.check for c in cert.checks if not c.passed][0] == "commutes"
+
+
+def block_pair(ring, rng, n, rad):
+    """(a, x) = (P diag(U, N) P^-1, P diag(U^-1, 0) P^-1): x commutes with a
+    and absorbs it. N is rad times a random block plus a random block that
+    is strictly upper triangular, so N is nilpotent modulo the radical, or,
+    half the time, arbitrary, so the core usually stays outside it."""
+    r = rng.randint(0, n)
+    upper = rng.random() < 0.5
+    a_rows = [[0] * n for _ in range(n)]
+    x_rows = [[0] * n for _ in range(n)]
+    if r:
+        u = random_invertible_matrix(ring, r, rng)
+        for i, (u_row, v_row) in enumerate(zip(u.entries, inverse(u).entries)):
+            a_rows[i][:r], x_rows[i][:r] = u_row, v_row
+    for i in range(r, n):
+        for j in range(r, n):
+            a_rows[i][j] = rad * rng.randrange(ring.modulus)
+            if j > i or not upper:
+                a_rows[i][j] += rng.randrange(ring.modulus)
+    p = random_invertible_matrix(ring, n, rng)
+    p_inv = inverse(p)
+    return p * m(ring, a_rows) * p_inv, p * m(ring, x_rows) * p_inv
+
+
+class TestPDrazinFromCore:
+    """The p-Drazin core check walks the powers of a - a^2 x into the
+    radical, as the other flavors walk them to zero; with x commuting and
+    absorbing it finds the smallest k with a^k - a^(k+1) x in the radical."""
+
+    def test_seeded_pairs_over_residue_rings(self):
+        rng = random.Random(20)
+        kinds = {"valid": 0, "axioms, core outside": 0, "axiom fails": 0}
+        for ring, rad in ((zmod(8), 2), (zmod(9), 3), (zmod(12), 6)):
+            for n in (1, 2, 3):
+                for _ in range(40):
+                    draw = rng.random()
+                    if draw < 0.5:
+                        a, x = block_pair(ring, rng, n, rad)
+                    elif draw < 0.75:
+                        # c0 + c1 a commutes with a, and rarely absorbs it.
+                        a = random_matrix(ring, n, rng)
+                        c0, c1 = (rng.randrange(ring.modulus) for _ in range(2))
+                        x = SquareMatrix.identity(ring, n).scalar_mul(c0) + a.scalar_mul(c1)
+                    else:
+                        a, x = (random_matrix(ring, n, rng) for _ in range(2))
+                    ax = a * x
+                    axioms = ax == x * a and x * ax == x
+                    want = reference_index(a, x, in_radical)
+                    cert = verify_axioms(a, x, Flavor.PDRAZIN)
+                    assert cert.valid == (axioms and want is not None), (a, x)
+                    assert cert.index == (want if axioms else None), (a, x)
+                    if not axioms:
+                        kinds["axiom fails"] += 1
+                    elif cert.valid:
+                        kinds["valid"] += 1
+                    else:
+                        kinds["axioms, core outside"] += 1
+        assert all(kinds.values()), kinds
+
+    def test_failing_axioms_give_no_index_in_any_flavor(self):
+        # a x = 0 != x a and x a x = 0 != x, yet the core a is nilpotent:
+        # a^2 - a^3 x = 0 would give index 2 without the axioms.
+        a = m(RING_Q, [[0, 1], [0, 0]])
+        x = m(RING_Q, [[1, 0], [0, 0]])
+        assert reference_index(a, x, in_radical) == 2
+        cores = {}
+        for flavor in Flavor:
+            cert = verify_axioms(a, x, flavor)
+            assert cert.index is None and not cert.valid
+            (core,) = [c for c in cert.checks if c.check.startswith("core-")]
+            cores[flavor] = core
+        assert {c.passed for c in cores.values()} == {True}
+        assert cores[Flavor.PDRAZIN].witness == "(a - a^2 x)^k in radical at k = 2"
+        assert cores[Flavor.DRAZIN].witness == "(a - a^2 x)^2 = 0"
+
+    def test_witness_names_a_k_only_under_the_axioms(self):
+        eye = SquareMatrix.identity(zmod(4), 1)
+        zero = SquareMatrix.zeros(zmod(4), 1)
+        shift = m(zmod(4), [[0, 1], [0, 0]])
+        # x = 0 commutes and absorbs; the core 1 never reaches the radical.
+        assert verify_axioms(eye, zero, Flavor.PDRAZIN).checks[-1].witness == (
+            "a^k - a^(k+1) x outside radical for all k <= 2"
+        )
+        assert verify_axioms(eye, eye, Flavor.PDRAZIN).checks[-1].witness == (
+            "a^k - a^(k+1) x in radical at k = 0"
+        )
+        # x = shift commutes with 1 but fails x a x = x; core 1 - shift.
+        cert = verify_axioms(SquareMatrix.identity(zmod(4), 2), shift, Flavor.PDRAZIN)
+        assert cert.index is None and not cert.checks[-1].passed
+        assert cert.checks[-1].witness == "(a - a^2 x)^k outside radical for all k <= 4"
 
 
 class TestQuadruple:

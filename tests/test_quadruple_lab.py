@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -258,6 +259,22 @@ class TestBruteForce:
             if pd:
                 assert gd and pd <= gd
 
+    def test_pdrazin_sweep_over_m2_z4_walks_one_core(self, monkeypatch):
+        # One product a step of the core walk: 2416 products over all 256
+        # elements, where a second walk over a^k and a^(k+1) x made 4192.
+        space = quadruple_lab.PackedSpace(Z4, 2)
+        calls = []
+        mul = SquareMatrix.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(SquareMatrix, "__mul__", counted)
+        for i in range(len(space.elements)):
+            space.brute(i, Flavor.PDRAZIN)
+        assert len(calls) <= 2416
+
     def test_pdrazin_equals_drazin_on_m2_z4(self):
         # The radical of M2(Z/4) is nil, so a p-Drazin inverse is the Drazin
         # inverse; only its index can be smaller.
@@ -423,6 +440,41 @@ class TestPackedSpace:
     def test_large_space_rejected(self):
         with pytest.raises(BudgetExceeded):
             get_space(gf(3), 3)
+
+    def test_large_dimension_rejected_before_counting(self):
+        # 2^(10^8) takes 12.5 MB and has more digits than str() prints;
+        # past n * n = 9 the count is written as a power, never computed.
+        start = time.perf_counter()
+        with pytest.raises(
+            BudgetExceeded, match=r"^GF\(2\) dimension 10000 has 2\^100000000 matrices"
+        ):
+            get_space(GF2, 10**4)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "ring, n, count",
+        [(GF2, 3, None), (GF2, 4, "2^16"), (gf(5), 2, "625"), (zmod(6), 2, "1296"),
+         (gf(3), 3, "19683"), (zmod(97), 1, None), (zmod(513), 1, "513")],
+        ids=str,
+    )
+    def test_space_refusal_text(self, ring, n, count):
+        refusal = quadruple_lab._space_refusal(ring, n)
+        if count is None:
+            assert refusal is None
+        else:
+            assert refusal == (
+                f"{ring} dimension {n} has {count} matrices, over the "
+                "512-element enumeration budget"
+            )
+
+    def test_huge_modulus_refused_without_its_power(self):
+        # m^4 has 6004 digits, past the 4300 that str() prints; m has 1501.
+        big = 10**1500 + 1
+        assert quadruple_lab._space_refusal(zmod(big), 2) == (
+            f"Zmod({big}) dimension 2 has {big}^4 matrices, over the "
+            "512-element enumeration budget"
+        )
+        assert f"has {big} matrices" in quadruple_lab._space_refusal(zmod(big), 1)
 
     def test_infinite_ring_rejected(self):
         with pytest.raises(DrazinkitError):

@@ -16,6 +16,11 @@ into it, and _from_rows puts every derived matrix into it from integer
 rows over a denominator. Sums, negations, scalar multiples, inverses and
 the resolvent's combinations all go through _from_rows. Only the product
 reduces inline, mod m and on its den = 1 path, since it is the hot path.
+Its rows come, for n <= _UNROLL_MAX_N = 4, from a kernel generated and
+compiled once per dimension, with every entry an explicit sum of n
+products; above the bound, where no measured workload runs and each
+process would pay a compile growing as n^3, one listcomp computes the
+rows. SquareMatrix.__mul__ is the one entry point of both.
 
 Matrices are immutable and hashable, so they can serve as cache keys for
 the brute-force layers built on top.
@@ -47,11 +52,16 @@ Scalar = Fraction | int
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _NONNEG_RE = re.compile(r"^\d+$")
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The smallest strong pseudoprime to every prime base up to 41 (Sorenson and
+# Webster, Math. Comp. 86, 2017): Miller-Rabin on _MR_WITNESSES decides
+# primality exactly below it, and proves nothing at or above it.
+_MR_PROVEN_BELOW = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the witness set covers far beyond 2**64."""
+    """Deterministic Miller-Rabin, exact for n < _MR_PROVEN_BELOW."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -91,6 +101,13 @@ class RingSpec:
             if self.modulus is not None:
                 raise DrazinkitError(f"{self.kind} takes no modulus")
         elif self.kind == "GF":
+            if self.modulus is not None and self.modulus >= _MR_PROVEN_BELOW:
+                # A composite this large can pass every base: primality is
+                # unproven, not disproven.
+                raise NotAField(
+                    f"GF modulus has unproven primality: Miller-Rabin on the prime "
+                    f"bases up to 41 is exact only below {_MR_PROVEN_BELOW}"
+                )
             if self.modulus is None or not _is_prime(self.modulus):
                 raise NotAField(f"GF modulus must be prime, got {self.modulus}")
         elif self.kind == "Zmod":
@@ -347,23 +364,37 @@ class SquareMatrix:
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
         """Row-by-column integer dot products, one per output entry.
 
-        Over GF(m) and Z/m the dot product is reduced mod m. Over Q the
-        numerator rows multiply as integers over the product of the two
-        denominators, and one gcd over the result puts it in lowest terms.
+        For n <= _UNROLL_MAX_N the rows come from the kernel that
+        _product_kernels(n) generates, straight-line code with each entry
+        written out as its n products; above the bound one listcomp
+        computes them. This method is the only caller of either, so every
+        product passes through it. Over GF(m) and Z/m each entry is reduced
+        mod m. Over Q the numerator rows multiply as integers over the
+        product of the two denominators, and one gcd over the result puts
+        it in lowest terms.
         """
         ring = self.ring
-        if (ring is not other.ring and ring != other.ring) or self.n != other.n:
+        n = self.n
+        if (ring is not other.ring and ring != other.ring) or n != other.n:
             self._require_compatible(other)
-        cols = tuple(zip(*other.num))
-        # List comprehensions, which run faster than generator expressions
-        # on every Python this package supports.
         m = ring.modulus
+        if n <= _UNROLL_MAX_N:
+            kernels = _KERNELS.get(n) or _product_kernels(n)
+            rows = kernels[m is not None](self.num, other.num, m)
+        else:
+            cols = tuple(zip(*other.num))
+            # List comprehensions, which run faster than generator
+            # expressions on every Python this package supports.
+            if m is None:
+                rows = tuple(
+                    [tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num]
+                )
+            else:
+                rows = tuple(
+                    [tuple([sum(map(mul, row, col)) % m for col in cols]) for row in self.num]
+                )
         if m is not None:
-            rows = tuple(
-                [tuple([sum(map(mul, row, col)) % m for col in cols]) for row in self.num]
-            )
             return SquareMatrix._trusted(ring, rows)
-        rows = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num])
         den = self.den * other.den
         if den == 1:
             return SquareMatrix._trusted(ring, rows)
@@ -400,6 +431,58 @@ class SquareMatrix:
 _set_ring, _set_n, _set_num, _set_den = (
     SquareMatrix.__dict__[slot].__set__ for slot in SquareMatrix.__slots__
 )
+
+
+# -- the product kernel --------------------------------------------------------
+
+# Products up to this dimension run unrolled: every product of both
+# benchmark workloads (n <= 4) and of every PackedSpace (n <= 3). The
+# kernels' source has n^3 terms, so their one-off compile, paid again by
+# each process, grows as n^3: both kernels of one n take about 1.2 ms at
+# n = 4, 6 ms at n = 8 and 42 ms at n = 16 (Python 3.11 on a shared 2-vCPU
+# Xeon VM). No workload measures a gain above 4, so larger n keep the
+# listcomp.
+_UNROLL_MAX_N = 4
+
+# n -> the compiled kernels (Q and Z, GF(m) and Z/m); filled on first use.
+_KERNELS: dict[int, tuple[Callable, Callable]] = {}
+
+
+def _product_kernels(n: int) -> tuple[Callable, Callable]:
+    """The pair of kernel(a, b, m) for n x n integer rows, plain then mod m.
+
+    A kernel returns the rows of the product of the num tuples a and b.
+    Its generated body unpacks both into locals and writes each of the n^2
+    entries out as an explicit sum of n products, reduced mod m in the
+    second kernel (the first ignores m): no loop and no transpose. Built
+    once per n and cached in _KERNELS; only SquareMatrix.__mul__ calls them.
+    """
+
+    def grid(cell: Callable[[int, int], str]) -> str:
+        # Nested tuple displays with a comma after every item, so that
+        # n = 1 reads ((x, ), ).
+        def tup(items: Iterable[str]) -> str:
+            return "(" + "".join(f"{x}, " for x in items) + ")"
+
+        return tup(tup(cell(i, j) for j in range(n)) for i in range(n))
+
+    def dot(i: int, j: int) -> str:
+        return "(" + " + ".join(f"a{i * n + k} * b{k * n + j}" for k in range(n)) + ")"
+
+    unpack_a = grid(lambda i, j: f"a{i * n + j}")
+    unpack_b = grid(lambda i, j: f"b{i * n + j}")
+    kernels = []
+    for mod in ("", " % m"):
+        rows = grid(lambda i, j: dot(i, j) + mod)
+        source = (
+            f"def kernel(a, b, m):\n"
+            f"    {unpack_a} = a\n    {unpack_b} = b\n    return {rows}\n"
+        )
+        namespace: dict[str, Callable] = {}
+        exec(compile(source, f"<product kernel n={n}>", "exec"), namespace)
+        kernels.append(namespace["kernel"])
+    pair = _KERNELS[n] = (kernels[0], kernels[1])
+    return pair
 
 
 # -- elimination ---------------------------------------------------------------

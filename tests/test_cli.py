@@ -299,6 +299,31 @@ def test_unreadable_input_is_malformed(command, text, capsys, tmp_path):
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "malformed-input"
 
 
+# A GF modulus that is not proven prime is malformed input, as {"GF": 4} is.
+# 318665857834031151167461 = 399165290221 * 798330580441 passes Miller-Rabin
+# on every prime base up to 37; over it as a field, elimination would meet
+# the non-invertible pivot 399165290221. 3317044064679887385961981 passes
+# every prime base up to 41, the last base used, so its primality is
+# unproven.
+NOT_A_FIELD = {
+    "composite": (4, "must be prime"),
+    "pseudoprime-to-37": (318665857834031151167461, "must be prime"),
+    "pseudoprime-to-41": (3317044064679887385961981, "unproven"),
+}
+
+
+@pytest.mark.parametrize("modulus, detail", NOT_A_FIELD.values(), ids=list(NOT_A_FIELD))
+def test_gf_modulus_not_proven_prime_is_malformed(modulus, detail, capsys, tmp_path):
+    matrix = {"ring": {"GF": modulus}, "rows": [["399165290221", "0"], ["0", "1"]]}
+    code, out, err = run(capsys, "drazin", "--in", write_json(tmp_path / "m.json", matrix))
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["error"] == "malformed-input" and detail in report["detail"]
+
+
 def long_rational(text: str) -> Fraction:
     """A printed "p" or "p/q" of any length, read in chunks of 500 digits
     so the interpreter's digit limit stays as it is."""

@@ -30,7 +30,10 @@ both strategies: the exhaustive sweeps over GF(2) at dimensions 1 and 2
 and over Z/4 and GF(3) at dimension 1, 200 linear-solve draws over Z/4 at
 dimension 2, and 300 seeded linear-solve draws over GF(2) at dimension 3,
 whose 512 matrices are the largest space the enumeration tables take.
-Every hash was
+An eighth group pins drazin, and verify on the quadruple built from its
+report, on 4x4 and 5x5 Q matrices of index 3, the two sides of the
+product kernel's unroll bound, and on 8x8 and 9x9 Q matrices of index 3
+and 4, the largest pinned. Every hash was
 recorded before the code it pins was reworked, so a changed byte in any
 of these reports fails here.
 """
@@ -171,6 +174,64 @@ INPUTS = {
     "matrix_q_index2.json": {
         "ring": "Q",
         "rows": [["0", "1", "2"], ["0", "0", "3"], ["0", "0", "1"]],
+    },
+    # Q matrices P J P^-1, with J a nilpotent part of index 3 (4x4, 5x5 and
+    # 8x8) or 4 (9x9) beside an invertible core with fractional entries, and
+    # P a unimodular integer matrix, so the entries have mixed signs and
+    # denominators. n = 4 and n = 5 are the two sides of the product
+    # kernel's unroll bound.
+    "matrix_q4_index3.json": {
+        "ring": "Q",
+        "rows": [
+            ["-23/2", "-13/2", "3/2", "-34"],
+            ["-7/2", "21/2", "35/2", "6"],
+            ["5/2", "-3/2", "-7/2", "3"],
+            ["7/2", "-3/2", "-11/2", "6"],
+        ],
+    },
+    "matrix_q5_index3.json": {
+        "ring": "Q",
+        "rows": [
+            ["2", "-29/3", "7/3", "-43/3", "-16/3"],
+            ["-1", "7", "3", "7", "3"],
+            ["0", "-11/3", "-5/3", "-16/3", "-4/3"],
+            ["0", "2", "-1", "9/2", "1"],
+            ["2", "-73/3", "-13/3", "-107/3", "-32/3"],
+        ],
+    },
+    "matrix_q8_index3.json": {
+        "ring": "Q",
+        "rows": [
+            ["-29/10", "-1/5", "3/10", "-4/5", "-1", "1", "9/10", "-1"],
+            ["22/5", "-137/15", "51/5", "107/15", "1/3", "-1/3", "-12/5", "5/3"],
+            ["-9/2", "-22", "41/2", "12", "-6", "5", "-5/2", "-1"],
+            ["9", "20", "-17", "-10", "8", "-6", "1", "2"],
+            ["10", "67/3", "-20", "-34/3", "26/3", "-20/3", "1", "7/3"],
+            ["136/5", "133/5", "-97/5", "-33/5", "17", "-15", "-6/5", "9"],
+            ["-47/10", "-44/15", "29/10", "-16/15", "-5/3", "8/3", "7/10", "-7/3"],
+            ["22", "-4", "8", "12", "8", "-9", "-5", "9"],
+        ],
+    },
+    "matrix_q9_index4.json": {
+        "ring": "Q",
+        "rows": [
+            ["605/7", "-3", "-194/7", "29/21", "398/21",
+             "-106/21", "-55/7", "50/21", "143/21"],
+            ["272/7", "-3", "-73/7", "-4/7", "60/7", "-17/7", "-19/7", "3/7", "30/7"],
+            ["2211/14", "-31/4", "-1343/28", "121/42", "755/21",
+             "-359/42", "-111/7", "205/42", "1433/84"],
+            ["937/14", "-3/4", "-643/28", "31/14", "114/7",
+             "-45/14", "-69/7", "31/14", "207/28"],
+            ["-437/7", "-7/2", "367/14", "-1/21", "-223/21",
+             "113/21", "6/7", "-22/21", "295/42"],
+            ["4861/14", "-47/4", "-3139/28", "337/42", "1655/21",
+             "-785/42", "-276/7", "421/42", "2897/84"],
+            ["-557/7", "1", "191/7", "-41/21", "-365/21",
+             "97/21", "50/7", "-62/21", "-95/21"],
+            ["321/7", "4", "-143/7", "17/7", "67/7", "-24/7", "-26/7", "17/7", "-26/7"],
+            ["-1709/14", "23/4", "1051/28", "-145/42", "-596/21",
+             "257/42", "99/7", "-187/42", "-1241/84"],
+        ],
     },
 }
 
@@ -371,3 +432,53 @@ def test_report_bytes_are_pinned(argv, exit_code, sha256, capsys, tmp_path):
         exit_code,
         sha256,
     )
+
+
+# drazin on a Q matrix at n = 4 and n = 5, one each side of the product
+# kernel's unroll bound, and at n = 8 and n = 9, then verify on the classical
+# quadruple (a, x, x, a) built from that report's element a and inverse x, so
+# verify's four triple products run on the computed inverse.
+DRAZIN_THEN_VERIFY = [
+    pytest.param(
+        "matrix_q4_index3.json",
+        "a64bcd8ea32ba18c2007ef7f3bdd2d88ce8342c23879d00fbc099305f6dfbb12",
+        "d2393384a16a056e08a06c5cd0a114b1ef02430967e8ec386e4e00d7da284bf2",
+        id="q4-index3",
+    ),
+    pytest.param(
+        "matrix_q5_index3.json",
+        "c4228b73e1c4a13b926e30b51ad1de210d1f59fbe20da6c1d58eabd9cf11415f",
+        "f2b89a12d17977901b0f5669987b3c6643a10b01e0f72c1581171edc6d7bb560",
+        id="q5-index3",
+    ),
+    pytest.param(
+        "matrix_q8_index3.json",
+        "93a36fc108c646a03d5b1c1acbe2d99b0a02d1adba989fa27a956b15e8c56c54",
+        "ddd52f44b41d2fb67448a51f1d1a8ff8066a040fc61be6f9a037e16261b8fb34",
+        id="q8-index3",
+    ),
+    pytest.param(
+        "matrix_q9_index4.json",
+        "7e207f41fe48f6bd5e46978224f3b063e83218159927bbb4298620308c5ed19c",
+        "f59d5844b9eed789856bb397a7972aca0421f29f15dc63d8d80fd00f3a347bd6",
+        id="q9-index4",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, drazin_sha256, verify_sha256", DRAZIN_THEN_VERIFY)
+def test_drazin_and_verify_bytes_are_pinned(
+    name, drazin_sha256, verify_sha256, capsys, tmp_path
+):
+    matrix = tmp_path / name
+    matrix.write_text(json.dumps(INPUTS[name]), encoding="utf-8")
+    code = main(["drazin", "--in", str(matrix)])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (0, drazin_sha256)
+    cert = json.loads(out)
+    a, x = cert["element"], cert["inverse"]
+    quad = tmp_path / "classical.json"
+    quad.write_text(json.dumps({"a": a, "b": x, "c": x, "d": a}), encoding="utf-8")
+    code = main(["verify", "--in", str(quad)])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (0, verify_sha256)

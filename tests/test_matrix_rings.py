@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drazinkit.drazin_core import Flavor, verify_axioms
@@ -24,8 +24,12 @@ from drazinkit.matrix_rings import (
     RING_Z,
     RingSpec,
     SquareMatrix,
+    _KERNELS,
+    _MR_PROVEN_BELOW,
+    _UNROLL_MAX_N,
     _berkowitz,
     _from_rows,
+    _is_prime,
     all_matrices,
     det,
     det_bareiss,
@@ -176,13 +180,14 @@ def reference_product(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
     """Triple loop on the scalars, one entry at a time, reduced mod m after
     every step on the finite rings."""
     ring, m = a.ring, a.ring.modulus
+    ea, eb = a.entries, b.entries
     rows = []
     for i in range(a.n):
         row = []
         for j in range(a.n):
             acc = 0
             for k in range(a.n):
-                acc += a.entries[i][k] * b.entries[k][j]
+                acc += ea[i][k] * eb[k][j]
                 if m is not None:
                     acc %= m
             row.append(acc)
@@ -229,8 +234,8 @@ def assert_canonical(r: SquareMatrix) -> None:
 KERNEL_RINGS = [RING_Q, RING_Z, gf(5), gf(7), zmod(4), zmod(12)]
 
 
-def kernel_operands(data, ring: RingSpec, count: int) -> list[SquareMatrix]:
-    n = data.draw(st.integers(min_value=1, max_value=4))
+def kernel_operands(data, ring: RingSpec, count: int, max_n: int = 4) -> list[SquareMatrix]:
+    n = data.draw(st.integers(min_value=1, max_value=max_n))
     return [data.draw(entries_strategy(ring, n, max_denominator=12)) for _ in range(count)]
 
 
@@ -241,6 +246,32 @@ class TestRingSpec:
         with pytest.raises(NotAField):
             gf(1)
         assert gf(2).is_field and gf(97).is_field
+
+    def test_is_prime_matches_a_sieve(self):
+        limit = 10**5
+        sieve = bytearray([1]) * (limit + 1)
+        sieve[0] = sieve[1] = 0
+        for p in range(2, int(limit**0.5) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+        assert [n for n in range(limit + 1) if _is_prime(n)] == [
+            n for n in range(limit + 1) if sieve[n]
+        ]
+
+    def test_strong_pseudoprimes_are_refused(self):
+        # Strong pseudoprime to every prime base up to 37: base 41 exposes it.
+        assert 399165290221 * 798330580441 == 318665857834031151167461
+        assert not _is_prime(318665857834031151167461)
+        with pytest.raises(NotAField, match="must be prime"):
+            gf(318665857834031151167461)
+        # Strong pseudoprime to every prime base up to 41, the first modulus
+        # the test cannot decide: refused as unproven, not as composite.
+        assert _MR_PROVEN_BELOW == 3317044064679887385961981
+        for modulus in (_MR_PROVEN_BELOW, 2**89 - 1, 2**127 - 1):
+            with pytest.raises(NotAField, match="unproven") as err:
+                gf(modulus)
+            assert "must be prime" not in str(err.value)
+        assert gf(2**61 - 1).is_field
 
     def test_zmod_requires_n_at_least_2(self):
         with pytest.raises(DrazinkitError):
@@ -382,8 +413,26 @@ class TestMatrixBasics:
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @given(data=st.data())
     def test_product_matches_reference(self, ring, data):
-        a, b = kernel_operands(data, ring, 2)
+        # Dimensions 1.._UNROLL_MAX_N + 1 span both sides of the unroll bound:
+        # the generated kernels up to the bound and the listcomp above it.
+        a, b = kernel_operands(data, ring, 2, max_n=_UNROLL_MAX_N + 1)
         assert a * b == reference_product(a, b)
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @pytest.mark.parametrize("n", [_UNROLL_MAX_N, _UNROLL_MAX_N + 1])
+    @settings(max_examples=5)
+    @given(data=st.data())
+    def test_product_matches_reference_at_the_unroll_bound(self, ring, n, data):
+        # The draw above need not reach both sides for every ring; this does.
+        a, b = (data.draw(entries_strategy(ring, n, max_denominator=12)) for _ in range(2))
+        assert a * b == reference_product(a, b)
+
+    def test_products_above_the_unroll_bound_compile_no_kernel(self):
+        n = _UNROLL_MAX_N + 1
+        a = SquareMatrix(RING_Q, [[Fraction(i - j, 1 + i) for j in range(n)] for i in range(n)])
+        cached = dict(_KERNELS)
+        assert a * a == reference_product(a, a)
+        assert _KERNELS == cached
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @given(data=st.data())

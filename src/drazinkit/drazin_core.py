@@ -1,12 +1,13 @@
-"""Drazin-family inverses: index, construction, axiom verification, and the
+"""Drazin-family inverses: construction, axiom verification, and the
 intertwined-product operations.
 
 The four inverse flavors share the commutation and absorption axioms and
 differ only in what the core a - a^2 x must satisfy: nilpotent (drazin),
 nilpotent with index at most one (group), in the Jacobson radical at some
 power (pdrazin), or quasinilpotent (gdrazin). Construction is offered over
-fields, by flavor_inverse alone: one formula for every flavor, verified once
-under the flavor asked for. Over Z and Z/n only verification is available,
+fields, by flavor_inverse alone: one formula for every flavor, a polynomial
+in the element read off its characteristic polynomial, verified once under
+the flavor asked for. Over Z and Z/n only verification is available,
 with brute-force search providing candidates from the lab module. The unit
 transfer (jacobson_inverse) has one route in all four rings: a
 Cayley-Hamilton resolvent of ac, built once per quadruple, whose formula is
@@ -43,12 +44,10 @@ from .matrix_rings import (
     _from_rows,
     _nilpotency_bound,
     in_radical,
-    inner_inverse,
     inverse,
     is_nilpotent,
     matrix_from_json,
     matrix_to_json,
-    rank,
 )
 
 
@@ -230,22 +229,7 @@ def verify_intertwining(
         return exc.report
 
 
-# -- index and axiom verification -------------------------------------------------
-
-
-def index_of(a: SquareMatrix) -> int:
-    """Smallest k >= 0 with rank(a^k) = rank(a^(k+1)); fields only."""
-    if not a.ring.is_field:
-        raise NotAField(f"index_of requires a field, got {a.ring}")
-    r_prev = a.n
-    power = a
-    for k in range(a.n + 1):
-        r_next = rank(power)
-        if r_next == r_prev:
-            return k
-        r_prev = r_next
-        power = power * a
-    raise FormulaViolation("rank sequence failed to stabilize within n steps")
+# -- axiom verification ---------------------------------------------------------
 
 
 def verify_axioms(a: SquareMatrix, x: SquareMatrix, flavor: Flavor) -> DrazinCertificate:
@@ -309,25 +293,44 @@ def verify_axioms(a: SquareMatrix, x: SquareMatrix, flavor: Flavor) -> DrazinCer
 
 def flavor_inverse(a: SquareMatrix, flavor: Flavor) -> DrazinCertificate:
     """The flavor-inverse of a over a field, the one construction of every
-    flavor: a^k (a^(2k+1))^- a^k with k = index_of(a), for any inner inverse.
+    flavor, from the characteristic polynomial of N = den a alone.
 
-    Over a field the radical is 0 and quasinilpotent means nilpotent, so the
-    Drazin inverse is also the p-Drazin and g-Drazin inverse, and the group
-    inverse when k <= 1; for k > 1 the group flavor raises NoGroupInverse
-    before anything is built. The flavor's axioms are verified once, and a
-    failure or an index other than k raises FormulaViolation (a bug).
+    Write det(t I - N) = t^k g(t) with g(0) != 0, and g(t) = g(0) + t h(t).
+    On the generalized 0-eigenspace of N, N^k = 0; on the rest g(N) = 0, so
+    -h(N) / g(0) inverts N there. Hence N^D = N^k (-h(N) / g(0))^(k+1), a
+    polynomial in N (Drazin 1958), and a^D = den N^D; over GF(p), N is a
+    itself and den = 1. Over a field the radical is 0 and quasinilpotent
+    means nilpotent, so the Drazin inverse is also the p-Drazin and
+    g-Drazin inverse, and the group inverse when its index is at most 1.
+    The flavor's axioms are verified once. The group flavor raises
+    NoGroupInverse when the certificate's index exceeds 1; a failed check,
+    or an index above the algebraic multiplicity k of 0, raises
+    FormulaViolation (a bug).
     """
-    if not a.ring.is_field:
-        raise NotAField(f"drazin_inverse requires a field, got {a.ring}")
-    k = index_of(a)
-    if flavor is Flavor.GROUP and k > 1:
-        raise NoGroupInverse(f"index {k} exceeds 1")
-    x = inner_inverse(a.power(2 * k + 1))
+    ring = a.ring
+    if not ring.is_field:
+        raise NotAField(f"drazin_inverse requires a field, got {ring}")
+    n = a.n
+    # The integer numerators live over Z off the residue rings.
+    zring = ring if ring.is_finite else RING_Z
+    big_n = SquareMatrix._trusted(zring, a.num)
+    cs = _berkowitz(a.num, ring.modulus)
+    r = n  # the degree of g; chi is monic, so g = 1 and h = 0 when r = 0
+    while r and not cs[r]:
+        r -= 1
+    k = n - r
+    eye = SquareMatrix.identity(zring, n)
+    h, g0 = (eye, cs[r]) if r else (SquareMatrix.zeros(zring, n), 1)
+    for c in cs[1:r]:  # Horner's rule, r - 1 products
+        h = h * big_n + eye.scalar_mul(c)
+    x = h.power(k + 1)
     if k:
-        a_k = a.power(k)
-        x = a_k * x * a_k
-    cert = verify_axioms(a, x, flavor)
-    if not cert.valid or cert.index != k:
+        x = big_n.power(k) * x
+    rows = [[a.den * v for v in row] for row in x.num]
+    cert = verify_axioms(a, _from_rows(ring, rows, (-g0) ** (k + 1)), flavor)
+    if flavor is Flavor.GROUP and cert.index is not None and cert.index > 1:
+        raise NoGroupInverse(f"index {cert.index} exceeds 1")
+    if not cert.valid or cert.index > k:
         raise FormulaViolation(f"constructed {flavor.value} inverse failed verification")
     return cert
 

@@ -5,16 +5,18 @@ GF(p), and residue rings Z/n. Everything is exact: a Q matrix is stored as
 integer numerators over one denominator, so products, sums and elimination
 read integers. det and inverse share one kernel, Bareiss's fraction-free
 elimination on integer rows (residue lifts over GF(p) and Z/n), except that
-inverse eliminates mod p over GF(p), as rank and the solvers do. The
+inverse eliminates mod p over GF(p), as the solvers do. The
 characteristic polynomial has one kernel too, Berkowitz's division-free
-recurrence on the same integer rows, behind spectral.char_poly and the
-unit-transfer resolvent of drazin_core. Nothing ever leaves the ring.
+recurrence on the same integer rows, behind spectral.char_poly and, in
+drazin_core, the unit-transfer resolvent and the construction of every
+flavor-inverse. Nothing ever leaves the ring.
 
 The stored form (lowest terms over Q, exact integers over Z, residues over
 GF(p) and Z/n) is coded twice: SquareMatrix(...) validates outside input
 into it, and _from_rows puts every derived matrix into it from integer
-rows over a denominator. Sums, negations, scalar multiples, inverses and
-the resolvent's combinations all go through _from_rows. Only the product
+rows over a denominator. Sums, negations, scalar multiples, inverses,
+constructed flavor-inverses and the resolvent's combinations all go
+through _from_rows. Only the product
 reduces inline, mod m and on its den = 1 path, since it is the hot path.
 Its rows come, for n <= _UNROLL_MAX_N = 4, from a kernel generated and
 compiled once per dimension, with every entry an explicit sum of n
@@ -488,11 +490,6 @@ def _product_kernels(n: int) -> tuple[Callable, Callable]:
 # -- elimination ---------------------------------------------------------------
 
 
-def _require_field(a: SquareMatrix) -> None:
-    if not a.ring.is_field:
-        raise NotAField(f"operation requires a field, got {a.ring}")
-
-
 def _echelon(
     rows: list[list[int]], ncols: int, m: int | None
 ) -> tuple[list[list[int]], list[int], int]:
@@ -673,12 +670,6 @@ def _det_in_ring(ring: RingSpec, det_num: int, den: int, n: int) -> Scalar:
     return det_num if m is None else det_num % m
 
 
-def rank(a: SquareMatrix) -> int:
-    """Row rank by exact elimination; fields only."""
-    _require_field(a)
-    return len(_echelon([list(r) for r in a.num], a.n, a.ring.modulus)[1])
-
-
 def inverse(a: SquareMatrix) -> SquareMatrix:
     """Two-sided inverse, or NotInvertible explaining why none exists.
 
@@ -787,28 +778,6 @@ def det_bareiss(a: SquareMatrix) -> Scalar:
     lifted = [[int(x) for x in row] for row in a.entries]
     d = _bareiss(lifted, lambda x, y: x // y)
     return d if ring.kind == "Z" else d % ring.modulus  # type: ignore[operator]
-
-
-def inner_inverse(a: SquareMatrix) -> SquareMatrix:
-    """Some X with A X A = A, via the rank normal form.
-
-    Elimination of [A | I] gives invertible P with P A = R in reduced
-    echelon form, pivots in columns c_1..c_r. Clearing R's other columns by
-    column operations and moving the pivots to the front gives invertible Q
-    with P A Q = [[I_r, 0], [0, 0]], and X = Q [[I_r, 0], [0, 0]] P
-    satisfies the identity over any field. Column k <= r of Q is the unit
-    vector e_(c_k), so X is P's row k placed in row c_k, and zero elsewhere.
-    """
-    _require_field(a)
-    n = a.n
-    rows, pivots, den = _reduce(_with_identity(a), n, a.ring.modulus)
-    x_rows = [[0] * n] * n
-    for k, c in enumerate(pivots):
-        x_rows[c] = rows[k][n:]
-    x = _from_rows(a.ring, x_rows, den)
-    if a * x * a != a:
-        raise FormulaViolation("rank-normal-form inner inverse failed A X A = A")
-    return x
 
 
 def _nilpotency_bound(a: SquareMatrix) -> int:

@@ -16,6 +16,7 @@ from drazinkit.fixtures import example_matrices, example_quadruple
 from drazinkit.matrix_rings import (
     RING_Q,
     SquareMatrix,
+    _berkowitz,
     gf,
     matrix_from_json,
     matrix_to_json,
@@ -369,8 +370,11 @@ def test_integer_products_over_the_digit_limit_are_printed_exactly(capsys, tmp_p
             assert [long_rational(c) for c in cells] == [cube] * 4
 
 
-def _failing_inner_inverse(a):
-    return SquareMatrix.zeros(a.ring, a.n)
+def _bumped_berkowitz(rows, m=None):
+    """The characteristic polynomial with its constant coefficient bumped."""
+    cs = _berkowitz(rows, m)
+    cs[-1] += 1
+    return cs if m is None else [c % m for c in cs]
 
 
 def _raise_formula_violation(*args, **kwargs):
@@ -382,12 +386,12 @@ def _raise_formula_violation(*args, **kwargs):
 # a call whose other DrazinkitErrors mean malformed input.
 INTERNAL_FAULTS = {
     "drazin-construction": (
-        "drazinkit.drazin_core.inner_inverse", _failing_inner_inverse,
+        "drazinkit.drazin_core._berkowitz", _bumped_berkowitz,
         lambda tmp: ["drazin", "--in", write_json(
             tmp / "m.json", matrix_to_json(SquareMatrix.identity(RING_Q, 2)))],
     ),
     "cline-construction": (
-        "drazinkit.drazin_core.inner_inverse", _failing_inner_inverse,
+        "drazinkit.drazin_core._berkowitz", _bumped_berkowitz,
         lambda tmp: ["cline", "--in", quad_file(tmp, "2.5")],
     ),
     "load": (
@@ -723,3 +727,155 @@ def test_package_runs_as_a_module():
     assert [p.returncode for p in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.startswith(b"{")
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_module(argv, env_extra=None) -> subprocess.CompletedProcess:
+    """python -m drazinkit in a fresh process, from the repository root,
+    with src on the path and DRAZINKIT_SEED unset unless env_extra sets it."""
+    env = dict(os.environ)
+    env.pop("DRAZINKIT_SEED", None)
+    src = os.path.join(REPO_ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_extra or {})
+    return subprocess.run(
+        [sys.executable, "-m", "drazinkit", *argv],
+        capture_output=True, text=True, env=env, cwd=REPO_ROOT, timeout=120,
+    )
+
+
+def _z4(rows):
+    return {"ring": {"Zmod": 4}, "rows": rows}
+
+
+def _q(rows):
+    return {"ring": "Q", "rows": rows}
+
+
+_Z6_EYE = {"ring": {"Zmod": 6}, "rows": [["1", "0"], ["0", "1"]]}
+_Q2_A = _q([["1/2", "1"], ["0", "1/3"]])
+_Q2_B = _q([["1", "0"], ["1", "1"]])
+
+# Inputs written to a temporary directory; "{name}" in an argv names one.
+CONSOLE_INPUTS = {
+    # Line 3 of search --ring zmod4 --dim 2 --strategy linear-solve
+    # --budget 40 --seed 3: the residue-ring route of the resolvent.
+    "quad_z4": {
+        "a": _z4([["0", "2"], ["2", "2"]]), "b": _z4([["1", "3"], ["3", "3"]]),
+        "c": _z4([["3", "0"], ["2", "3"]]), "d": _z4([["0", "2"], ["1", "1"]]),
+    },
+    "gf2_3x3": {"ring": {"GF": 2}, "rows": [["1", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]]},
+    # The classical Q quadruple a = d, b = c: ac = [[3/2, 1], [1/3, 1/3]].
+    "quad_q2": {"a": _Q2_A, "b": _Q2_B, "c": _Q2_B, "d": _Q2_A},
+    "quad_z6": {k: _Z6_EYE for k in "abcd"},
+}
+
+
+def _jacobson_z4(out, err):
+    rows = json.loads(out)["one_minus_bd_inverse"]["rows"]
+    assert rows == [["0", "1"], ["3", "2"]], rows
+
+
+def _last_line(expected):
+    def check(out, err):
+        assert out.splitlines()[-1] == expected
+    return check
+
+
+def _spectrum_q3(out, err):
+    # lambda - ac is singular at -11 and 5, the rows whose bd verdict the
+    # elimination determinant cross-checks; both sides are units at the
+    # seven default lambdas.
+    rows = json.loads(out)["transfer"]["rows"]
+    sides = {
+        r["lambda"]: (r["one_minus_ac_invertible"], r["one_minus_bd_invertible"])
+        for r in rows
+    }
+    default = ["1", "-1", "2", "1/2", "3", "-3", "5/7"]
+    assert sorted(sides) == sorted(default + ["-11", "5"]), sides
+    assert all(sides[lam] == (True, True) for lam in default), sides
+    assert sides["-11"] == sides["5"] == (False, False), sides
+
+
+def _spectrum_q2(out, err):
+    # Trace 11/6 and det 1/6, written as monic rationals from primitive forms.
+    cmp = json.loads(out)["comparison"]
+    want = ["1/6", "-11/6", "1"]
+    assert cmp["left"]["char_poly"] == want, cmp["left"]
+    assert cmp["left"]["nonzero_part_squarefree"] == want, cmp["left"]
+    assert cmp["equal"] is True and cmp["multiplicity_equal"] is True, cmp
+
+
+def _cline_pdrazin(out, err):
+    # Both p-Drazin certificates read their index off the one core walk.
+    r = json.loads(out)
+    certs = [r["ac_certificate"], r["bd_certificate"]]
+    assert [(c["valid"], c["index"]) for c in certs] == [(True, 1), (True, 1)], certs
+
+
+def _no_traceback(out, err):
+    assert "Traceback" not in err
+
+
+_SEEDED_SEARCH = ["search", "--ring", "zmod4", "--dim", "2", "--strategy", "linear-solve",
+                  "--budget", "12", "--seed", "3"]
+
+
+def _seed_flag_alone(out, err):
+    # --seed alone seeds a search; the environment does not.
+    plain = run_module(_SEEDED_SEARCH)
+    assert plain.returncode == 0 and out == plain.stdout
+
+
+# id: (argv, extra environment, exit code, check of (stdout, stderr) or None)
+CONSOLE_RUNS = {
+    "demo-3.6": (["demo", "--example", "3.6"], None, 0, None),
+    "demo-2.4-rejected": (["demo", "--example", "2.4"], None, 1, None),
+    "jacobson-q3": (
+        ["jacobson", "--in", "bench/corpus/quad_q3.json", "--lambda", "5/7"], None, 0, None),
+    "jacobson-gf5": (["jacobson", "--in", "bench/corpus/quad_gf5.json"], None, 0, None),
+    "jacobson-zmod4": (["jacobson", "--in", "{quad_z4}"], None, 0, _jacobson_z4),
+    "oracle-gf2": (
+        ["oracle", "--in", "{gf2_3x3}", "--ring", "gf2", "--flavor", "drazin"], None, 0, None),
+    "oracle-zmod4": (
+        ["oracle", "--in", "bench/corpus/matrix_zmod4.json", "--ring", "zmod4",
+         "--flavor", "pdrazin"], None, 0, None),
+    # Dimension 9 has 81 unknowns, over MAX_SOLVE_UNKNOWNS = 64.
+    "search-over-solve-limit": (
+        ["search", "--ring", "gf2", "--dim", "9", "--strategy", "linear-solve",
+         "--budget", "1"], None, 1, None),
+    "search-exhaustive-gf2": (
+        ["search", "--ring", "gf2", "--dim", "2", "--strategy", "exhaustive"],
+        None, 0, _last_line('{"quadruples":9412}')),
+    "search-linear-solve-gf2": (
+        ["search", "--ring", "gf2", "--dim", "3", "--strategy", "linear-solve",
+         "--budget", "50", "--seed", "7"], None, 0, _last_line('{"quadruples":63}')),
+    "spectrum-q3": (["spectrum", "--in", "bench/corpus/quad_q3.json"], None, 0, _spectrum_q3),
+    "spectrum-q2": (["spectrum", "--in", "{quad_q2}"], None, 0, _spectrum_q2),
+    "cline-pdrazin-zmod4": (
+        ["cline", "--in", "bench/corpus/quad_zmod4.json", "--flavor", "pdrazin"],
+        None, 0, _cline_pdrazin),
+    # M120(GF(2)) has 2^14400 matrices.
+    "search-huge-refused": (
+        ["search", "--ring", "gf2", "--dim", "120", "--strategy", "exhaustive"],
+        None, 1, _no_traceback),
+    # M2(Z/6) has 1296 matrices, over the 512-element brute-force budget.
+    "cline-over-brute-budget": (["cline", "--in", "{quad_z6}"], None, 1, None),
+    "search-seed-env-ignored": (_SEEDED_SEARCH, {"DRAZINKIT_SEED": "99"}, 0, _seed_flag_alone),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, env_extra, code, check", CONSOLE_RUNS.values(), ids=list(CONSOLE_RUNS)
+)
+def test_module_runs(argv, env_extra, code, check, tmp_path):
+    paths = {
+        name: write_json(tmp_path / f"{name}.json", payload)
+        for name, payload in CONSOLE_INPUTS.items()
+    }
+    proc = run_module([arg.format(**paths) for arg in argv], env_extra)
+    assert proc.returncode == code, proc.stderr
+    if check is not None:
+        check(proc.stdout, proc.stderr)

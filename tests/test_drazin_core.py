@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drazinkit import drazin_core
@@ -16,7 +17,6 @@ from drazinkit.drazin_core import (
     drazin_inverse,
     flavor_inverse,
     group_inverse,
-    index_of,
     intertwining_report,
     jacobson_inverse,
     no_group_inverse_reason,
@@ -25,6 +25,7 @@ from drazinkit.drazin_core import (
 )
 from drazinkit.errors import (
     DrazinkitError,
+    FormulaViolation,
     NoGroupInverse,
     NotAField,
     NotInvertible,
@@ -35,15 +36,18 @@ from drazinkit.matrix_rings import (
     RING_Q,
     RING_Z,
     SquareMatrix,
+    _berkowitz,
     _nilpotency_bound,
     all_matrices,
     gf,
     in_radical,
     inverse,
     over_q,
+    reduced_echelon,
     zmod,
 )
 from drazinkit.quadruple_lab import (
+    brute_force_inverse,
     get_space,
     random_invertible_matrix,
     random_matrix,
@@ -70,28 +74,6 @@ def q_matrices(n: int, lo: int = -3, hi: int = 3):
 
 NILP = [[0, 1], [0, 0]]
 IDEM = [[1, 1], [0, 0]]
-
-
-class TestIndexOf:
-    def test_identity(self):
-        assert index_of(SquareMatrix.identity(RING_Q, 2)) == 0
-
-    def test_shift(self):
-        assert index_of(m(RING_Q, NILP)) == 2
-
-    def test_idempotent(self):
-        assert index_of(m(RING_Q, IDEM)) == 1
-
-    def test_zero(self):
-        assert index_of(SquareMatrix.zeros(RING_Q, 2)) == 1
-
-    def test_needs_field(self):
-        with pytest.raises(NotAField):
-            index_of(m(RING_Z, [[1]]))
-
-    @given(q_matrices(3))
-    def test_bounded_by_dimension(self, a):
-        assert 0 <= index_of(a) <= 3
 
 
 class TestDrazinInverse:
@@ -135,21 +117,82 @@ class TestDrazinInverse:
             drazin_inverse(m(RING_Z, [[2]]))
 
 
+def rank_sequence_index(a: SquareMatrix) -> int:
+    """Smallest k >= 0 with rank(a^k) = rank(a^(k+1)), ranks counted as the
+    pivots of reduced_echelon: an index that shares nothing with the core
+    walk of verify_axioms."""
+    rank_k, power = a.n, a
+    for k in range(a.n + 1):
+        rank_next = len(reduced_echelon(a.ring, power.entries, a.n)[1])
+        if rank_next == rank_k:
+            return k
+        rank_k, power = rank_next, power * a
+    raise AssertionError("rank sequence failed to stabilize within n steps")
+
+
 class TestUniqueness:
     @pytest.mark.parametrize("ring", [gf(2), gf(3)])
     def test_brute_force_agrees(self, ring):
-        from drazinkit.quadruple_lab import brute_force_inverse
-
-        import random
-
-        rng = random.Random(17)
-        from drazinkit.quadruple_lab import random_matrix
-
-        for _ in range(10):
-            a = random_matrix(ring, 2, rng)
+        # Every element of M3(GF(2)) and of M2(GF(3)).
+        for a in all_matrices(ring, {2: 3, 3: 2}[ring.modulus]):
+            cert = drazin_inverse(a)
             certs = brute_force_inverse(a, Flavor.DRAZIN)
             assert len(certs) == 1
-            assert certs[0].inverse == drazin_inverse(a).inverse
+            assert (certs[0].inverse, certs[0].index) == (cert.inverse, cert.index)
+            assert cert.index == rank_sequence_index(a)
+
+
+def construction_outcome(a: SquareMatrix, flavor: Flavor):
+    """The certificate flavor_inverse issues, or the text of its refusal."""
+    try:
+        return flavor_inverse(a, flavor)
+    except NoGroupInverse as exc:
+        return f"NoGroupInverse: {exc}"
+
+
+@st.composite
+def perturbed_constructions(draw):
+    """An element, a flavor, and one coefficient of its characteristic
+    polynomial with the amount to bump it by."""
+    ring = draw(st.sampled_from([RING_Q, gf(2), gf(5)]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    if ring.is_finite:
+        cell = st.integers(min_value=0, max_value=ring.modulus - 1)
+    else:
+        # Zeros about half the time, so that 0 is often an eigenvalue.
+        cell = st.one_of(
+            st.just(Fraction(0)),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        )
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    flavor = draw(st.sampled_from(list(Flavor)))
+    # Position 0 is the leading 1, which the construction never reads.
+    position = draw(st.integers(min_value=0, max_value=n))
+    bump = draw(st.sampled_from([-1, 1, 2]))
+    return SquareMatrix(ring, rows), flavor, position, bump
+
+
+class TestConstructionTrust:
+    """A wrong characteristic polynomial never yields a wrong certificate:
+    flavor_inverse raises FormulaViolation or issues the right one."""
+
+    @settings(max_examples=300)
+    @given(perturbed_constructions())
+    def test_bumped_coefficient_is_caught_or_harmless(self, case):
+        a, flavor, position, bump = case
+        expected = construction_outcome(a, flavor)
+
+        def bumped(rows, m=None):
+            cs = _berkowitz(rows, m)
+            cs[position] += bump
+            return cs if m is None else [c % m for c in cs]
+
+        with mock.patch.object(drazin_core, "_berkowitz", bumped):
+            try:
+                got = construction_outcome(a, flavor)
+            except FormulaViolation:
+                return
+        assert got == expected
 
 
 class TestSingleConstruction:
@@ -176,10 +219,10 @@ class TestSingleConstruction:
 
     @pytest.mark.parametrize("flavor", list(Flavor), ids=lambda f: f.value)
     def test_invertible_element_costs_no_identity_products(self, monkeypatch, flavor):
-        # Index 0: x is the inner inverse of a itself, with no a^0 = I
-        # factors around it. Two products confirm a x a = a and four verify
-        # the axioms; the core a - a^2 x is already zero (or in the radical)
-        # at its first power, so no flavor's walk takes another.
+        # Index 0: x is -h(a) / g(0) with no a^0 = I factor in front. Two
+        # Horner products build h(a) and four verify the axioms; the core
+        # a - a^2 x is already zero (or in the radical) at its first power,
+        # so no flavor's walk takes another.
         calls = []
         mul = SquareMatrix.__mul__
 
@@ -193,11 +236,13 @@ class TestSingleConstruction:
         assert cert.valid and cert.index == 0
         assert len(calls) == 6
 
-    def test_group_refusal_builds_nothing(self, verify_calls):
+    def test_group_refusal_reads_the_certificate_index(self, verify_calls):
+        # chi = t^3, so x = 0; the one group verification finds the core
+        # a - a^2 x = a nilpotent of degree 3, and that index is refused.
         a = m(RING_Q, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         with pytest.raises(NoGroupInverse, match="^index 3 exceeds 1$"):
             group_inverse(a)
-        assert verify_calls == []
+        assert verify_calls == [Flavor.GROUP]
 
 
 class TestGroupInverse:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drazinkit.drazin_core import Flavor, verify_axioms
+from drazinkit.drazin_core import Flavor, flavor_inverse, verify_axioms
 from drazinkit.errors import (
     DimensionMismatch,
     DrazinkitError,
@@ -34,7 +34,6 @@ from drazinkit.matrix_rings import (
     det,
     det_bareiss,
     gf,
-    inner_inverse,
     inverse,
     is_invertible,
     is_nilpotent,
@@ -42,7 +41,6 @@ from drazinkit.matrix_rings import (
     matrix_from_json,
     matrix_to_json,
     over_q,
-    rank,
     reduced_echelon,
     zmod,
 )
@@ -448,7 +446,7 @@ class TestMatrixBasics:
         if is_invertible(a):
             results.append(inverse(a))
         if ring.is_field:
-            results.append(inner_inverse(a))
+            results.append(flavor_inverse(a, Flavor.DRAZIN).inverse)
         if ring.kind in ("Q", "Z"):
             results.append(over_q(a))
         for r in results:
@@ -493,25 +491,6 @@ class TestMatrixBasics:
         x = m(gf(2), [[1, 0], [0, 1]])
         y = SquareMatrix.identity(gf(2), 2)
         assert x == y and hash(x) == hash(y)
-
-
-class TestRank:
-    def test_identity_full_rank(self):
-        assert rank(SquareMatrix.identity(RING_Q, 2)) == 2
-
-    def test_nilpotent_rank_one(self):
-        assert rank(m(RING_Q, [[0, 1], [0, 0]])) == 1
-
-    def test_all_ones_mod_2(self):
-        assert rank(m(gf(2), [[1, 1], [1, 1]])) == 1
-
-    def test_integers_rejected(self):
-        with pytest.raises(NotAField):
-            rank(m(RING_Z, [[1]]))
-
-    @given(entries_strategy(gf(3), 3), entries_strategy(gf(3), 3))
-    def test_rank_of_product_bounded(self, a, b):
-        assert rank(a * b) <= min(rank(a), rank(b))
 
 
 class TestInverse:
@@ -632,19 +611,13 @@ class TestReducedEchelon:
 
     @given(data=st.data())
     def test_matches_gauss_jordan_with_identity(self, data):
-        # [A | I] with A singular about half the time: the rows below the
-        # rank are the P of inner_inverse, so they are pinned too.
+        # [A | I] with A singular about half the time: the right half of
+        # every row, those below the rank too, is pinned.
         n = data.draw(st.integers(min_value=1, max_value=4))
         a = data.draw(q_matrices(n))
         aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
                for i, row in enumerate(a.entries)]
-        expected, pivots = gauss_jordan(aug, n)
-        assert reduced_echelon(RING_Q, aug, n) == (expected, pivots)
-        placed = [[Fraction(0)] * n for _ in range(n)]
-        for k, c in enumerate(pivots):
-            placed[c] = expected[k][n:]
-        assert inner_inverse(a) == m(RING_Q, placed)
-        assert rank(a) == len(pivots)
+        assert reduced_echelon(RING_Q, aug, n) == gauss_jordan(aug, n)
 
     @given(data=st.data())
     def test_matches_gauss_jordan_on_solver_systems(self, data):
@@ -678,31 +651,6 @@ class TestReducedEchelon:
         rows = [[sum(u[i][t] * v[t][j] for t in range(k)) % p for j in range(w)]
                 for i in range(h)]
         assert reduced_echelon(gf(p), rows, ncols) == gauss_jordan_mod(rows, ncols, p)
-
-
-class TestInnerInverse:
-    def test_identity_is_own_inner_inverse(self):
-        eye = SquareMatrix.identity(RING_Q, 2)
-        assert inner_inverse(eye) == eye
-
-    def test_nilpotent_example(self):
-        a = m(RING_Q, [[0, 1], [0, 0]])
-        x = inner_inverse(a)
-        assert a * x * a == a
-
-    @given(entries_strategy(gf(2), 3))
-    def test_axa_equals_a_over_gf2(self, a):
-        x = inner_inverse(a)
-        assert a * x * a == a
-
-    @given(entries_strategy(RING_Q, 3))
-    def test_axa_equals_a_over_q(self, a):
-        x = inner_inverse(a)
-        assert a * x * a == a
-
-    def test_integers_rejected(self):
-        with pytest.raises(NotAField):
-            inner_inverse(m(RING_Z, [[2]]))
 
 
 class TestNilpotency:

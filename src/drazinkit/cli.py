@@ -4,17 +4,22 @@ Exit code contract: 0 when the command succeeds and any checked property is
 confirmed; 1 when well-formed input is rejected (intertwining relations
 fail, a required inverse does not exist, an enumeration or search budget is
 exceeded); 2 when the input itself is malformed (bad JSON, bad matrix schema,
-unusable flag values); 3 when an internal check fails (FormulaViolation: a
-computed result failed its own verification or a transfer cross-check, which
-is always a bug in this package, never a verdict on the input); 141 when
-standard output is closed before the report is written out (the reader of
-a pipe exited, as `| head` does), with nothing more written and no
-traceback. main is the one place that maps an exception to its exit
-code; handlers raise only the refusals whose wording they supply. Reports
-go to standard output; nonzero exits also put a structured {"error",
-"detail"} object on standard error, after the intertwining report when the
-relations fail. Identical (command, input, --seed) invocations produce
-byte-identical reports: no environment variable is read.
+unusable flag values, a usage error); 3 when an internal check fails
+(FormulaViolation: a computed result failed its own verification or a
+transfer cross-check, which is always a bug in this package, never a
+verdict on the input); 141 when standard output is closed before the
+report is written out (the reader of a pipe exited, as `| head` does), with
+nothing more written and no traceback. main is the one place that maps an
+exception to its exit code; handlers raise only the refusals whose wording
+they supply. Reports go to standard output. Exits 2 and 3 put one
+structured {"error", "detail"} object on standard error, and so does exit 1
+unless the report itself is the verdict (verify, oracle, a rejected demo);
+a rejected quadruple's intertwining report comes first, on standard output.
+Identical (command, input, --seed) invocations produce byte-identical
+reports: no environment variable is read.
+
+_COMMANDS declares each subcommand once, with its handler, its help line
+and its flags; _build_parser makes the parser from it alone.
 """
 
 from __future__ import annotations
@@ -23,10 +28,9 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Optional, TextIO, TypeVar
+from typing import Callable, NoReturn, Optional, TextIO, TypeVar
 
 from .drazin_core import (
-    DrazinCertificate,
     Flavor,
     Quadruple,
     cline_generalized,
@@ -43,6 +47,7 @@ from .errors import (
     DrazinkitError,
     FormulaViolation,
     NoGroupInverse,
+    NotAField,
     NotInvertible,
     RelationViolation,
     RingMismatch,
@@ -78,6 +83,10 @@ _RING_FLAGS = {"gf2": gf(2), "gf3": gf(3), "zmod4": zmod(4)}
 
 _FLAVOR_CHOICES = tuple(f.value for f in Flavor)
 
+# A value of these flags may begin with "-" (a negative rational), which
+# argparse reads as the next flag unless it is attached as --flag=value.
+_SIGNED_FLAGS = ("--lambda", "--lambdas")
+
 T = TypeVar("T")
 
 
@@ -87,6 +96,13 @@ class _Malformed(Exception):
 
 class _Rejected(Exception):
     """Internal marker: well-formed input whose hypothesis fails."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input; its subparsers share the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _Malformed(f"{self.prog}: {message}")
 
 
 def _emit(out: TextIO, report: dict) -> None:
@@ -205,23 +221,17 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK if report["accepted"] else EXIT_REJECTED
 
 
-def _construct_flavor_certificate(
-    a: SquareMatrix, flavor: Flavor
-) -> DrazinCertificate:
-    if not a.ring.is_field:
+def _cmd_drazin(args: argparse.Namespace, out: TextIO) -> int:
+    a = _load(args.infile, matrix_from_json)
+    try:
+        cert = flavor_inverse(a, Flavor(args.flavor))
+    except NotAField as exc:
         raise _Rejected(
             f"construction requires a field coefficient ring, got {a.ring}; "
             "use the oracle command for finite rings"
-        )
-    try:
-        return flavor_inverse(a, flavor)
+        ) from exc
     except NoGroupInverse as exc:
         raise _Rejected(f"no group inverse: {exc}") from exc
-
-
-def _cmd_drazin(args: argparse.Namespace, out: TextIO) -> int:
-    a = _load(args.infile, matrix_from_json)
-    cert = _construct_flavor_certificate(a, Flavor(args.flavor))
     _emit(out, cert.to_json())
     return EXIT_OK
 
@@ -285,6 +295,8 @@ def _cmd_spectrum(args: argparse.Namespace, out: TextIO) -> int:
             )
         except (DrazinkitError, ZeroDivisionError) as exc:
             raise _Malformed(f"bad --lambdas: {exc}") from exc
+        if not lambdas:
+            raise _Malformed("--lambdas is empty")
         if any(v == 0 for v in lambdas):
             raise _Malformed("--lambdas entries must be nonzero")
     try:
@@ -341,20 +353,38 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK if certs else EXIT_REJECTED
 
 
-_HANDLERS = {
-    "demo": _cmd_demo,
-    "verify": _cmd_verify,
-    "drazin": _cmd_drazin,
-    "cline": _cmd_cline,
-    "jacobson": _cmd_jacobson,
-    "spectrum": _cmd_spectrum,
-    "search": _cmd_search,
-    "oracle": _cmd_oracle,
+# Each subcommand, in --help order: its handler, its help line and its
+# flags as (option string, add_argument keywords); every one also takes --out.
+_IN = ("--in", {"dest": "infile", "required": True})
+_FLAVOR = ("--flavor", {"default": "drazin", "choices": _FLAVOR_CHOICES})
+_RING = ("--ring", {"required": True, "choices": sorted(_RING_FLAGS)})
+
+_COMMANDS = {
+    "demo": (_cmd_demo, "run a bundled demonstration instance",
+             [("--example", {"required": True, "choices": EXAMPLE_IDS})]),
+    "verify": (_cmd_verify, "check the intertwining relations", [_IN]),
+    "drazin": (_cmd_drazin, "construct an inverse over a field", [_IN, _FLAVOR]),
+    "cline": (_cmd_cline, "inverse of bd from the inverse of ac, with certificates",
+              [_IN, _FLAVOR]),
+    "jacobson": (_cmd_jacobson,
+                 "invert 1 - b(d/lambda) via 1 + b (1 - (a/lambda)c)^(-1) (d/lambda)",
+                 [_IN, ("--lambda", {"dest": "lam", "default": "1", "metavar": "P/Q"})]),
+    "spectrum": (_cmd_spectrum, "compare nonzero eigenvalue sets of ac and bd",
+                 [_IN, ("--lambdas", {"help": "comma-separated nonzero rationals"})]),
+    "search": (_cmd_search, "enumerate or sample quadruples", [
+        _RING,
+        ("--dim", {"type": int, "default": 2}),
+        ("--strategy", {"required": True, "choices": [s.value for s in Strategy]}),
+        ("--budget", {"type": int}),
+        ("--seed", {"type": int, "default": DEFAULT_SEED}),
+    ]),
+    "oracle": (_cmd_oracle, "brute-force every flavor-inverse in a finite matrix ring",
+               [_IN, _RING, _FLAVOR]),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drazinkit",
         description=(
             "Exact computation and verification of Drazin-type inverses, "
@@ -362,76 +392,37 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_out(p: argparse.ArgumentParser) -> None:
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--out", default=None, help="write the report to this path")
-
-    p_demo = sub.add_parser("demo", help="run a bundled demonstration instance")
-    p_demo.add_argument("--example", required=True, choices=EXAMPLE_IDS)
-    add_out(p_demo)
-
-    p_verify = sub.add_parser("verify", help="check the intertwining relations")
-    p_verify.add_argument("--in", dest="infile", required=True)
-    add_out(p_verify)
-
-    p_drazin = sub.add_parser("drazin", help="construct an inverse over a field")
-    p_drazin.add_argument("--in", dest="infile", required=True)
-    p_drazin.add_argument("--flavor", default="drazin", choices=_FLAVOR_CHOICES)
-    add_out(p_drazin)
-
-    p_cline = sub.add_parser(
-        "cline", help="inverse of bd from the inverse of ac, with certificates"
-    )
-    p_cline.add_argument("--in", dest="infile", required=True)
-    p_cline.add_argument("--flavor", default="drazin", choices=_FLAVOR_CHOICES)
-    add_out(p_cline)
-
-    p_jac = sub.add_parser(
-        "jacobson", help="invert 1 - b(d/lambda) via 1 + b (1 - (a/lambda)c)^(-1) (d/lambda)"
-    )
-    p_jac.add_argument("--in", dest="infile", required=True)
-    p_jac.add_argument("--lambda", dest="lam", default="1", metavar="P/Q")
-    add_out(p_jac)
-
-    p_spec = sub.add_parser(
-        "spectrum", help="compare nonzero eigenvalue sets of ac and bd"
-    )
-    p_spec.add_argument("--in", dest="infile", required=True)
-    p_spec.add_argument(
-        "--lambdas", default=None, help="comma-separated nonzero rationals"
-    )
-    add_out(p_spec)
-
-    p_search = sub.add_parser("search", help="enumerate or sample quadruples")
-    p_search.add_argument("--ring", required=True, choices=sorted(_RING_FLAGS))
-    p_search.add_argument("--dim", type=int, default=2)
-    p_search.add_argument(
-        "--strategy", required=True, choices=("exhaustive", "linear-solve")
-    )
-    p_search.add_argument("--budget", type=int, default=None)
-    p_search.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_out(p_search)
-
-    p_oracle = sub.add_parser(
-        "oracle", help="brute-force every flavor-inverse in a finite matrix ring"
-    )
-    p_oracle.add_argument("--in", dest="infile", required=True)
-    p_oracle.add_argument("--ring", required=True, choices=sorted(_RING_FLAGS))
-    p_oracle.add_argument("--flavor", default="drazin", choices=_FLAVOR_CHOICES)
-    add_out(p_oracle)
-
+        p.set_defaults(handler=handler)
     return parser
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """argv with the token after each flag of _SIGNED_FLAGS attached to it,
+    so --lambda -1/2 reads as --lambda=-1/2 does."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _SIGNED_FLAGS:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return EXIT_OK
-        return code if isinstance(code, int) else EXIT_MALFORMED
-    handler = _HANDLERS[args.command]
+        args = _build_parser().parse_args(
+            _attach_signed_values(sys.argv[1:] if argv is None else argv)
+        )
+    except SystemExit:  # --help printed its screen
+        return EXIT_OK
+    except _Malformed as exc:
+        _emit_error("malformed-input", str(exc))
+        return EXIT_MALFORMED
     close_out = False
     if args.out is not None:
         try:
@@ -443,7 +434,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     else:
         out = sys.stdout
     try:
-        code = _run(handler, args, out)
+        code = _run(args.handler, args, out)
         out.flush()
         return code
     except BrokenPipeError:

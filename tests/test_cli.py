@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import drazinkit
 from drazinkit.cli import main
+from drazinkit.drazin_core import Flavor, flavor_inverse, verify_axioms
 from drazinkit.errors import FormulaViolation
 from drazinkit.fixtures import example_matrices, example_quadruple
 from drazinkit.matrix_rings import (
@@ -381,6 +383,19 @@ def _raise_formula_violation(*args, **kwargs):
     raise FormulaViolation("injected")
 
 
+def _drazin_candidates_plus_one(a, x, flavor):
+    """Certifies each Drazin candidate with the identity added to it; the
+    group candidates that cline constructs for ac are certified as they are."""
+    if flavor is Flavor.DRAZIN:
+        x = x + SquareMatrix.identity(x.ring, x.n)
+    return verify_axioms(a, x, flavor)
+
+
+def _index_understated(a, flavor):
+    """The constructed certificate with its index understated as 0."""
+    return replace(flavor_inverse(a, flavor), index=0)
+
+
 # Each case makes an internal check fail: a wrong construction that the
 # certificate re-verification catches, or a FormulaViolation raised inside
 # a call whose other DrazinkitErrors mean malformed input.
@@ -392,6 +407,17 @@ INTERNAL_FAULTS = {
     ),
     "cline-construction": (
         "drazinkit.drazin_core._berkowitz", _bumped_berkowitz,
+        lambda tmp: ["cline", "--in", quad_file(tmp, "2.5")],
+    ),
+    # On instance 2.5, bd is nilpotent and b h^2 d = 0; the identity fails
+    # x bd x = x there.
+    "cline-transfer": (
+        "drazinkit.drazin_core.verify_axioms", _drazin_candidates_plus_one,
+        lambda tmp: ["cline", "--flavor", "group", "--in", quad_file(tmp, "2.5")],
+    ),
+    # On instance 2.5, bd has index 2, over the bound 0 + 1.
+    "cline-index-bound": (
+        "drazinkit.drazin_core.flavor_inverse", _index_understated,
         lambda tmp: ["cline", "--in", quad_file(tmp, "2.5")],
     ),
     "load": (

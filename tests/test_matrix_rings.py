@@ -10,10 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from drazinkit import matrix_rings
 from drazinkit.drazin_core import Flavor, flavor_inverse, verify_axioms
 from drazinkit.errors import (
     DimensionMismatch,
     DrazinkitError,
+    FormulaViolation,
     NotAField,
     NotInvertible,
     RingMismatch,
@@ -513,6 +515,17 @@ class TestInverse:
     def test_integer_non_unit_det_rejected(self):
         with pytest.raises(NotInvertible):
             inverse(m(RING_Z, [[2, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("ring", [zmod(4), RING_Z], ids=str)
+    def test_wrong_elimination_fails_its_check(self, ring, monkeypatch):
+        # With the backward pass's D negated, the result is -a^-1; off the
+        # fields, a x = 1 is checked and the fault is an internal error.
+        real = matrix_rings._back_substitute
+        monkeypatch.setattr(
+            matrix_rings, "_back_substitute", lambda *args: -real(*args)
+        )
+        with pytest.raises(FormulaViolation, match="elimination inverse failed"):
+            inverse(m(ring, [[1, 1], [0, 1]]))
 
     @given(entries_strategy(RING_Q, 3))
     def test_two_sided_over_q(self, a):

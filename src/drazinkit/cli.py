@@ -403,13 +403,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
     """argv with the token after each flag of _SIGNED_FLAGS attached to it,
-    so --lambda -1/2 reads as --lambda=-1/2 does."""
-    joined: list[str] = []
-    for token in argv:
-        if joined and joined[-1] in _SIGNED_FLAGS:
-            joined[-1] += "=" + token
-        else:
-            joined.append(token)
+    so --lambda -1/2 reads as --lambda=-1/2 does.
+
+    A flag is found as argparse finds it among the flags of the subcommand
+    argv[0]: spelled out, or abbreviated to a prefix that begins none of
+    that subcommand's other flags. Tokens after -- are left as they are.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return argv
+    flags = [flag for flag, _ in command[2]] + ["--out", "--help"]
+    joined = argv[:1]
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            joined += [token, *tokens]
+            break
+        if token.startswith("--"):
+            matches = [token] if token in flags else [f for f in flags if f.startswith(token)]
+            if len(matches) == 1 and matches[0] in _SIGNED_FLAGS:
+                value = next(tokens, None)
+                if value is not None:
+                    token += "=" + value
+        joined.append(token)
     return joined
 
 

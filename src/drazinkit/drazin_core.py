@@ -43,6 +43,7 @@ from .matrix_rings import (
     _first_power,
     _from_rows,
     _nilpotency_bound,
+    _trusted,
     in_radical,
     inverse,
     is_nilpotent,
@@ -146,7 +147,12 @@ class Quadruple:
         for other in (b, c, d):
             a._require_compatible(other)
         ac, bd = a * c, b * d
-        if bd * b != b * ac or d * bd != ac * d:
+        # Both sides of a relation lie in a's ring, where equal matrices
+        # have equal stored forms, so (num, den) decides each equality.
+        left, right = bd * b, b * ac
+        if left.num == right.num and left.den == right.den:
+            left, right = d * bd, ac * d
+        if left.num != right.num or left.den != right.den:
             report = intertwining_report(a, b, c, d)
             failing = [
                 r["relation"] for r in report["relations"] if not r["holds"]  # type: ignore[index]
@@ -154,12 +160,12 @@ class Quadruple:
             raise RelationViolation(
                 f"intertwining relations fail: {', '.join(failing)}", report=report
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "ac", ac)
-        object.__setattr__(self, "bd", bd)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
+        _set_ac(self, ac)
+        _set_bd(self, bd)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Quadruple is immutable")
@@ -212,6 +218,13 @@ class Quadruple:
     @staticmethod
     def from_json(obj: object) -> "Quadruple":
         return Quadruple(*Quadruple.matrices_from_json(obj))
+
+
+# The slot setters, which get past the raising __setattr__ at less cost than
+# object.__setattr__; every Quadruple is built through them.
+_set_a, _set_b, _set_c, _set_d, _set_ac, _set_bd = (
+    Quadruple.__dict__[slot].__set__ for slot in Quadruple.__slots__
+)
 
 
 def verify_intertwining(
@@ -313,7 +326,7 @@ def flavor_inverse(a: SquareMatrix, flavor: Flavor) -> DrazinCertificate:
     n = a.n
     # The integer numerators live over Z off the residue rings.
     zring = ring if ring.is_finite else RING_Z
-    big_n = SquareMatrix._trusted(zring, a.num)
+    big_n = _trusted(zring, a.num)
     cs = _berkowitz(a.num, ring.modulus)
     r = n  # the degree of g; chi is monic, so g = 1 and h = 0 when r = 0
     while r and not cs[r]:
@@ -521,7 +534,7 @@ class _Resolvent:
         ac, bd = q.ac, q.bd
         alpha, bd_den, eps = ac.den, q.b.den * q.d.den, bd.den
         cs = _berkowitz(ac.num, ring.modulus)
-        e = SquareMatrix._trusted(zring, bd.num)
+        e = _trusted(zring, bd.num)
         c0 = _from_rows(zring, [[bd_den * x for x in row] for row in e.num], eps)
         cks, ecs = [c0], []  # ecs[k] = E C_k
         for c in cs[1:q.n]:
@@ -540,7 +553,7 @@ class _Resolvent:
         """Raise FormulaViolation unless sum c_k A^(n-k) = 0, by the
         recurrence M_k = A M_(k-1) + c_k I, n integer products."""
         n, cs, zring = self.q.n, self.cs, self.zring
-        big_a = SquareMatrix._trusted(zring, self.q.ac.num)
+        big_a = _trusted(zring, self.q.ac.num)
         rows = [[cs[0] * (i == j) for j in range(n)] for i in range(n)]
         mk = _from_rows(zring, rows, 1)
         for c in cs[1:]:

@@ -24,6 +24,11 @@ products; above the bound, where no measured workload runs and each
 process would pay a compile growing as n^3, one listcomp computes the
 rows. SquareMatrix.__mul__ is the one entry point of both.
 
+Every matrix not built by SquareMatrix(...) is built by one function,
+_trusted(ring, num, den), which checks nothing and costs about what a
+plain object with four slots costs: products, _from_rows, identity,
+zeros, over_q and all_matrices all end in it.
+
 Matrices are immutable and hashable, so they can serve as cache keys for
 the brute-force layers built on top.
 """
@@ -230,7 +235,7 @@ def over_q(a: SquareMatrix) -> SquareMatrix:
     if a.ring.kind == "Q":
         return a
     if a.ring.kind == "Z":
-        return SquareMatrix._trusted(RING_Q, a.num)
+        return _trusted(RING_Q, a.num)
     raise UnsupportedRing(f"operation needs Q or Z entries, got {a.ring}")
 
 
@@ -281,31 +286,13 @@ class SquareMatrix:
         raise AttributeError("SquareMatrix is immutable")
 
     @classmethod
-    def _trusted(
-        cls, ring: RingSpec, num: tuple[tuple[int, ...], ...], den: int = 1
-    ) -> "SquareMatrix":
-        """A matrix from integer rows that are canonical by construction.
-
-        num must be a square tuple of tuples of ints and (num, den) already
-        the stored form: lowest terms with den > 0 over Q, residues in
-        [0, m) and den = 1 over GF(m) and Z/m; nothing is checked. Outside
-        data goes through SquareMatrix(...).
-        """
-        self = object.__new__(cls)
-        _set_ring(self, ring)
-        _set_n(self, len(num))
-        _set_num(self, num)
-        _set_den(self, den)
-        return self
-
-    @classmethod
     def identity(cls, ring: RingSpec, n: int) -> "SquareMatrix":
         rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return cls._trusted(ring, rows)
+        return _trusted(ring, rows)
 
     @classmethod
     def zeros(cls, ring: RingSpec, n: int) -> "SquareMatrix":
-        return cls._trusted(ring, ((0,) * n,) * n)
+        return _trusted(ring, ((0,) * n,) * n)
 
     @property
     def entries(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -396,10 +383,10 @@ class SquareMatrix:
                     [tuple([sum(map(mul, row, col)) % m for col in cols]) for row in self.num]
                 )
         if m is not None:
-            return SquareMatrix._trusted(ring, rows)
+            return _trusted(ring, rows)
         den = self.den * other.den
         if den == 1:
-            return SquareMatrix._trusted(ring, rows)
+            return _trusted(ring, rows)
         return _from_rows(ring, rows, den)
 
     def scalar_mul(self, c: Scalar) -> "SquareMatrix":
@@ -428,11 +415,44 @@ class SquareMatrix:
         return result
 
 
-# The slot setters, which get past the raising __setattr__ at half the cost
-# of object.__setattr__; every matrix is built through them.
+# The slot setters of the validating constructor, which get past the raising
+# __setattr__ at half the cost of object.__setattr__.
 _set_ring, _set_n, _set_num, _set_den = (
     SquareMatrix.__dict__[slot].__set__ for slot in SquareMatrix.__slots__
 )
+
+
+class _Building(SquareMatrix):
+    """A SquareMatrix while _trusted fills its slots: the same layout, with
+    plain attribute stores in place of the raising __setattr__."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+
+
+_new = object.__new__
+
+
+def _trusted(
+    ring: RingSpec, num: tuple[tuple[int, ...], ...], den: int = 1
+) -> SquareMatrix:
+    """A matrix from integer rows that are canonical by construction; the
+    one builder of every derived matrix.
+
+    num must be a square tuple of tuples of ints and (num, den) already
+    the stored form: lowest terms with den > 0 over Q, residues in [0, m)
+    and den = 1 over GF(m) and Z/m; nothing is checked. Outside data goes
+    through SquareMatrix(...). The slots are filled as those of a
+    _Building, four plain stores, and the object then becomes the
+    immutable SquareMatrix it is from there on.
+    """
+    self = _new(_Building)
+    self.ring = ring
+    self.n = len(num)
+    self.num = num
+    self.den = den
+    self.__class__ = SquareMatrix
+    return self
 
 
 # -- the product kernel --------------------------------------------------------
@@ -628,35 +648,29 @@ def _with_identity(a: SquareMatrix) -> list[list[int]]:
 
 
 def _from_rows(
-    ring: RingSpec, rows: Iterable[Iterable[int]], den: int
+    ring: RingSpec, rows: Sequence[Sequence[int]], den: int
 ) -> SquareMatrix:
     """The matrix rows / den in stored form, the one normaliser of derived
     integer rows: in lowest terms over Q, exact division over Z, times the
     inverse of den modulo m over GF(m) and Z/m. den must divide every entry
     over Z and be a unit modulo m. Over Q it may be negative or share a
-    factor with every entry; one gcd over the whole matrix brings it to the
-    stored form.
+    factor with every entry; one division by their gcd, signed as den is,
+    brings it to the stored form.
     """
     m = ring.modulus
     if m is not None:
         inv = pow(den, -1, m)
-        return SquareMatrix._trusted(
-            ring, tuple([tuple([x * inv % m for x in row]) for row in rows])
-        )
+        return _trusted(ring, tuple([tuple([x * inv % m for x in row]) for row in rows]))
     if den == 1:
-        return SquareMatrix._trusted(ring, tuple(map(tuple, rows)))
+        return _trusted(ring, tuple(map(tuple, rows)))
     if ring.kind == "Z":
-        rows = tuple(tuple(x // den for x in row) for row in rows)
-        return SquareMatrix._trusted(ring, rows)
-    rows = tuple(map(tuple, rows))
-    if den < 0:
-        den = -den
-        rows = tuple(tuple(-x for x in row) for row in rows)
+        return _trusted(ring, tuple([tuple([x // den for x in row]) for row in rows]))
     g = gcd(den, *chain.from_iterable(rows))
-    if g != 1:
-        rows = tuple(tuple(x // g for x in row) for row in rows)
-        den //= g
-    return SquareMatrix._trusted(ring, rows, den)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return _trusted(ring, tuple(map(tuple, rows)), den)
+    return _trusted(ring, tuple([tuple([x // g for x in row]) for row in rows]), den // g)
 
 
 def _det_in_ring(ring: RingSpec, det_num: int, den: int, n: int) -> Scalar:
@@ -833,9 +847,8 @@ def all_matrices(ring: RingSpec, n: int) -> Iterator[SquareMatrix]:
         raise DrazinkitError(f"cannot enumerate matrices over {ring}")
     total = n * n
     # Residues in [0, m) are canonical by construction.
-    trusted = SquareMatrix._trusted
     for flat in product(range(ring.modulus), repeat=total):  # type: ignore[arg-type]
-        yield trusted(ring, tuple(flat[i:i + n] for i in range(0, total, n)))
+        yield _trusted(ring, tuple([flat[i:i + n] for i in range(0, total, n)]))
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .matrix_rings import (
     SquareMatrix,
     _from_rows,
     _reduce,
+    _trusted,
     _with_identity,
     all_matrices,
     is_invertible,
@@ -364,7 +365,7 @@ def _solve_by_elimination(
     # pivot unknowns are X[p_i][q_j], and the solutions are T[i][j] there,
     # plus for each free (k, l) any multiple of
     # e_(k,l) - sum R1[i][k] R2[j][l] e_(p_i,q_j).
-    bt = SquareMatrix._trusted(ring, tuple(zip(*b.num)), b.den)
+    bt = _trusted(ring, tuple(zip(*b.num)), b.den)
     rows1, piv1, d1 = _reduce(_with_identity(b), n, m)
     rows2, piv2, d2 = _reduce(_with_identity(bt), n, m)
     p1 = _from_rows(ring, [row[n:] for row in rows1], d1)

@@ -269,6 +269,32 @@ def test_signed_flag_value_reads_as_with_equals(command, flag, value, capsys, tm
     assert run(capsys, command, flag, value, "--in", path) == attached
 
 
+@pytest.mark.parametrize("command, flag, spelling, value", [
+    ("jacobson", "--lambda", "--lam", "-1/2"),
+    ("jacobson", "--lambda", "--l", "-3"),
+    ("jacobson", "--lambda", "--lambd", "-1/2"),
+    ("spectrum", "--lambdas", "--lambd", "-1,2"),
+    ("spectrum", "--lambdas", "--lambda", "-1/2,-7"),
+])
+def test_abbreviated_signed_flag_reads_as_spelled_out(
+    command, flag, spelling, value, capsys, tmp_path
+):
+    # argparse takes a prefix that begins no other flag of the subcommand as
+    # that flag; the value after it attaches as after the full spelling.
+    path = _quad_q_identity(tmp_path)
+    attached = run(capsys, command, "--in", path, f"{flag}={value}")
+    assert attached[0] == 0
+    assert run(capsys, command, "--in", path, spelling, value) == attached
+    assert run(capsys, command, "--in", path, f"{spelling}={value}") == attached
+
+
+def test_double_dash_still_ends_the_options(capsys, tmp_path):
+    argv = ["jacobson", "--in", _quad_q_identity(tmp_path), "--", "--lambda", "-1/2"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: -- --lambda -1/2" in json.loads(err)["detail"]
+
+
 @pytest.mark.parametrize("value", ["", ",", ",,"])
 def test_empty_lambdas_is_malformed(value, capsys, tmp_path):
     error = {"error": "malformed-input", "detail": "--lambdas is empty"}

@@ -539,6 +539,23 @@ class TestQuadruple:
         q = example_quadruple("2.5")
         assert Quadruple.from_json(q.to_json()) == q
 
+    def test_assignment_raises(self):
+        q = example_quadruple("2.5")
+        assert not hasattr(q, "__dict__")
+        for name in ("a", "b", "c", "d", "ac", "bd", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(q, name, q.a)
+
+    def test_sides_with_equal_numerators_over_different_denominators_differ(self):
+        # a = b = c = 1, d = 1/2: bdb = 1/2 and bac = 1 share the numerator
+        # rows ((1,),), as do dbd = 1/4 and acd = 1/2; only den tells them
+        # apart.
+        one, half = m(RING_Q, [[1]]), m(RING_Q, [[Fraction(1, 2)]])
+        assert (one * half * one).num == (one * one * one).num
+        with pytest.raises(RelationViolation) as exc:
+            Quadruple(one, one, one, half)
+        assert [r["holds"] for r in exc.value.report["relations"]] == [False, False]
+
 
 class TestClineGeneralized:
     def test_second_demo_instance(self):

@@ -495,6 +495,56 @@ class TestMatrixBasics:
         assert x == y and hash(x) == hash(y)
 
 
+def _square(ring: RingSpec, n: int, seed: int) -> SquareMatrix:
+    """A fixed n x n matrix with entries in [-3, 3] (over Q with
+    denominators up to 4), reduced into the ring."""
+    rng = random.Random(seed)
+    if ring.kind == "Q":
+        return m(ring, [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                         for _ in range(n)] for _ in range(n)])
+    return m(ring, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+
+
+# Every route that builds a matrix: the validating constructor, products
+# on both kernels and the listcomp, the normaliser in all four ring kinds,
+# and the public results built from derived rows.
+CONSTRUCTION_ROUTES = {
+    "constructor": lambda: m(RING_Q, [[Fraction(1, 2), 3], [0, -1]]),
+    "product-n2-zmod4": lambda: _square(zmod(4), 2, 1) * _square(zmod(4), 2, 2),
+    "product-n2-q": lambda: _square(RING_Q, 2, 3) * _square(RING_Q, 2, 4),
+    "product-n4-z": lambda: _square(RING_Z, 4, 5) * _square(RING_Z, 4, 6),
+    "product-n4-q": lambda: _square(RING_Q, 4, 7) * _square(RING_Q, 4, 8),
+    "product-n5-gf5": lambda: _square(gf(5), 5, 9) * _square(gf(5), 5, 10),
+    "product-n5-q": lambda: _square(RING_Q, 5, 11) * _square(RING_Q, 5, 12),
+    "from-rows-q": lambda: _from_rows(RING_Q, [[4, -6], [2, 0]], -6),
+    "from-rows-z": lambda: _from_rows(RING_Z, [[4, -6], [2, 0]], 2),
+    "from-rows-gf5": lambda: _from_rows(gf(5), [[4, -6], [2, 0]], 3),
+    "from-rows-zmod6": lambda: _from_rows(zmod(6), [[4, -6], [2, 0]], 5),
+    "identity": lambda: SquareMatrix.identity(RING_Q, 3),
+    "zeros": lambda: SquareMatrix.zeros(zmod(6), 2),
+    "over-q": lambda: over_q(_square(RING_Z, 3, 13)),
+    "all-matrices": lambda: list(all_matrices(zmod(4), 2))[-1],
+    "inverse-q": lambda: inverse(m(RING_Q, [[2, 1], [Fraction(1, 3), 1]])),
+    "inverse-zmod6": lambda: inverse(m(zmod(6), [[1, 2], [0, 5]])),
+    "flavor-inverse": lambda: flavor_inverse(
+        m(RING_Q, [[1, 1, 0], [0, 0, 1], [0, 0, 0]]), Flavor.DRAZIN
+    ).inverse,
+}
+
+
+class TestBuiltMatrices:
+    @pytest.mark.parametrize("build", CONSTRUCTION_ROUTES.values(), ids=list(CONSTRUCTION_ROUTES))
+    def test_every_route_builds_an_immutable_plain_matrix(self, build):
+        x = build()
+        assert type(x) is SquareMatrix
+        assert not hasattr(x, "__dict__")
+        for name in ("ring", "n", "num", "den", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+        again = SquareMatrix(x.ring, x.entries)
+        assert x == again and hash(x) == hash(again)
+
+
 class TestInverse:
     def test_identity(self):
         eye = SquareMatrix.identity(RING_Q, 3)

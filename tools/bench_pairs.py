@@ -1,0 +1,116 @@
+"""Compare two checkouts on one benchmark workload, in alternating pairs.
+
+    python3 tools/bench_pairs.py BEFORE_DIR AFTER_DIR --workload residue_sampling \\
+        --pairs 5 --seconds 20 --seed 555
+
+Each pair runs ``bench/run.py --trace 0`` once in each checkout, before
+first in even pairs and after first in odd ones, so that a drift in the
+machine's load falls on both sides alike. For every end-to-end metric it
+prints each side's quartiles and median, the change of the median, and in
+how many pairs the after side did better; which direction is better comes
+from BENCHMARK.json next to this script. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3), by linear interpolation between closest ranks."""
+    ordered = sorted(values)
+
+    def at(pct: float) -> float:
+        pos = (len(ordered) - 1) * pct
+        lo = int(pos)
+        hi = min(lo + 1, len(ordered) - 1)
+        return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+
+    return at(0.25), at(0.5), at(0.75)
+
+
+def summarize(
+    before: list[str], after: list[str], better: dict[str, str]
+) -> list[str]:
+    """The report lines for paired result lines of bench/run.py.
+
+    before[i] and after[i] are the last stdout lines (JSON objects) of pair
+    i's two runs; better maps each end-to-end metric to "higher" or
+    "lower". A pair is won when the after run is strictly better.
+    """
+    if len(before) != len(after) or not before:
+        raise ValueError("need the same positive number of runs on each side")
+    runs = {"before": [json.loads(line) for line in before],
+            "after": [json.loads(line) for line in after]}
+    pairs = len(before)
+    lines = [
+        f"{'metric':18s} {'better':6s} {'before q1 / median / q3':>32s} "
+        f"{'after q1 / median / q3':>32s} {'median':>8s} {'won':>7s}"
+    ]
+    for name, direction in better.items():
+        side = {
+            key: [run["metrics"][name]["value"] for run in results]
+            for key, results in runs.items()
+        }
+        q_before, q_after = quartiles(side["before"]), quartiles(side["after"])
+        sign = 1 if direction == "higher" else -1
+        won = sum(sign * (y - x) > 0 for x, y in zip(side["before"], side["after"]))
+        base = q_before[1]
+        change = f"{(q_after[1] - base) / base:+.1%}" if base else "n/a"
+        lines.append(
+            f"{name:18s} {direction:6s} {' / '.join(f'{v:.4g}' for v in q_before):>32s} "
+            f"{' / '.join(f'{v:.4g}' for v in q_after):>32s} {change:>8s} "
+            f"{f'{won}/{pairs}':>7s}"
+        )
+    for key, results in runs.items():
+        failed = sum(run["failed"] for run in results)
+        if failed:
+            lines.append(f"{key}: {failed} failed ops over {pairs} runs")
+    return lines
+
+
+def run_once(checkout: Path, workload: str, seconds: float, seed: int | None) -> str:
+    """The last stdout line of one untraced bench/run.py in checkout."""
+    cmd = [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
+           "--seconds", str(seconds), "--trace", "0"]
+    if seed is not None:
+        cmd += ["--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("before", type=Path, help="checkout of the parent commit")
+    parser.add_argument("after", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=None)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    sides: dict[str, list[str]] = {"before": [], "after": []}
+    for i in range(args.pairs):
+        order = ("before", "after") if i % 2 == 0 else ("after", "before")
+        for key in order:
+            line = run_once(getattr(args, key), args.workload, args.seconds, args.seed)
+            sides[key].append(line)
+            print(f"pair {i + 1} {key}: {line}", file=sys.stderr)
+    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs")
+    print("\n".join(summarize(sides["before"], sides["after"], better)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,12 +9,11 @@ fields, by flavor_inverse alone: one formula for every flavor, a polynomial
 in the element read off its characteristic polynomial, verified once under
 the flavor asked for. Over Z and Z/n only verification is available,
 with brute-force search providing candidates from the lab module. The unit
-transfer (jacobson_inverse) has one route in all four rings: a
-Cayley-Hamilton resolvent of ac, built once per quadruple, whose formula is
-proven for every lambda at once by one polynomial identity checked in
-exact integer products. The identity is checked on one side only: once it
-holds, both factors are polynomials in bd and commute, so the proof is
-two-sided.
+transfer (jacobson_inverse) has one route in all four rings: the inverse
+as a polynomial in bd, read off the characteristic polynomial of ac, and
+proven for every lambda at once by two polynomial identities, each one
+matrix_rings._poly_at evaluation checked zero in exact integers. The proof
+is two-sided because both factors are polynomials in bd.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .matrix_rings import (
     _first_power,
     _from_rows,
     _nilpotency_bound,
+    _poly_at,
     _trusted,
     in_radical,
     inverse,
@@ -312,9 +312,11 @@ def flavor_inverse(a: SquareMatrix, flavor: Flavor) -> DrazinCertificate:
     On the generalized 0-eigenspace of N, N^k = 0; on the rest g(N) = 0, so
     -h(N) / g(0) inverts N there. Hence N^D = N^k (-h(N) / g(0))^(k+1), a
     polynomial in N (Drazin 1958), and a^D = den N^D; over GF(p), N is a
-    itself and den = 1. Over a field the radical is 0 and quasinilpotent
-    means nilpotent, so the Drazin inverse is also the p-Drazin and
-    g-Drazin inverse, and the group inverse when its index is at most 1.
+    itself and den = 1. h(N) comes from matrix_rings._poly_at in
+    max(n - k - 2, 0) products. Over a field the radical is 0 and
+    quasinilpotent means nilpotent, so the Drazin inverse is also the
+    p-Drazin and g-Drazin inverse, and the group inverse when its index is
+    at most 1.
     The flavor's axioms are verified once. The group flavor raises
     NoGroupInverse when the certificate's index exceeds 1; a failed check,
     or an index above the algebraic multiplicity k of 0, raises
@@ -332,10 +334,10 @@ def flavor_inverse(a: SquareMatrix, flavor: Flavor) -> DrazinCertificate:
     while r and not cs[r]:
         r -= 1
     k = n - r
-    eye = SquareMatrix.identity(zring, n)
-    h, g0 = (eye, cs[r]) if r else (SquareMatrix.zeros(zring, n), 1)
-    for c in cs[1:r]:  # Horner's rule, r - 1 products
-        h = h * big_n + eye.scalar_mul(c)
+    # g(t) = sum_(i<=r) cs[i] t^(r-i) and h has the coefficients cs[:r],
+    # with the leading 1 of the monic chi written out, never read from cs.
+    monic = [1, *cs[1:]]
+    h, g0 = _poly_at(monic[:r], big_n), monic[r]
     x = h.power(k + 1)
     if k:
         x = big_n.power(k) * x
@@ -483,111 +485,46 @@ def _shifted_det(cs: list[int], u: int, s: int) -> int:
 
 class _Resolvent:
     """The unit transfer r = 1 + b (lambda - ac)^(-1) d of one quadruple at
-    any nonzero lambda, from one Cayley-Hamilton resolvent of ac.
+    any nonzero lambda, as a polynomial in bd.
 
-    With ac = A / alpha, b = B / beta, d = D / delta and bd = E / eps over
+    Write chi(t) = det(t - ac). Then (lambda - t) q(t) = chi(lambda) - chi(t)
+    for a polynomial q in t, so (lambda - ac) q(ac) = chi(lambda) once
+    chi(ac) = 0, and b (ac)^j d = (bd)^(j+1), from bdb = bac, turns
+    b q(ac) d into bd q(bd). Hence r = 1 + bd q(bd) / chi(lambda), and
+    (lambda - bd) r = lambda - bd chi(bd) / chi(lambda). Two polynomial
+    identities prove everything. With ac = A / alpha and bd = E / eps over
     integer numerators (the residues themselves over GF(m) and Z/m, where
-    every denominator is 1), Berkowitz's recurrence gives
-    det(t I - A) = sum c_k t^(n-k), and Cayley-Hamilton gives
-    adj(t I - A) = sum_(k<n) t^(n-1-k) M_k with M_0 = I and
-    M_k = A M_(k-1) + c_k I. Only C_k = B M_k D is needed, and it is formed
-    once per quadruple without M_k: b (ac) = (bd) b, from bdb = bac, turns
-    B A into (alpha / eps) E B, so C_0 = B D = beta delta E / eps and
-    C_k = alpha E C_(k-1) / eps + c_k C_0, each division exact. At
-    lambda = p / s, the integers X = sum c_k (p alpha)^(n-k) s^k, which
-    is (alpha s)^n det(lambda - ac), and Y = sum (p alpha)^(n-1-k) s^k C_k
-    give r = R / (beta delta X) with R = beta delta X I + alpha s Y. E and
-    every C_k are matrices over Z (over the residue ring itself on GF(m)
-    and Z/m), and each combination of them is brought to stored form by
-    matrix_rings._from_rows.
+    both denominators are 1), Berkowitz's recurrence gives
+    det(t I - A) = sum c_k t^(n-k), and
+    - closure: sum c_k A^(n-k) = 0, which is chi(ac) = 0;
+    - identity: sum c_k alpha^(n-k) eps^k E^(n-k+1) = 0, which is
+      alpha^n eps^(n+1) bd chi(bd) = 0.
+    Each is one matrix_rings._poly_at evaluation, checked zero in integers
+    (mod m on residues): n - 1 and n products, 2n - 1 per quadruple, made
+    once, at the first lambda whose X is a unit of the ring.
 
-    Nothing is taken on trust, and the proofs are made once per quadruple,
-    at the first lambda whose X is a unit of the ring. The verdict that
-    lambda - ac is a unit rests on Cayley-Hamilton closure: with
-    M_0 = c_0 I, A M_(n-1) + c_n I = 0. Then X I = (u I - s A) Q(A) for an
-    integer polynomial Q, u = p alpha, so a unit X makes lambda - ac a
-    unit. The formula rests on one polynomial identity. With V = p eps I -
-    s E, the numerators of s eps (lambda - bd), V R - p eps beta delta X I
-    is s times a form in (u, s) whose u^(n-k) s^k coefficient is
-    eps C_k - beta delta c_k E - alpha E C_(k-1) (C_(-1) = C_n = 0). All
-    n + 1 coefficients are checked zero in integers (mod m on residues).
-    The products E C_0 ... E C_(n-2) are the ones that built C_1 ... C_(n-1),
-    kept from construction (the same operands through the same exact
-    product, so a second run could not disagree): the checks at k < n prove
-    each division by eps exact, and one product E C_(n-1) is made for the
-    check at k = n. That proves
-    (lambda - bd) r = lambda, and r (lambda - bd) = lambda follows with no
-    check of its own: once the coefficients vanish, each C_k is a
-    polynomial in E (over Q; eps = 1 on residues), so R and V commute.
-    Hence the identity is two-sided at every lambda where X is a unit.
-    Where X is no unit, lambda - ac must be singular, and
+    At lambda = p / s the integers W_0 = 1, W_k = p alpha W_(k-1) + c_k s^k
+    are (alpha s)^k times the Horner partial sums of chi at lambda, and
+    X = W_n = (alpha s)^n chi(lambda). The closure makes lambda - ac a unit
+    when X is one. The identity then gives (lambda - bd) r = lambda at
+    every such lambda, with r = R / (X eps^n), R = sum v_m E^m and
+    v_m = W_(n-m) (alpha s)^m eps^(n-m): no matrix is scaled by 1/lambda.
+    r is a polynomial in bd, so it commutes with lambda - bd and the proof
+    is two-sided. Where X is no unit, lambda - ac must be singular, and
     inverse(lambda - ac) is asked to confirm it by raising NotInvertible.
     Any other outcome raises FormulaViolation.
     """
 
-    __slots__ = ("q", "zring", "alpha", "bd_den", "eps", "e", "cs", "cks", "ecs", "proven")
+    __slots__ = ("q", "zring", "alpha", "eps", "e", "cs", "proven")
 
     def __init__(self, q: Quadruple):
         ring = q.ring
         # The integer numerators live over Z off the residue rings.
-        zring = ring if ring.is_finite else RING_Z
-        ac, bd = q.ac, q.bd
-        alpha, bd_den, eps = ac.den, q.b.den * q.d.den, bd.den
-        cs = _berkowitz(ac.num, ring.modulus)
-        e = _trusted(zring, bd.num)
-        c0 = _from_rows(zring, [[bd_den * x for x in row] for row in e.num], eps)
-        cks, ecs = [c0], []  # ecs[k] = E C_k
-        for c in cs[1:q.n]:
-            ecs.append(e * cks[-1])
-            rows = [
-                [alpha * x + eps * c * y for x, y in zip(r1, r2)]
-                for r1, r2 in zip(ecs[-1].num, c0.num)
-            ]
-            cks.append(_from_rows(zring, rows, eps))
-        self.q, self.zring, self.e, self.cs, self.cks = q, zring, e, cs, cks
-        self.ecs = ecs
-        self.alpha, self.bd_den, self.eps = alpha, bd_den, eps
+        self.zring = ring if ring.is_finite else RING_Z
+        self.q, self.alpha, self.eps = q, q.ac.den, q.bd.den
+        self.cs = _berkowitz(q.ac.num, ring.modulus)
+        self.e = _trusted(self.zring, q.bd.num)
         self.proven = False
-
-    def _check_closure(self) -> None:
-        """Raise FormulaViolation unless sum c_k A^(n-k) = 0, by the
-        recurrence M_k = A M_(k-1) + c_k I, n integer products."""
-        n, cs, zring = self.q.n, self.cs, self.zring
-        big_a = _trusted(zring, self.q.ac.num)
-        rows = [[cs[0] * (i == j) for j in range(n)] for i in range(n)]
-        mk = _from_rows(zring, rows, 1)
-        for c in cs[1:]:
-            rows = [
-                [x + c * (i == j) for j, x in enumerate(row)]
-                for i, row in enumerate((big_a * mk).num)
-            ]
-            mk = _from_rows(zring, rows, 1)
-        if not mk.is_zero:
-            raise FormulaViolation(
-                "the characteristic polynomial of ac fails Cayley-Hamilton"
-            )
-
-    def _check_identity(self) -> None:
-        """Raise FormulaViolation unless every coefficient of V R minus
-        p eps beta delta X I vanishes, by one integer product, E C_(n-1);
-        the E C_(k-1) below it are the construction's own. A C_k changed
-        after construction, or a division by eps that was not exact, still
-        leaves coefficient k nonzero. R V needs no check: while the
-        coefficients below k vanish, C_(k-1) is a polynomial in E, so
-        C_(k-1) E = E C_(k-1) and the R V coefficient at k is the V R one."""
-        zring, e = self.zring, self.e
-        zero = SquareMatrix.zeros(zring, self.q.n)
-        e_cs = [zero, *self.ecs, e * self.cks[-1]]  # E C_(k-1), C_(-1) = 0
-        for c, ck, e_c in zip(self.cs, self.cks + [zero], e_cs):
-            rows = [
-                [self.eps * x - self.bd_den * c * y - self.alpha * z
-                 for x, y, z in zip(r1, r2, r3)]
-                for r1, r2, r3 in zip(ck.num, e.num, e_c.num)
-            ]
-            if not _from_rows(zring, rows, 1).is_zero:
-                raise FormulaViolation(
-                    "1 + b (lambda - ac)^(-1) d failed to invert 1 - bd/lambda"
-                )
 
     def _split(self, lam: Scalar) -> tuple[int, int]:
         """(p, s) with lambda = p / s and s > 0, after the checks on lambda."""
@@ -623,39 +560,45 @@ class _Resolvent:
                 "lambda - ac inverted although its resolvent determinant is no unit"
             )
         if not self.proven:
-            self._check_closure()
-            self._check_identity()
+            n, cs, alpha, eps = q.n, self.cs, self.alpha, self.eps
+            if not _poly_at(cs, _trusted(self.zring, q.ac.num)).is_zero:
+                raise FormulaViolation(
+                    "the characteristic polynomial of ac fails Cayley-Hamilton"
+                )
+            scaled = [c * alpha ** (n - k) * eps**k for k, c in enumerate(cs)]
+            if not _poly_at(scaled + [0], self.e).is_zero:
+                raise FormulaViolation(
+                    "1 + b (lambda - ac)^(-1) d failed to invert 1 - bd/lambda"
+                )
             self.proven = True
         return x
 
     def inverse_at(self, lam: Scalar) -> SquareMatrix:
-        """r = R / (beta delta X), proven by unit_numerator."""
+        """r = R / (X eps^n), proven by unit_numerator; n - 1 products."""
         x = self.unit_numerator(lam)
         p, s = self._split(lam)
-        u = p * self.alpha
-        y, s_k = self.cks[0].num, 1
-        for ck in self.cks[1:]:
-            s_k *= s
-            y = [[e * u + s_k * c for e, c in zip(r1, r2)] for r1, r2 in zip(y, ck.num)]
-        den = self.bd_den * x
-        scale = self.alpha * s
-        rows = [
-            [scale * e + den * (i == j) for j, e in enumerate(row)]
-            for i, row in enumerate(y)
+        n, cs, eps = self.q.n, self.cs, self.eps
+        u, scale = p * self.alpha, self.alpha * s
+        # v_(n-k) = W_k (alpha s)^(n-k) eps^k, highest degree first.
+        vs = [
+            _shifted_det(cs[:k + 1], u, s) * scale ** (n - k) * eps**k
+            for k in range(n + 1)
         ]
-        return _from_rows(self.q.ring, rows, den)
+        return _from_rows(self.q.ring, _poly_at(vs, self.e).num, x * eps**n)
 
 
 def jacobson_inverse(q: Quadruple, lam: Scalar = 1) -> SquareMatrix:
     """(1 - bd/lambda)^(-1) as r = 1 + b (lambda - ac)^(-1) d.
 
     The unit transfer: lambda - bd is a unit whenever lambda - ac is. From
-    bdb = bac and dbd = acd, (lambda - bd) r = r (lambda - bd) = lambda. r
-    comes from the Cayley-Hamilton resolvent of ac, the one route in all
-    four rings, which proves (lambda - bd) r = lambda in integers for every
-    lambda at once, with no matrix scaled by 1/lambda (see _Resolvent). The
-    other side needs no check of its own: r and lambda - bd are then both
-    polynomials in bd, so they commute and the identity is two-sided.
+    bdb = bac and dbd = acd, r = 1 + bd q(bd) / chi(lambda), with
+    chi(t) = det(t - ac) and (lambda - t) q(t) = chi(lambda) - chi(t): a
+    polynomial in bd, the one route in all four rings (see _Resolvent).
+    Two polynomial identities, chi(ac) = 0 and bd chi(bd) = 0, checked once
+    in integers, prove (lambda - bd) r = r (lambda - bd) = lambda for every
+    lambda at once, with no matrix scaled by 1/lambda; the two sides agree
+    because r and lambda - bd commute. The proof takes 2n - 1 products and
+    r itself n - 1 more.
     Raises ZeroLambda for lambda = 0, UnsupportedRing for lambda != 1
     outside Q, and NotInvertible, with inverse's own text, when
     lambda - ac is singular. A failed check raises FormulaViolation

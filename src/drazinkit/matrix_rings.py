@@ -15,14 +15,21 @@ The stored form (lowest terms over Q, exact integers over Z, residues over
 GF(p) and Z/n) is coded twice: SquareMatrix(...) validates outside input
 into it, and _from_rows puts every derived matrix into it from integer
 rows over a denominator. Sums, negations, scalar multiples, inverses,
-constructed flavor-inverses and the resolvent's combinations all go
-through _from_rows. Only the product
+constructed flavor-inverses and each step of _poly_at all go through
+_from_rows. Only the product
 reduces inline, mod m and on its den = 1 path, since it is the hot path.
 Its rows come, for n <= _UNROLL_MAX_N = 4, from a kernel generated and
 compiled once per dimension, with every entry an explicit sum of n
 products; above the bound, where no measured workload runs and each
 process would pay a compile growing as n^3, one listcomp computes the
 rows. SquareMatrix.__mul__ is the one entry point of both.
+
+Every polynomial evaluated at a matrix is evaluated by one function,
+_poly_at(cs, x), by Horner's rule on an integer matrix (over Z or a
+residue ring) in max(len(cs) - 2, 0) products: h(N) in the construction
+of every flavor-inverse, which takes max(n - k - 2, 0) of them when 0 has
+algebraic multiplicity k, and in the unit transfer the two identities that
+prove it (2n - 1 products per quadruple) and the inverse itself.
 
 Every matrix not built by SquareMatrix(...) is built by one function,
 _trusted(ring, num, den), which checks nothing and costs about what a
@@ -671,6 +678,29 @@ def _from_rows(
     if g == 1:
         return _trusted(ring, tuple(map(tuple, rows)), den)
     return _trusted(ring, tuple([tuple([x // g for x in row]) for row in rows]), den // g)
+
+
+def _poly_at(cs: Sequence[int], x: SquareMatrix) -> SquareMatrix:
+    """sum cs[i] x^(len(cs) - 1 - i), highest degree first, the one
+    evaluation of a polynomial at a matrix; the zero matrix for no cs.
+
+    x holds integers (den = 1): over Z, or residues over GF(m) and Z/m,
+    where the coefficients are reduced mod m. Horner's rule, started at
+    cs[0] x + cs[1] I, takes max(len(cs) - 2, 0) products, and each step
+    brings acc x + c I to stored form with one _from_rows.
+    """
+    ring, n = x.ring, x.n
+
+    def plus_c(rows: Sequence[Sequence[int]], c: int) -> SquareMatrix:
+        rows = [[v + c * (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        return _from_rows(ring, rows, 1)
+
+    if len(cs) < 2:
+        return plus_c(((0,) * n,) * n, cs[0] if cs else 0)
+    acc = plus_c([[cs[0] * v for v in row] for row in x.num], cs[1])
+    for c in cs[2:]:
+        acc = plus_c((acc * x).num, c)
+    return acc
 
 
 def _det_in_ring(ring: RingSpec, det_num: int, den: int, n: int) -> Scalar:

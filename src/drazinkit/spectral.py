@@ -10,14 +10,14 @@ part by the integer gcd kernel of exact_arith, and the sets agree iff those
 tuples are identical (primitive forms are canonical, so equal tuples are
 equal monic polynomials). Monic rational coefficients appear only in the
 JSON reports. Pointwise unit transfer at sampled nonzero lambda complements
-the set comparison: one Cayley-Hamilton resolvent of ac per quadruple
+the set comparison: one characteristic polynomial of ac per quadruple
 (drazin_core._Resolvent) decides at every lambda whether lambda - ac is
-invertible, and proves the formula for (1 - bd/lambda)^(-1) in integers
-once, for every such lambda at once (one side is checked; the other follows
-because both factors are then polynomials in bd, which commute); at every
-lambda where it finds lambda - ac singular, an elimination inverse must
-agree. The bd side is decided at every lambda by one characteristic
-polynomial of bd per quadruple, and each verdict rests on two routes: where
+invertible, and two polynomial identities, checked in integers once, prove
+the formula for (1 - bd/lambda)^(-1), a polynomial in bd, for every such
+lambda at once and on both sides; at every lambda where it finds
+lambda - ac singular, an elimination inverse must agree. The bd side is
+decided at every lambda by one characteristic polynomial of bd per
+quadruple, and each verdict rests on two routes: where
 lambda - ac is a unit, the proven formula makes lambda - bd one, and a
 characteristic polynomial that says otherwise is a bug; where lambda - ac is
 singular, the elimination determinant of lambda - bd must give the same
@@ -176,16 +176,16 @@ def invertibility_transfer(
     Whenever lambda - ac is invertible, the explicit formula
     1 + b (lambda - ac)^(-1) d must invert 1 - bd/lambda, which is the
     statement that lambda - bd is a unit whenever lambda - ac is. One
-    Cayley-Hamilton resolvent of ac serves every lambda (the route of
-    jacobson_inverse). At the first lambda where it finds lambda - ac
-    invertible it proves the formula, by exact integer multiplication, for
-    every lambda at once: it checks (lambda - bd) r = lambda, and
-    r (lambda - bd) = lambda follows because both factors are then
-    polynomials in bd, so the proof is two-sided. After that each lambda
-    costs one Horner evaluation of the resolvent determinant, and the
-    formula itself is never assembled. At each lambda where it finds lambda - ac
-    singular, inverse(lambda - ac) must confirm that by raising
-    NotInvertible, so no row holds on the resolvent's word alone.
+    resolvent of ac serves every lambda (the route of jacobson_inverse).
+    At the first lambda where it finds lambda - ac invertible it proves
+    the formula for every lambda at once, by the two polynomial identities
+    chi(ac) = 0 and bd chi(bd) = 0, chi(t) = det(t - ac), checked in exact
+    integers in 2n - 1 products; the proof is two-sided because r is a
+    polynomial in bd. After that each lambda costs one Horner evaluation
+    of chi, no product, and the formula itself is never assembled. At each
+    lambda where it finds lambda - ac singular, inverse(lambda - ac) must
+    confirm that by raising NotInvertible, so no row holds on the
+    resolvent's word alone.
 
     The bd side takes one Berkowitz run per quadruple, on the integer
     numerators E of bd = E / eps, and at lambda = p / s the same Horner

@@ -60,3 +60,26 @@ def test_summary_counts_failed_ops_and_ties_as_no_win():
 def test_summary_needs_paired_runs():
     with pytest.raises(ValueError):
         bench_pairs.summarize([result_line(1, 1)], [], BETTER)
+
+
+def test_without_workload_every_workload_runs_in_each_pair(monkeypatch, capsys):
+    spec = json.loads(bench_pairs.BENCHMARK.read_text(encoding="utf-8"))
+    names = [w["name"] for w in spec["workloads"]]
+    line = json.dumps({
+        "failed": 0,
+        "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]},
+    })
+    calls = []
+
+    def fake_run(checkout, workload, seconds, seed):
+        calls.append((checkout.name, workload))
+        return line
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    assert bench_pairs.main(["before", "after", "--pairs", "3"]) == 0
+    forward = [(side, w) for w in names for side in ("before", "after")]
+    backward = [(side, w) for w in names for side in ("after", "before")]
+    assert len(names) == 2 and calls == forward + backward + forward
+    out = capsys.readouterr().out
+    for name in names:
+        assert f"{name}: 3 pairs of 20 s runs" in out

@@ -219,8 +219,9 @@ class TestSingleConstruction:
 
     @pytest.mark.parametrize("flavor", list(Flavor), ids=lambda f: f.value)
     def test_invertible_element_costs_no_identity_products(self, monkeypatch, flavor):
-        # Index 0: x is -h(a) / g(0) with no a^0 = I factor in front. Two
-        # Horner products build h(a) and four verify the axioms; the core
+        # Index 0: x is -h(a) / g(0) with no a^0 = I factor in front. h has
+        # degree 2, so one Horner product builds h(a), starting at
+        # c_0 a + c_1 I, and four verify the axioms; the core
         # a - a^2 x is already zero (or in the radical) at its first power,
         # so no flavor's walk takes another.
         calls = []
@@ -234,7 +235,7 @@ class TestSingleConstruction:
         a = m(RING_Q, [[2, 1, 0], [1, 1, 0], [0, Fraction(1, 3), 5]])
         cert = flavor_inverse(a, flavor)
         assert cert.valid and cert.index == 0
-        assert len(calls) == 6
+        assert len(calls) == 5
 
     def test_group_refusal_reads_the_certificate_index(self, verify_calls):
         # chi = t^3, so x = 0; the one group verification finds the core

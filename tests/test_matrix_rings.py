@@ -32,6 +32,7 @@ from drazinkit.matrix_rings import (
     _berkowitz,
     _from_rows,
     _is_prime,
+    _poly_at,
     all_matrices,
     det,
     det_bareiss,
@@ -410,6 +411,38 @@ class TestMatrixBasics:
             cost = k.bit_length() + bin(k).count("1") - 2 if k else 0
             assert len(calls) == cost
 
+    @pytest.mark.parametrize("ring", [RING_Z, gf(5), zmod(12)], ids=str)
+    @given(data=st.data())
+    def test_poly_at_matches_sum_of_powers(self, ring, data):
+        # Horner's rule against sum cs[i] x^(d - i) from reference_product
+        # powers; coefficients beyond the modulus and zeros, leading ones
+        # too, included. It starts at cs[0] x + cs[1] I, so the products
+        # number max(len - 2, 0).
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        x = data.draw(entries_strategy(ring, n))
+        coefficient = st.just(0) | st.integers(min_value=-30, max_value=30)
+        cs = data.draw(st.lists(coefficient, min_size=1, max_size=n + 2))
+        d = len(cs) - 1
+        powers = [SquareMatrix.identity(ring, n)]
+        for _ in range(d):
+            powers.append(reference_product(powers[-1], x))
+        want = SquareMatrix.zeros(ring, n)
+        for i, c in enumerate(cs):
+            want = want + powers[d - i].scalar_mul(c)
+        calls = []
+        mul = SquareMatrix.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SquareMatrix, "__mul__", counted)
+            got = _poly_at(cs, x)
+        assert got == want and len(calls) == max(len(cs) - 2, 0)
+        assert_canonical(got)
+        assert _poly_at([], x) == SquareMatrix.zeros(ring, n)
+
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @given(data=st.data())
     def test_product_matches_reference(self, ring, data):
@@ -522,6 +555,7 @@ CONSTRUCTION_ROUTES = {
     "from-rows-zmod6": lambda: _from_rows(zmod(6), [[4, -6], [2, 0]], 5),
     "identity": lambda: SquareMatrix.identity(RING_Q, 3),
     "zeros": lambda: SquareMatrix.zeros(zmod(6), 2),
+    "poly-at": lambda: _poly_at([2, 0, -3, 5], _square(zmod(12), 3, 14)),
     "over-q": lambda: over_q(_square(RING_Z, 3, 13)),
     "all-matrices": lambda: list(all_matrices(zmod(4), 2))[-1],
     "inverse-q": lambda: inverse(m(RING_Q, [[2, 1], [Fraction(1, 3), 1]])),

@@ -1,14 +1,16 @@
-"""Compare two checkouts on one benchmark workload, in alternating pairs.
+"""Compare two checkouts on the benchmark workloads, in alternating pairs.
 
     python3 tools/bench_pairs.py BEFORE_DIR AFTER_DIR --workload residue_sampling \\
         --pairs 5 --seconds 20 --seed 555
 
-Each pair runs ``bench/run.py --trace 0`` once in each checkout, before
-first in even pairs and after first in odd ones, so that a drift in the
-machine's load falls on both sides alike. For every end-to-end metric it
-prints each side's quartiles and median, the change of the median, and in
-how many pairs the after side did better; which direction is better comes
-from BENCHMARK.json next to this script. Standard library only.
+Each pair runs ``bench/run.py --trace 0`` once in each checkout on each
+workload, before first in even pairs and after first in odd ones, so that
+a drift in the machine's load falls on both sides alike. Without
+--workload every workload of BENCHMARK.json runs in each pair. For every
+workload and end-to-end metric it prints each side's quartiles and median,
+the change of the median, and in how many pairs the after side did better;
+which direction is better comes from BENCHMARK.json next to this script.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -91,7 +93,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("before", type=Path, help="checkout of the parent commit")
     parser.add_argument("after", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", help="one workload of BENCHMARK.json (default: every one)"
+    )
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=None)
@@ -100,15 +104,18 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 1")
     spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    sides: dict[str, list[str]] = {"before": [], "after": []}
+    workloads = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
+    sides = {w: {"before": [], "after": []} for w in workloads}
     for i in range(args.pairs):
         order = ("before", "after") if i % 2 == 0 else ("after", "before")
-        for key in order:
-            line = run_once(getattr(args, key), args.workload, args.seconds, args.seed)
-            sides[key].append(line)
-            print(f"pair {i + 1} {key}: {line}", file=sys.stderr)
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs")
-    print("\n".join(summarize(sides["before"], sides["after"], better)))
+        for workload in workloads:
+            for key in order:
+                line = run_once(getattr(args, key), workload, args.seconds, args.seed)
+                sides[workload][key].append(line)
+                print(f"pair {i + 1} {workload} {key}: {line}", file=sys.stderr)
+    for workload, runs in sides.items():
+        print(f"{workload}: {args.pairs} pairs of {args.seconds:g} s runs")
+        print("\n".join(summarize(runs["before"], runs["after"], better)))
     return 0
 
 

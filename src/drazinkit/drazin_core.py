@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -38,7 +38,7 @@ from .matrix_rings import (
     RING_Z,
     Scalar,
     SquareMatrix,
-    _berkowitz,
+    _chi,
     _first_power,
     _from_rows,
     _nilpotency_bound,
@@ -312,11 +312,13 @@ def flavor_inverse(a: SquareMatrix, flavor: Flavor) -> DrazinCertificate:
     On the generalized 0-eigenspace of N, N^k = 0; on the rest g(N) = 0, so
     -h(N) / g(0) inverts N there. Hence N^D = N^k (-h(N) / g(0))^(k+1), a
     polynomial in N (Drazin 1958), and a^D = den N^D; over GF(p), N is a
-    itself and den = 1. h(N) comes from matrix_rings._poly_at in
-    max(n - k - 2, 0) products. Over a field the radical is 0 and
-    quasinilpotent means nilpotent, so the Drazin inverse is also the
-    p-Drazin and g-Drazin inverse, and the group inverse when its index is
-    at most 1.
+    itself and den = 1. The coefficients are matrix_rings._chi(a), one
+    Berkowitz run per matrix, shared with the unit transfer and
+    spectral.char_poly when they ask for the same a. h(N) comes from
+    matrix_rings._poly_at in max(n - k - 2, 0) products. Over a field
+    the radical is 0 and quasinilpotent means nilpotent, so the Drazin
+    inverse is also the p-Drazin and g-Drazin inverse, and the group
+    inverse when its index is at most 1.
     The flavor's axioms are verified once. The group flavor raises
     NoGroupInverse when the certificate's index exceeds 1; a failed check,
     or an index above the algebraic multiplicity k of 0, raises
@@ -329,7 +331,7 @@ def flavor_inverse(a: SquareMatrix, flavor: Flavor) -> DrazinCertificate:
     # The integer numerators live over Z off the residue rings.
     zring = ring if ring.is_finite else RING_Z
     big_n = _trusted(zring, a.num)
-    cs = _berkowitz(a.num, ring.modulus)
+    cs = _chi(a)
     r = n  # the degree of g; chi is monic, so g = 1 and h = 0 when r = 0
     while r and not cs[r]:
         r -= 1
@@ -471,7 +473,7 @@ def cline_classical(
     return cline_generalized(q, flavor).e_cert
 
 
-def _shifted_det(cs: list[int], u: int, s: int) -> int:
+def _shifted_det(cs: Sequence[int], u: int, s: int) -> int:
     """det(u I - s A) = sum c_k u^(n-k) s^k, from the coefficients
     [c_0, ..., c_n] of det(t I - A), by Horner's rule homogeneous in (u, s).
     With u = p den and A the integer numerators of a = A / den, it is
@@ -494,8 +496,10 @@ class _Resolvent:
     (lambda - bd) r = lambda - bd chi(bd) / chi(lambda). Two polynomial
     identities prove everything. With ac = A / alpha and bd = E / eps over
     integer numerators (the residues themselves over GF(m) and Z/m, where
-    both denominators are 1), Berkowitz's recurrence gives
-    det(t I - A) = sum c_k t^(n-k), and
+    both denominators are 1), matrix_rings._chi(ac) gives
+    det(t I - A) = sum c_k t^(n-k): Berkowitz's recurrence, run once per
+    matrix, so a quadruple whose ac has been through flavor_inverse or
+    spectral.char_poly pays no second run here. Then
     - closure: sum c_k A^(n-k) = 0, which is chi(ac) = 0;
     - identity: sum c_k alpha^(n-k) eps^k E^(n-k+1) = 0, which is
       alpha^n eps^(n+1) bd chi(bd) = 0.
@@ -522,7 +526,7 @@ class _Resolvent:
         # The integer numerators live over Z off the residue rings.
         self.zring = ring if ring.is_finite else RING_Z
         self.q, self.alpha, self.eps = q, q.ac.den, q.bd.den
-        self.cs = _berkowitz(q.ac.num, ring.modulus)
+        self.cs = _chi(q.ac)
         self.e = _trusted(self.zring, q.bd.num)
         self.proven = False
 

@@ -7,9 +7,11 @@ read integers. det and inverse share one kernel, Bareiss's fraction-free
 elimination on integer rows (residue lifts over GF(p) and Z/n), except that
 inverse eliminates mod p over GF(p), as the solvers do. The
 characteristic polynomial has one kernel too, Berkowitz's division-free
-recurrence on the same integer rows, behind spectral.char_poly and, in
+recurrence on the same integer rows, with one caller, _chi(a): it runs the
+recurrence at most once per matrix object and keeps the coefficients on
+the matrix, so spectral.char_poly, the spectral bd verdict and, in
 drazin_core, the unit-transfer resolvent and the construction of every
-flavor-inverse. Nothing ever leaves the ring.
+flavor-inverse all share one run per matrix. Nothing ever leaves the ring.
 
 The stored form (lowest terms over Q, exact integers over Z, residues over
 GF(p) and Z/n) is coded twice: SquareMatrix(...) validates outside input
@@ -34,7 +36,8 @@ prove it (2n - 1 products per quadruple) and the inverse itself.
 Every matrix not built by SquareMatrix(...) is built by one function,
 _trusted(ring, num, den), which checks nothing and costs about what a
 plain object with four slots costs: products, _from_rows, identity,
-zeros, over_q and all_matrices all end in it.
+zeros, over_q and all_matrices all end in it. A fifth slot, for the
+characteristic polynomial, stays unset until _chi fills it.
 
 Matrices are immutable and hashable, so they can serve as cache keys for
 the brute-force layers built on top.
@@ -255,9 +258,11 @@ class SquareMatrix:
     holds the entries themselves (residues in [0, m) for the last two) and
     den = 1. Arithmetic reads num and den; entries, with Fractions over Q,
     is built on demand for JSON, reports and the Fraction cross-checks.
+    The slot _chi holds the characteristic polynomial once _chi(self) has
+    computed it, and is unset until then; ==, hash and repr never read it.
     """
 
-    __slots__ = ("ring", "n", "num", "den")
+    __slots__ = ("ring", "n", "num", "den", "_chi")
 
     def __init__(self, ring: RingSpec, rows: Sequence[Sequence[Scalar]]):
         n = len(rows)
@@ -422,9 +427,9 @@ class SquareMatrix:
         return result
 
 
-# The slot setters of the validating constructor, which get past the raising
-# __setattr__ at half the cost of object.__setattr__.
-_set_ring, _set_n, _set_num, _set_den = (
+# The slot setters of the validating constructor and of _chi, which get past
+# the raising __setattr__ at half the cost of object.__setattr__.
+_set_ring, _set_n, _set_num, _set_den, _set_chi = (
     SquareMatrix.__dict__[slot].__set__ for slot in SquareMatrix.__slots__
 )
 
@@ -805,6 +810,24 @@ def _berkowitz(rows: Sequence[Sequence[int]], m: int | None = None) -> list[int]
         if m is not None:
             p = [x % m for x in p]
     return p
+
+
+def _chi(a: SquareMatrix) -> tuple[int, ...]:
+    """The coefficients _berkowitz(a.num, a.ring.modulus) of
+    det(t I - a.num), as a tuple, run once per matrix object.
+
+    The first call stores them in a's _chi slot and every later call reads
+    them there. They depend only on num and the modulus, which never change
+    on an immutable matrix, so the stored value cannot go stale; nothing is
+    kept anywhere but on the matrix itself. Every characteristic polynomial
+    in the package comes from here: this is _berkowitz's only caller.
+    """
+    try:
+        return a._chi
+    except AttributeError:
+        cs = tuple(_berkowitz(a.num, a.ring.modulus))
+        _set_chi(a, cs)
+        return cs
 
 
 def det_bareiss(a: SquareMatrix) -> Scalar:

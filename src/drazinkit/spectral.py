@@ -3,21 +3,23 @@
 Every square matrix is Drazin invertible, so the Drazin-type spectra of
 finite matrices are empty and carry no information. The meaningful finite
 surrogate is the set of nonzero eigenvalues, compared here without ever
-extracting an eigenvalue. Both characteristic polynomials come from the
-Berkowitz recurrence on integer numerators as primitive integer tuples; each
-is stripped of its power of lambda and reduced to its primitive squarefree
-part by the integer gcd kernel of exact_arith, and the sets agree iff those
-tuples are identical (primitive forms are canonical, so equal tuples are
-equal monic polynomials). Monic rational coefficients appear only in the
-JSON reports. Pointwise unit transfer at sampled nonzero lambda complements
-the set comparison: one characteristic polynomial of ac per quadruple
-(drazin_core._Resolvent) decides at every lambda whether lambda - ac is
-invertible, and two polynomial identities, checked in integers once, prove
-the formula for (1 - bd/lambda)^(-1), a polynomial in bd, for every such
-lambda at once and on both sides; at every lambda where it finds
-lambda - ac singular, an elimination inverse must agree. The bd side is
-decided at every lambda by one characteristic polynomial of bd per
-quadruple, and each verdict rests on two routes: where
+extracting an eigenvalue. Both characteristic polynomials come from
+matrix_rings._chi, the Berkowitz recurrence on integer numerators run once
+per matrix and shared with the unit transfer and the construction, as
+primitive integer tuples; each is stripped of its power of lambda and
+reduced to its primitive squarefree part by the integer gcd kernel of
+exact_arith, once for both sides when their nonzero parts are equal, and the
+sets agree iff those tuples are identical (primitive forms are canonical, so
+equal tuples are equal monic polynomials). Monic rational coefficients
+appear only in the JSON reports. Pointwise unit transfer at sampled nonzero
+lambda complements the set comparison: one characteristic polynomial of ac
+per quadruple (drazin_core._Resolvent) decides at every lambda whether
+lambda - ac is invertible, and two polynomial identities, checked in
+integers once, prove the formula for (1 - bd/lambda)^(-1), a polynomial in
+bd, for every such lambda at once and on both sides; at every lambda where
+it finds lambda - ac singular, an elimination inverse must agree. The bd
+side is decided at every lambda by the one characteristic polynomial of bd
+that char_poly reads too, and each verdict rests on two routes: where
 lambda - ac is a unit, the proven formula makes lambda - bd one, and a
 characteristic polynomial that says otherwise is a bug; where lambda - ac is
 singular, the elimination determinant of lambda - bd must give the same
@@ -33,7 +35,7 @@ from typing import Iterable, Optional, Sequence
 from .drazin_core import Quadruple, _Resolvent, _shifted_det, drazin_inverse
 from .errors import FormulaViolation, NotInvertible
 from .exact_arith import format_rational, primitive, rational_roots, squarefree_part
-from .matrix_rings import SquareMatrix, _berkowitz, det, matrix_to_json, over_q
+from .matrix_rings import SquareMatrix, _chi, det, matrix_to_json, over_q
 
 DEFAULT_LAMBDAS: tuple[Fraction, ...] = (
     Fraction(1),
@@ -49,13 +51,23 @@ DEFAULT_LAMBDAS: tuple[Fraction, ...] = (
 def char_poly(a: SquareMatrix) -> tuple[int, ...]:
     """Primitive form of the characteristic polynomial det(lambda I - a).
 
-    With a = N / den, Berkowitz's recurrence on the integer rows N gives
-    det(x I - N) = sum c_k x^(n-k), so det(den x I - N), which is
-    den^n det(x I - a), has the coefficient c_(n-j) den^j at x^j.
+    With a = N / den, matrix_rings._chi(a), Berkowitz's recurrence on the
+    integer rows N run once per matrix, gives det(x I - N) = sum c_k x^(n-k),
+    so det(den x I - N), which is den^n det(x I - a), has the coefficient
+    c_(n-j) den^j at x^j. over_q refuses GF(p) and Z/m; over Z, N is a's
+    rows and den = 1.
     """
-    aq = over_q(a)
-    den = aq.den
-    return primitive([c * den**j for j, c in enumerate(reversed(_berkowitz(aq.num)))])
+    den = over_q(a).den
+    return primitive([c * den**j for j, c in enumerate(reversed(_chi(a)))])
+
+
+def _zero_multiplicity(p: Sequence[int]) -> int:
+    """The number of zero low coefficients of p, the multiplicity of its
+    root 0."""
+    z = 0
+    while p[z] == 0:
+        z += 1
+    return z
 
 
 def _monic_strings(p: Sequence[int]) -> list[str]:
@@ -76,9 +88,7 @@ class SpectrumSummary:
     @staticmethod
     def of(a: SquareMatrix) -> "SpectrumSummary":
         p = char_poly(a)
-        z = 0
-        while p[z] == 0:
-            z += 1
+        z = _zero_multiplicity(p)
         return SpectrumSummary(p, z, squarefree_part(p[z:]))
 
     def to_json(self) -> dict[str, object]:
@@ -117,19 +127,24 @@ def nonzero_spectrum_equal(p: SquareMatrix, q: SquareMatrix) -> SpectrumComparis
 
     Equality means identical primitive squarefree nonzero parts of the two
     characteristic polynomials, which is identical monic ones; dimensions
-    may differ.
+    may differ. The squarefree part is a function of the nonzero-rooted
+    part alone, so when the two nonzero-rooted parts are equal tuples it is
+    computed once, for p, and q's summary reuses it.
     """
     left = SpectrumSummary.of(p)
-    right = SpectrumSummary.of(q)
+    char = char_poly(q)
+    z = _zero_multiplicity(char)
+    # Dropping the zero low coefficients of a primitive char leaves it
+    # primitive, so its nonzero-rooted parts compare as they stand.
+    multiplicity_equal = char[z:] == left.char[left.zero_multiplicity:]
+    right = SpectrumSummary(
+        char, z, left.nonzero_part if multiplicity_equal else squarefree_part(char[z:])
+    )
     return SpectrumComparison(
         equal=left.nonzero_part == right.nonzero_part,
         left=left,
         right=right,
-        # Dropping the zero low coefficients of a primitive char leaves it
-        # primitive, so its nonzero-rooted parts compare as they stand.
-        multiplicity_equal=(
-            left.char[left.zero_multiplicity:] == right.char[right.zero_multiplicity:]
-        ),
+        multiplicity_equal=multiplicity_equal,
     )
 
 
@@ -187,9 +202,11 @@ def invertibility_transfer(
     confirm that by raising NotInvertible, so no row holds on the
     resolvent's word alone.
 
-    The bd side takes one Berkowitz run per quadruple, on the integer
-    numerators E of bd = E / eps, and at lambda = p / s the same Horner
-    evaluation, det(p eps I - s E) = (s eps)^n det(lambda - bd). Each
+    The bd side reads the characteristic polynomial of the integer
+    numerators E of bd = E / eps from matrix_rings._chi(q.bd), the one
+    Berkowitz run on that matrix, which char_poly(q.bd) shares, and takes
+    at lambda = p / s the same Horner evaluation,
+    det(p eps I - s E) = (s eps)^n det(lambda - bd). Each
     verdict rests on two routes. Where lambda - ac is proven a unit, the
     formula has proven lambda - bd one, and a characteristic polynomial
     that finds no unit raises FormulaViolation (a bug), so every row holds.
@@ -199,7 +216,7 @@ def invertibility_transfer(
     """
     rows: list[TransferRow] = []
     resolvent = _Resolvent(q)
-    chi_e = _berkowitz(resolvent.e.num, q.ring.modulus)
+    chi_e = _chi(q.bd)
     for lam in map(Fraction, lambdas):
         try:
             resolvent.unit_numerator(lam)

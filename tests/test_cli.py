@@ -398,15 +398,18 @@ def _index_understated(a, flavor):
 
 # Each case makes an internal check fail: a wrong construction that the
 # certificate re-verification catches, or a FormulaViolation raised inside
-# a call whose other DrazinkitErrors mean malformed input.
+# a call whose other DrazinkitErrors mean malformed input. The matrices are
+# read from a file in every run, so none has its characteristic polynomial
+# stored yet, and the one Berkowitz kernel behind matrix_rings._chi is the
+# producer to bump.
 INTERNAL_FAULTS = {
     "drazin-construction": (
-        "drazinkit.drazin_core._berkowitz", _bumped_berkowitz,
+        "drazinkit.matrix_rings._berkowitz", _bumped_berkowitz,
         lambda tmp: ["drazin", "--in", write_json(
             tmp / "m.json", matrix_to_json(SquareMatrix.identity(RING_Q, 2)))],
     ),
     "cline-construction": (
-        "drazinkit.drazin_core._berkowitz", _bumped_berkowitz,
+        "drazinkit.matrix_rings._berkowitz", _bumped_berkowitz,
         lambda tmp: ["cline", "--in", quad_file(tmp, "2.5")],
     ),
     # On instance 2.5, bd is nilpotent and b h^2 d = 0; the identity fails
@@ -442,8 +445,15 @@ INTERNAL_FAULTS = {
     "target, fake, argv", INTERNAL_FAULTS.values(), ids=list(INTERNAL_FAULTS)
 )
 def test_internal_check_failure_exits_3(target, fake, argv, capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(target, fake)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fake(*args, **kwargs)
+
+    monkeypatch.setattr(target, counted)
     code, out, err = run(capsys, *argv(tmp_path))
+    assert calls, "the injected fault never ran"
     assert (code, out) == (3, "")
     lines = err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "internal-error"

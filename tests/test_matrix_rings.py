@@ -29,10 +29,13 @@ from drazinkit.matrix_rings import (
     _KERNELS,
     _MR_PROVEN_BELOW,
     _UNROLL_MAX_N,
+    _Building,
     _berkowitz,
+    _chi,
     _from_rows,
     _is_prime,
     _poly_at,
+    _trusted,
     all_matrices,
     det,
     det_bareiss,
@@ -572,11 +575,46 @@ class TestBuiltMatrices:
         x = build()
         assert type(x) is SquareMatrix
         assert not hasattr(x, "__dict__")
-        for name in ("ring", "n", "num", "den", "extra"):
+        for name in ("ring", "n", "num", "den", "_chi", "extra"):
             with pytest.raises(AttributeError):
                 setattr(x, name, None)
         again = SquareMatrix(x.ring, x.entries)
         assert x == again and hash(x) == hash(again)
+
+
+class TestStoredCharacteristicPolynomial:
+    """_chi(a) is one Berkowitz run kept on a, invisible to everything that
+    compares, hashes, prints or serialises a."""
+
+    @pytest.mark.parametrize("ring", [RING_Q, RING_Z, gf(5), zmod(4)], ids=str)
+    @given(data=st.data())
+    def test_chi_is_berkowitz_and_filling_it_changes_nothing(self, ring, data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        built = data.draw(entries_strategy(ring, n))
+        trusted = _trusted(ring, built.num, built.den)
+        for a, other in ((built, trusted), (trusted, built)):
+            unfilled = SquareMatrix(ring, a.entries)
+            before = (hash(a), repr(a), matrix_to_json(a))
+            with pytest.raises(AttributeError):
+                a._chi
+            cs = _chi(a)
+            assert type(cs) is tuple
+            assert cs == tuple(_berkowitz(a.num, ring.modulus))
+            assert _chi(a) is cs
+            assert (hash(a), repr(a), matrix_to_json(a)) == before
+            assert a == unfilled and unfilled == a and a == other
+            assert hash(a) == hash(unfilled)
+
+    def test_building_keeps_the_layout_of_square_matrix(self):
+        # _trusted turns a _Building into a SquareMatrix by assigning
+        # __class__, which needs the two layouts to be the same.
+        assert _Building.__slots__ == ()
+        assert _Building.__basicsize__ == SquareMatrix.__basicsize__
+        assert "_chi" in SquareMatrix.__slots__
+        a = _trusted(gf(5), ((1, 2), (3, 4)))
+        assert type(a) is SquareMatrix and not hasattr(a, "__dict__")
+        assert not hasattr(a, "_chi")
+        assert _chi(a) == (1, 0, 3)
 
 
 class TestInverse:

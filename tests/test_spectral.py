@@ -12,13 +12,23 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import drazinkit.drazin_core as drazin_core
-from drazinkit.drazin_core import Quadruple, _Resolvent, _shifted_det, jacobson_inverse
+import drazinkit.matrix_rings as matrix_rings
+import drazinkit.spectral as spectral
+from drazinkit.drazin_core import (
+    Flavor,
+    Quadruple,
+    _Resolvent,
+    _shifted_det,
+    cline_generalized,
+    jacobson_inverse,
+)
 from drazinkit.errors import (
     FormulaViolation,
     NotInvertible,
     UnsupportedRing,
     ZeroLambda,
 )
+from drazinkit.exact_arith import squarefree_part
 from drazinkit.fixtures import example_quadruple
 from drazinkit.matrix_rings import (
     RING_Q,
@@ -36,6 +46,7 @@ from drazinkit.matrix_rings import (
 from drazinkit.quadruple_lab import (
     SearchSpace,
     Strategy,
+    brute_force_inverse,
     enumerate_quadruples,
     random_matrix,
     seeded_rational_suite,
@@ -361,14 +372,16 @@ class TestInvertibilityTransfer:
         # too; a characteristic polynomial of bd that says otherwise is
         # refused, not reported. eps = 1 here, so its value at lambda = 2 is
         # sum c_k 2^(n-k), which the shift makes 0.
+        # Only bd's run is perturbed.
         def root_at_two(cs):
             cs[-1] -= sum(c * 2 ** (len(cs) - 1 - k) for k, c in enumerate(cs))
 
-        monkeypatch.setattr(
-            "drazinkit.spectral._berkowitz", perturbed_berkowitz(root_at_two)
-        )
+        q = fresh(example_quadruple("2.5"))
+        kernel = perturbed_berkowitz(root_at_two, only=q.bd.num)
+        monkeypatch.setattr(matrix_rings, "_berkowitz", kernel)
         with pytest.raises(FormulaViolation, match="lambda - ac is a unit"):
-            invertibility_transfer(example_quadruple("2.5"), [Fraction(2)])
+            invertibility_transfer(q, [Fraction(2)])
+        assert kernel.perturbed == [q.bd.num]
 
     @pytest.mark.parametrize("q, lam", SINGULAR_AC_ROWS, ids=SINGULAR_AC_IDS)
     def test_determinant_disagreeing_at_a_singular_ac_side_is_a_bug(
@@ -602,15 +615,28 @@ class TestUnitTransferMatchesReference:
 # -- trust in the resolvent route ------------------------------------------------
 
 
-def perturbed_berkowitz(shift):
-    """The Berkowitz kernel with shift(coefficients) applied to its output."""
+def perturbed_berkowitz(shift, only):
+    """The Berkowitz kernel with shift(coefficients) applied to its output
+    on the integer rows only, and left alone on any other rows: one side of
+    a quadruple is perturbed, as its rows key it. The kernel's perturbed
+    list records each perturbed run."""
 
     def kernel(rows, m=None):
         cs = _berkowitz(rows, m)
-        shift(cs)
+        if rows == only:
+            shift(cs)
+            kernel.perturbed.append(rows)
         return cs
 
+    kernel.perturbed = []
     return kernel
+
+
+def fresh(q: Quadruple) -> Quadruple:
+    """An equal quadruple of new matrices, ac and bd included, none of which
+    has its characteristic polynomial stored yet: the only kind on which a
+    patched Berkowitz kernel runs at all."""
+    return Quadruple(*(SquareMatrix(x.ring, x.entries) for x in (q.a, q.b, q.c, q.d)))
 
 
 def reference_unit(q: Quadruple, lam) -> SquareMatrix | None:
@@ -657,19 +683,25 @@ class TestResolventTrust:
         def bump(cs):
             cs[k] += 1
 
+        # Drawing lam stored the characteristic polynomials of q.ac and
+        # q.bd, so every run below is on a fresh copy.
+        kernel = perturbed_berkowitz(bump, only=q.ac.num)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(drazin_core, "_berkowitz", perturbed_berkowitz(bump))
+            mp.setattr(matrix_rings, "_berkowitz", kernel)
             try:
-                got = jacobson_inverse(q, lam)
+                got = jacobson_inverse(fresh(q), lam)
             except FormulaViolation:
                 got = None
+            assert kernel.perturbed == [q.ac.num]
             assert got in (None, expected)
             # A wrong c_n adds a multiple of I to sum c_k A^(n-k), so the
             # closure refuses it whatever bd is.
             if k == q.n:
                 assert got is None
                 with pytest.raises(FormulaViolation):
-                    invertibility_transfer(q, [lam])
+                    invertibility_transfer(fresh(q), [lam])
+                # Once for ac, and once more for bd when its rows are ac's.
+                assert len(kernel.perturbed) in (2, 3)
 
     @given(st.integers(0, 300))
     def test_forced_singular_verdict_is_refused(self, pick):
@@ -681,12 +713,16 @@ class TestResolventTrust:
                 x = sum(c * alpha ** (len(cs) - 1 - k) for k, c in enumerate(cs))
                 cs[-1] -= x if m is None else x % m
 
+            kernel = perturbed_berkowitz(zero_x, only=q.ac.num)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(drazin_core, "_berkowitz", perturbed_berkowitz(zero_x))
+                mp.setattr(matrix_rings, "_berkowitz", kernel)
                 with pytest.raises(FormulaViolation, match="no unit"):
-                    jacobson_inverse(q, 1)
+                    jacobson_inverse(fresh(q), 1)
+                assert kernel.perturbed == [q.ac.num]
                 with pytest.raises(FormulaViolation, match="no unit"):
-                    invertibility_transfer(q, [Fraction(1)])
+                    invertibility_transfer(fresh(q), [Fraction(1)])
+                # Once for ac, and once more for bd when its rows are ac's.
+                assert len(kernel.perturbed) in (2, 3)
 
     @pytest.mark.parametrize("ring", [RING_Q, gf(5), zmod(4)], ids=str)
     def test_unit_verdict_needs_cayley_hamilton(self, ring):
@@ -700,12 +736,14 @@ class TestResolventTrust:
         def bump(cs):
             cs[-1] += 1
 
+        kernel = perturbed_berkowitz(bump, only=q.ac.num)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(drazin_core, "_berkowitz", perturbed_berkowitz(bump))
+            mp.setattr(matrix_rings, "_berkowitz", kernel)
             with pytest.raises(FormulaViolation, match="Cayley-Hamilton"):
-                jacobson_inverse(q, 1)
+                jacobson_inverse(fresh(q), 1)
             with pytest.raises(FormulaViolation, match="Cayley-Hamilton"):
-                invertibility_transfer(q, [Fraction(1)])
+                invertibility_transfer(fresh(q), [Fraction(1)])
+        assert kernel.perturbed == [q.ac.num] * 2
 
     @given(st.integers(0, 300), st.data())
     def test_changed_stored_e_is_refused(self, pick, data):
@@ -850,3 +888,71 @@ class TestBdSide:
                     row = invertibility_transfer(q, [lam]).rows[0]
                     assert len(calls) == (0 if row.ac_side_invertible else 1)
         assert singular_rows > 0
+
+
+# -- one characteristic polynomial per matrix ----------------------------------------
+
+
+def count_berkowitz(monkeypatch) -> list:
+    """Wrap the one Berkowitz kernel; the returned list records the rows
+    of every run."""
+    runs = []
+
+    def counted(rows, m=None):
+        runs.append(rows)
+        return _berkowitz(rows, m)
+
+    monkeypatch.setattr(matrix_rings, "_berkowitz", counted)
+    return runs
+
+
+class TestOneBerkowitzRunPerMatrix:
+    """Certifying a quadruple runs Berkowitz's recurrence once on ac and
+    once on bd, however many routes read the two polynomials."""
+
+    @pytest.mark.parametrize("seed", [3, 8, 13, 21])
+    def test_a_certified_rational_quadruple_takes_two_runs(self, monkeypatch, seed):
+        q = fresh(seeded_rational_suite(1, seed=seed)[0])
+        runs = count_berkowitz(monkeypatch)
+        cline_generalized(q, Flavor.DRAZIN)
+        invertibility_transfer(q, DEFAULT_LAMBDAS)
+        nonzero_spectrum_equal(q.ac, q.bd)
+        assert runs == [q.ac.num, q.bd.num]
+
+    @pytest.mark.parametrize("ring", [gf(5), zmod(4)], ids=str)
+    def test_finite_rings_take_two_runs(self, monkeypatch, ring):
+        rng = random.Random(5)
+        a, b = random_matrix(ring, 2, rng), random_matrix(ring, 2, rng)
+        q = Quadruple(a, b, b, a)
+        # Over Z/4 no inverse is constructed; brute force supplies h.
+        h = None if ring.is_field else brute_force_inverse(q.ac)[0].inverse
+        runs = count_berkowitz(monkeypatch)
+        cline_generalized(q, Flavor.DRAZIN, h)
+        invertibility_transfer(q, [Fraction(1)])
+        assert runs == [q.ac.num, q.bd.num]
+
+    def test_equal_nonzero_parts_share_one_squarefree_part(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return squarefree_part(p)
+
+        a = m(RING_Q, [[1, 2], [0, 3]])
+        b = m(RING_Q, [[0, 1], [1, Fraction(1, 2)]])
+        classical = Quadruple(a, b, b, a)
+        second = example_quadruple("2.5")
+        expected = [
+            (SpectrumSummary.of(q.ac), SpectrumSummary.of(q.bd))
+            for q in (classical, second)
+        ]
+        monkeypatch.setattr(spectral, "squarefree_part", counted)
+        got = nonzero_spectrum_equal(classical.ac, classical.bd)
+        assert len(calls) == 1
+        assert (got.left, got.right) == expected[0]
+        assert got.equal and got.multiplicity_equal
+        calls.clear()
+        got = nonzero_spectrum_equal(second.ac, second.bd)
+        assert len(calls) == 2
+        assert (got.left, got.right) == expected[1]
+        assert not got.equal and not got.multiplicity_equal

@@ -8,8 +8,18 @@ workload, before first in even pairs and after first in odd ones, so that
 a drift in the machine's load falls on both sides alike. Without
 --workload every workload of BENCHMARK.json runs in each pair. For every
 workload and end-to-end metric it prints each side's quartiles and median,
-the change of the median, and in how many pairs the after side did better;
-which direction is better comes from BENCHMARK.json next to this script.
+the change of the median, in how many pairs the after side did better, and
+a verdict; which direction is better, and each metric's bound, come from
+BENCHMARK.json next to this script. The verdict, first match wins:
+
+- gain: the after side won at least 9 of every 10 pairs, and its median
+  moved the better way by more than the before side's q3 - q1;
+- regressed: the after median is worse than the before median by more
+  than the bound, a fraction of the before median;
+- unresolved: the before side's q3 - q1 is wider than the bound, so a
+  regression within that spread could not be told apart from noise;
+- an em dash otherwise.
+
 Standard library only.
 """
 
@@ -37,14 +47,32 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return at(0.25), at(0.5), at(0.75)
 
 
+def verdict(
+    before: list[float], after: list[float], better: str, bound: float, won: int
+) -> str:
+    """gain, regressed, unresolved or an em dash, as the module docstring
+    defines them; won is the number of pairs the after side won."""
+    q1, base, q3 = quartiles(before)
+    sign = 1 if better == "higher" else -1
+    moved = sign * (quartiles(after)[1] - base)
+    if 10 * won >= 9 * len(before) and moved > q3 - q1:
+        return "gain"
+    if -moved > bound * abs(base):
+        return "regressed"
+    if q3 - q1 > bound * abs(base):
+        return "unresolved"
+    return "—"
+
+
 def summarize(
-    before: list[str], after: list[str], better: dict[str, str]
+    before: list[str], after: list[str], metrics: list[dict]
 ) -> list[str]:
     """The report lines for paired result lines of bench/run.py.
 
     before[i] and after[i] are the last stdout lines (JSON objects) of pair
-    i's two runs; better maps each end-to-end metric to "higher" or
-    "lower". A pair is won when the after run is strictly better.
+    i's two runs; metrics are the end-to-end entries of BENCHMARK.json,
+    each with its name, "better" ("higher" or "lower") and bound. A pair is
+    won when the after run is strictly better.
     """
     if len(before) != len(after) or not before:
         raise ValueError("need the same positive number of runs on each side")
@@ -53,9 +81,10 @@ def summarize(
     pairs = len(before)
     lines = [
         f"{'metric':18s} {'better':6s} {'before q1 / median / q3':>32s} "
-        f"{'after q1 / median / q3':>32s} {'median':>8s} {'won':>7s}"
+        f"{'after q1 / median / q3':>32s} {'median':>8s} {'won':>7s} {'verdict':>10s}"
     ]
-    for name, direction in better.items():
+    for metric in metrics:
+        name, direction = metric["name"], metric["better"]
         side = {
             key: [run["metrics"][name]["value"] for run in results]
             for key, results in runs.items()
@@ -63,12 +92,13 @@ def summarize(
         q_before, q_after = quartiles(side["before"]), quartiles(side["after"])
         sign = 1 if direction == "higher" else -1
         won = sum(sign * (y - x) > 0 for x, y in zip(side["before"], side["after"]))
+        outcome = verdict(side["before"], side["after"], direction, metric["bound"], won)
         base = q_before[1]
         change = f"{(q_after[1] - base) / base:+.1%}" if base else "n/a"
         lines.append(
             f"{name:18s} {direction:6s} {' / '.join(f'{v:.4g}' for v in q_before):>32s} "
             f"{' / '.join(f'{v:.4g}' for v in q_after):>32s} {change:>8s} "
-            f"{f'{won}/{pairs}':>7s}"
+            f"{f'{won}/{pairs}':>7s} {outcome:>10s}"
         )
     for key, results in runs.items():
         failed = sum(run["failed"] for run in results)
@@ -103,7 +133,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
     sides = {w: {"before": [], "after": []} for w in workloads}
     for i in range(args.pairs):
@@ -115,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"pair {i + 1} {workload} {key}: {line}", file=sys.stderr)
     for workload, runs in sides.items():
         print(f"{workload}: {args.pairs} pairs of {args.seconds:g} s runs")
-        print("\n".join(summarize(runs["before"], runs["after"], better)))
+        print("\n".join(summarize(runs["before"], runs["after"], spec["end_to_end"])))
     return 0
 
 

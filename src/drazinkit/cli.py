@@ -39,6 +39,7 @@ from .drazin_core import (
     intertwining_report,
     jacobson_inverse,
     no_group_inverse_reason,
+    quadruple_over_q,
     verify_axioms,
 )
 from .errors import (
@@ -60,7 +61,6 @@ from .matrix_rings import (
     gf,
     matrix_from_json,
     matrix_to_json,
-    over_q,
     zmod,
 )
 from .quadruple_lab import (
@@ -144,13 +144,6 @@ def _load_quadruple(path: str) -> Quadruple:
         raise _Malformed(str(exc)) from exc
 
 
-def _quadruple_over_q(q: Quadruple) -> Quadruple:
-    """q over Q; only a lift from another ring is validated again."""
-    if q.ring.kind == "Q":
-        return q
-    return Quadruple(*(over_q(m) for m in (q.a, q.b, q.c, q.d)))
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -194,7 +187,7 @@ def _cmd_demo(args: argparse.Namespace, out: TextIO) -> int:
             "exists": False,
             "reason": no_group_inverse_reason(q.bd),
         }
-        lift = _quadruple_over_q(q)
+        lift = quadruple_over_q(q)
         lift_cline = cline_generalized(lift, Flavor.DRAZIN)
         try:
             group_inverse(lift.bd)
@@ -267,7 +260,7 @@ def _cmd_jacobson(args: argparse.Namespace, out: TextIO) -> int:
     if lam == 0:
         raise _Malformed("--lambda must be nonzero")
     if lam != 1:
-        q = _quadruple_over_q(q)
+        q = quadruple_over_q(q)
     try:
         inv = jacobson_inverse(q, lam)
     except NotInvertible as exc:
@@ -286,7 +279,9 @@ def _cmd_jacobson(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace, out: TextIO) -> int:
-    q = _quadruple_over_q(_load_quadruple(args.infile))
+    # The report lifts too; lifting before --lambdas is read refuses a
+    # GF(p) or Z/m quadruple (exit 1) ahead of a malformed list (exit 2).
+    q = quadruple_over_q(_load_quadruple(args.infile))
     lambdas = None
     if args.lambdas is not None:
         try:

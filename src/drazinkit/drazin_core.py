@@ -43,12 +43,14 @@ from .matrix_rings import (
     _from_rows,
     _nilpotency_bound,
     _poly_at,
+    _products_equal,
     _trusted,
     in_radical,
     inverse,
     is_nilpotent,
     matrix_from_json,
     matrix_to_json,
+    over_q,
 )
 
 
@@ -133,10 +135,14 @@ def intertwining_report(
 class Quadruple:
     """Four same-ring matrices with the intertwining relations as invariant.
 
-    Construction validates bdb = bac and dbd = acd exactly, as matrix
-    equalities, and rejects the input with the full report otherwise (the
-    report is built only then), so every Quadruple in circulation satisfies
-    the hypotheses of every transfer formula in this module.
+    Construction validates bdb = bac and dbd = acd exactly, and rejects the
+    input with the full report otherwise (the report is built only then),
+    so every Quadruple in circulation satisfies the hypotheses of every
+    transfer formula in this module. It makes two products, ac and bd,
+    which it keeps; each relation, bd b = b ac and then d bd = ac d, is
+    decided by matrix_rings._products_equal on the product kernel's raw
+    rows, with no matrix built, and a failing first relation skips the
+    second.
     """
 
     __slots__ = ("a", "b", "c", "d", "ac", "bd")
@@ -147,12 +153,7 @@ class Quadruple:
         for other in (b, c, d):
             a._require_compatible(other)
         ac, bd = a * c, b * d
-        # Both sides of a relation lie in a's ring, where equal matrices
-        # have equal stored forms, so (num, den) decides each equality.
-        left, right = bd * b, b * ac
-        if left.num == right.num and left.den == right.den:
-            left, right = d * bd, ac * d
-        if left.num != right.num or left.den != right.den:
+        if not (_products_equal(bd, b, b, ac) and _products_equal(d, bd, ac, d)):
             report = intertwining_report(a, b, c, d)
             failing = [
                 r["relation"] for r in report["relations"] if not r["holds"]  # type: ignore[index]
@@ -225,6 +226,15 @@ class Quadruple:
 _set_a, _set_b, _set_c, _set_d, _set_ac, _set_bd = (
     Quadruple.__dict__[slot].__set__ for slot in Quadruple.__slots__
 )
+
+
+def quadruple_over_q(q: Quadruple) -> Quadruple:
+    """q over Q, the one quadruple lift: a Q quadruple comes back as it
+    is, and a Z quadruple's lift is validated again. GF(p) and Z/m raise
+    over_q's UnsupportedRing."""
+    if q.ring.kind == "Q":
+        return q
+    return Quadruple(*(over_q(m) for m in (q.a, q.b, q.c, q.d)))
 
 
 def verify_intertwining(

@@ -24,7 +24,10 @@ Its rows come, for n <= _UNROLL_MAX_N = 4, from a kernel generated and
 compiled once per dimension, with every entry an explicit sum of n
 products; above the bound, where no measured workload runs and each
 process would pay a compile growing as n^3, one listcomp computes the
-rows. SquareMatrix.__mul__ is the one entry point of both.
+rows. SquareMatrix.__mul__ is the one entry point of both that builds a
+matrix; _products_equal decides x1 y1 = x2 y2 from the kernel's raw rows,
+cross-multiplying the denominators over Q, without building either
+product, so that checking a relation costs no matrix.
 
 Every polynomial evaluated at a matrix is evaluated by one function,
 _poly_at(cs, x), by Horner's rule on an integer matrix (over Z or a
@@ -519,7 +522,47 @@ def _product_kernels(n: int) -> tuple[Callable, Callable]:
     return pair
 
 
+def _products_equal(
+    x1: SquareMatrix, y1: SquareMatrix, x2: SquareMatrix, y2: SquareMatrix
+) -> bool:
+    """Whether x1 y1 = x2 y2, decided on the raw rows of the product
+    kernel without building either product; all four share one ring and n.
+
+    Over GF(m) and Z/m the kernel's rows are the reduced products, compared
+    as tuples. Over Q and Z it gives integer rows L over the denominator
+    product lam = den(x1) den(y1), and R over rho likewise, neither in
+    lowest terms: where lam = rho the rows compare as they are, otherwise
+    L rho = R lam entrywise. Above _UNROLL_MAX_N, where no kernel is
+    compiled, the two SquareMatrix products compare.
+    """
+    n = x1.n
+    if n > _UNROLL_MAX_N:
+        return x1 * y1 == x2 * y2
+    m = x1.ring.modulus
+    kernel = (_KERNELS.get(n) or _product_kernels(n))[m is not None]
+    left = kernel(x1.num, y1.num, m)
+    right = kernel(x2.num, y2.num, m)
+    if m is not None:
+        return left == right
+    lam, rho = x1.den * y1.den, x2.den * y2.den
+    if lam == rho:
+        return left == right
+    return all([
+        x * rho == y * lam
+        for row_l, row_r in zip(left, right)
+        for x, y in zip(row_l, row_r)
+    ])
+
+
 # -- elimination ---------------------------------------------------------------
+
+
+def _not_a_unit(x: int, m: int) -> NotInvertible:
+    """The refusal for an x with no inverse mod m, naming gcd(x, m)."""
+    return NotInvertible(
+        f"{x} is not a unit mod {m}: gcd({x}, {m}) = {gcd(x, m)}",
+        reason="not a unit mod m",
+    )
 
 
 def _echelon(
@@ -532,9 +575,10 @@ def _echelon(
     the pivot columns and the sign of the row swaps.
 
     Over GF(m) the rows are residues and come back as the echelon form
-    itself. With m None they are integer rows U (the numerators of a Q
-    system over a common denominator, integers, or residue lifts), run
-    through Bareiss's fraction-free recurrence: a row below pivot p becomes
+    itself; a pivot with no inverse mod m, which no prime m gives, raises
+    NotInvertible naming gcd(pivot, m). With m None they are integer rows
+    U (the numerators of a Q system over a common denominator, integers, or
+    residue lifts), run through Bareiss's fraction-free recurrence: a row below pivot p becomes
     (p x - f y) // prev, prev the pivot before p, and every division is
     exact (Bareiss 1968). Each row stays prev times the row that
     elimination with division would leave in U, so the pivot columns are
@@ -564,7 +608,10 @@ def _echelon(
                 row[c:] = [(p * x - f * y) // prev for x, y in zip(row[c:], top)]
             prev = p
         else:
-            inv = pow(p, -1, m)
+            try:
+                inv = pow(p, -1, m)
+            except ValueError:
+                raise _not_a_unit(p, m) from None
             for row in rows[r + 1:]:
                 if row[c] != 0:
                     f = row[c] * inv
@@ -665,13 +712,17 @@ def _from_rows(
     """The matrix rows / den in stored form, the one normaliser of derived
     integer rows: in lowest terms over Q, exact division over Z, times the
     inverse of den modulo m over GF(m) and Z/m. den must divide every entry
-    over Z and be a unit modulo m. Over Q it may be negative or share a
-    factor with every entry; one division by their gcd, signed as den is,
-    brings it to the stored form.
+    over Z and be a unit modulo m; a den that is not raises NotInvertible
+    naming gcd(den, m). Over Q it may be negative or share a factor with
+    every entry; one division by their gcd, signed as den is, brings it to
+    the stored form.
     """
     m = ring.modulus
     if m is not None:
-        inv = pow(den, -1, m)
+        try:
+            inv = pow(den, -1, m)
+        except ValueError:
+            raise _not_a_unit(den, m) from None
         return _trusted(ring, tuple([tuple([x * inv % m for x in row]) for row in rows]))
     if den == 1:
         return _trusted(ring, tuple(map(tuple, rows)))

@@ -441,16 +441,30 @@ class SearchSpace:
 
 
 def random_matrix(ring: RingSpec, n: int, rng: random.Random) -> SquareMatrix:
-    """Uniform small random matrix; entries in [-3, 3] over Q and Z."""
-    if ring.is_finite:
-        m = ring.modulus
-        assert m is not None
-        return SquareMatrix(
-            ring, [[rng.randrange(m) for _ in range(n)] for _ in range(n)]
-        )
-    return SquareMatrix(
-        ring, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-    )
+    """Uniform small random matrix: residues in [0, m) over GF(m) and Z/m,
+    entries in [-3, 3] over Q and Z.
+
+    The n^2 entries are drawn row by row in one loop, each as
+    r = rng.getrandbits(m.bit_length()), drawn again while r >= m; over Q
+    and Z, m = 7 and the entry is r - 3. That is the stream that
+    rng.randrange(m) and rng.randint(-3, 3) consume from a random.Random on
+    every supported Python, so a seed gives the matrices those calls gave,
+    without their per-call argument handling; tests pin the two streams
+    together. The matrix is built by the validating SquareMatrix(...).
+    """
+    m = ring.modulus
+    shift = 0
+    if m is None:
+        m, shift = 7, 3
+    k = m.bit_length()
+    bits = rng.getrandbits
+    flat = []
+    for _ in range(n * n):
+        r = bits(k)
+        while r >= m:
+            r = bits(k)
+        flat.append(r - shift)
+    return SquareMatrix(ring, [flat[i:i + n] for i in range(0, n * n, n)])
 
 
 def random_invertible_matrix(

@@ -32,7 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .drazin_core import Quadruple, _Resolvent, _shifted_det, drazin_inverse
+from .drazin_core import (
+    Quadruple,
+    _Resolvent,
+    _shifted_det,
+    drazin_inverse,
+    quadruple_over_q,
+)
 from .errors import FormulaViolation, NotInvertible
 from .exact_arith import format_rational, primitive, rational_roots, squarefree_part
 from .matrix_rings import SquareMatrix, _chi, det, matrix_to_json, over_q
@@ -260,11 +266,15 @@ def quadruple_spectrum_report(
 ) -> dict[str, object]:
     """Comparison plus transfer in one JSON-ready report.
 
-    Also certifies that ac and bd are Drazin invertible outright: over a
-    field every square matrix is, so the spectrum defined by missing
-    Drazin-type inverses is literally empty for both sides. The nonzero
-    eigenvalue comparison is the surrogate that still carries content.
+    A Z quadruple is reported as its lift to Q (drazin_core's
+    quadruple_over_q), where the transfer samples rational lambda; GF(p)
+    and Z/m raise UnsupportedRing. Also certifies that ac and bd are Drazin
+    invertible outright: over a field every square matrix is, so the
+    spectrum defined by missing Drazin-type inverses is literally empty for
+    both sides. The nonzero eigenvalue comparison is the surrogate that
+    still carries content.
     """
+    q = quadruple_over_q(q)
     comparison = nonzero_spectrum_equal(q.ac, q.bd)
     if lambdas is None:
         lambdas = _with_eigenvalues((comparison.left.char, comparison.right.char))
@@ -272,8 +282,8 @@ def quadruple_spectrum_report(
     return {
         "ac": matrix_to_json(q.ac),
         "bd": matrix_to_json(q.bd),
-        "ac_drazin_invertible": drazin_inverse(over_q(q.ac)).valid,
-        "bd_drazin_invertible": drazin_inverse(over_q(q.bd)).valid,
+        "ac_drazin_invertible": drazin_inverse(q.ac).valid,
+        "bd_drazin_invertible": drazin_inverse(q.bd).valid,
         "comparison": comparison.to_json(),
         "transfer": transfer.to_json(),
     }

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -155,3 +156,18 @@ def test_without_workload_every_workload_runs_in_each_pair(monkeypatch, capsys):
     out = capsys.readouterr().out
     for name in names:
         assert f"{name}: 3 pairs of 20 s runs" in out
+
+
+def test_a_relative_checkout_runs_its_own_bench(monkeypatch, tmp_path):
+    # bench/run.py runs with the checkout as its working directory, so a
+    # relative checkout must not be read relative to itself a second time.
+    seen = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        seen.append(Path(cwd) / cmd[1])
+        return subprocess.CompletedProcess(cmd, 0, stdout="{}\n", stderr="")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_once(Path("parent"), "w", 1.0, None) == "{}"
+    assert seen == [tmp_path / "parent" / "bench" / "run.py"]

@@ -183,6 +183,13 @@ REFUSALS = {
         2,
         {"error": "malformed-input", "detail": "--lambdas entries must be nonzero"},
     ),
+    # The ring is refused before the --lambdas list is read.
+    "spectrum-gf5-zero-lambda": (
+        lambda tmp: ["spectrum", "--lambdas", "1,0", "--in", write_json(
+            tmp / "q.json", {k: _matrix({"GF": 5}, _EYE) for k in "abcd"})],
+        1,
+        {"error": "rejected", "detail": "operation needs Q or Z entries, got GF(5)"},
+    ),
     "search-over-default-budget": (
         lambda tmp: ["search", "--ring", "gf3", "--dim", "2", "--strategy", "exhaustive"],
         1,

@@ -563,6 +563,58 @@ class TestQuadruple:
             Quadruple(one, one, one, half)
         assert [r["holds"] for r in exc.value.report["relations"]] == [False, False]
 
+    def test_relations_hold_across_different_denominators(self):
+        # d = a c b^-1 solves both relations for an invertible b, and
+        # bd = b ac b^-1 need not share ac's denominator: then each side of
+        # each relation is a product over its own denominator.
+        suite = [q for q in seeded_rational_suite(60, seed=17) if q.ac.den != q.bd.den]
+        a = m(RING_Q, [[0, 1], [0, 0]])
+        b = m(RING_Q, [[1, 0], [0, 2]])
+        d = m(RING_Q, [[0, Fraction(1, 2)], [0, 0]])
+        suite.append(Quadruple(a, b, SquareMatrix.identity(RING_Q, 2), d))
+        assert len(suite) > 10
+        for q in suite:
+            assert q.ac.den != q.bd.den
+            assert Quadruple(q.a, q.b, q.c, q.d) == q
+            # Twice d keeps d's numerators or halves its den, and breaks
+            # bdb = bac unless bac = 0.
+            twice = q.d.scalar_mul(2)
+            if (q.b * q.ac).is_zero:
+                continue
+            with pytest.raises(RelationViolation) as exc:
+                Quadruple(q.a, q.b, q.c, twice)
+            assert exc.value.report == intertwining_report(q.a, q.b, q.c, twice)
+            assert exc.value.report["relations"][0]["holds"] is False
+
+    @pytest.mark.parametrize("ring,rows", [
+        (RING_Q, [[Fraction(1, 2), 1], [0, Fraction(1, 3)]]),
+        (RING_Z, [[1, 1], [0, 1]]),
+        (gf(5), [[1, 1], [0, 1]]),
+        (zmod(4), [[1, 1], [0, 1]]),
+    ], ids=str)
+    def test_only_the_second_relation_fails(self, ring, rows):
+        # With b = 0, bdb = 0 = bac for every a, c, d, while dbd = 0 differs
+        # from acd = a^3 here.
+        a = m(ring, rows)
+        with pytest.raises(RelationViolation, match="fail: dbd = acd$") as exc:
+            Quadruple(a, SquareMatrix.zeros(ring, 2), a, a)
+        assert [r["holds"] for r in exc.value.report["relations"]] == [True, False]
+
+    @pytest.mark.parametrize("ring", [RING_Q, gf(5), zmod(4)], ids=str)
+    def test_above_the_unroll_bound(self, ring):
+        # n = 5 compares the relations' SquareMatrix products, compiling no
+        # kernel for 5.
+        n = 5
+        rng = random.Random(5)
+        cached = dict(matrix_rings._KERNELS)
+        for _ in range(20):
+            a, b = random_matrix(ring, n, rng), random_matrix(ring, n, rng)
+            q = Quadruple(a, b, b, a)
+            assert (q.ac, q.bd) == (a * b, b * a)
+            with pytest.raises(RelationViolation):
+                Quadruple(a, b, b, b * a * a)
+        assert 5 not in matrix_rings._KERNELS and matrix_rings._KERNELS == cached
+
 
 class TestClineGeneralized:
     def test_second_demo_instance(self):

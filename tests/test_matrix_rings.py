@@ -35,6 +35,7 @@ from drazinkit.matrix_rings import (
     _from_rows,
     _is_prime,
     _poly_at,
+    _products_equal,
     _trusted,
     all_matrices,
     det,
@@ -468,7 +469,29 @@ class TestMatrixBasics:
         a = SquareMatrix(RING_Q, [[Fraction(i - j, 1 + i) for j in range(n)] for i in range(n)])
         cached = dict(_KERNELS)
         assert a * a == reference_product(a, a)
+        half = a.scalar_mul(Fraction(1, 2))
+        assert _products_equal(a, a, half, a.scalar_mul(2))
+        assert not _products_equal(a, a, half, a)
         assert _KERNELS == cached
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @given(data=st.data())
+    def test_products_equal_decides_product_equality(self, ring, data):
+        # Drawn products almost never agree, so most draws rebuild the right
+        # side from the left: x1 u times u^-1 y1 (over Q through different
+        # denominators), the same factors, or the same with one entry moved.
+        x1, y1, x2, y2, u = kernel_operands(data, ring, 5, max_n=_UNROLL_MAX_N + 1)
+        how = data.draw(st.sampled_from(["drawn", "unit", "same", "moved"]))
+        if how == "unit" and is_invertible(u):
+            x2, y2 = x1 * u, inverse(u) * y1
+        elif how in ("same", "moved"):
+            x2, y2 = x1, y1
+            if how == "moved":
+                i, j = data.draw(st.tuples(*[st.integers(0, x1.n - 1)] * 2))
+                rows = [list(r) for r in y1.entries]
+                rows[i][j] += 1
+                y2 = SquareMatrix(ring, rows)
+        assert _products_equal(x1, y1, x2, y2) == (x1 * y1 == x2 * y2)
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @given(data=st.data())
@@ -683,6 +706,22 @@ class TestInverse:
             with pytest.raises(NotInvertible) as info:
                 inverse(a)
             assert info.value.reason == "det not a unit"
+
+
+class TestNonUnitRefusal:
+    """No GF ring reaches a non-unit pivot or den, since GF moduli are
+    proven prime; the kernels still refuse one with a typed error naming
+    gcd(x, m), not pow's ValueError."""
+
+    def test_echelon_pivot(self):
+        with pytest.raises(NotInvertible, match=r"^2 is not a unit mod 6: gcd\(2, 6\) = 2$") as exc:
+            matrix_rings._echelon([[2, 1], [1, 1]], 2, 6)
+        assert exc.value.reason == "not a unit mod m"
+
+    @pytest.mark.parametrize("den,g", [(3, 3), (-4, 4), (0, 12)])
+    def test_from_rows_den(self, den, g):
+        with pytest.raises(NotInvertible, match=rf"gcd\({den}, 12\) = {g}$"):
+            _from_rows(zmod(12), [[1, 0], [0, 1]], den)
 
 
 class TestDet:

@@ -21,6 +21,7 @@ from drazinkit.drazin_core import (
     _shifted_det,
     cline_generalized,
     jacobson_inverse,
+    quadruple_over_q,
 )
 from drazinkit.errors import (
     FormulaViolation,
@@ -439,6 +440,25 @@ class TestQuadrupleSpectrumReport:
         assert report["ac_drazin_invertible"] is True
         assert report["bd_drazin_invertible"] is True
         assert report["transfer"]["all_hold"] is True
+
+    @pytest.mark.parametrize("lambdas", [None, (Fraction(1),), (Fraction(-1, 2), 3)])
+    def test_z_quadruple_reports_as_its_q_lift(self, lambdas):
+        # Without lambdas the report samples rational lambda, which the
+        # transfer refuses over Z; the report lifts to Q first, as the CLI
+        # always has.
+        a = SquareMatrix(RING_Z, [[1, 2], [3, 4]])
+        b = SquareMatrix(RING_Z, [[0, 1], [1, 1]])
+        for q in (Quadruple(a, b, b, a), example_quadruple("3.6")):
+            assert q.ring == RING_Z
+            lift = quadruple_over_q(q)
+            assert lift.ring == RING_Q and lift == Quadruple(*map(over_q, (q.a, q.b, q.c, q.d)))
+            assert quadruple_spectrum_report(q, lambdas) == quadruple_spectrum_report(lift, lambdas)
+
+    @pytest.mark.parametrize("ring", [gf(5), zmod(4)], ids=str)
+    def test_finite_quadruple_is_refused(self, ring):
+        a = SquareMatrix(ring, [[1, 2], [3, 4]])
+        with pytest.raises(UnsupportedRing, match="operation needs Q or Z entries"):
+            quadruple_spectrum_report(Quadruple(a, a, a, a))
 
 
 # -- the unit transfer against its elimination reference ----------------------

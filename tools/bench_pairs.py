@@ -109,6 +109,8 @@ def summarize(
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int | None) -> str:
     """The last stdout line of one untraced bench/run.py in checkout."""
+    # Absolute, because the run's working directory is the checkout itself.
+    checkout = checkout.resolve()
     cmd = [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
            "--seconds", str(seconds), "--trace", "0"]
     if seed is not None:

@@ -44,14 +44,12 @@ from .drazin_core import (
 )
 from .errors import (
     BudgetExceeded,
-    DimensionMismatch,
     DrazinkitError,
     FormulaViolation,
     NoGroupInverse,
     NotAField,
     NotInvertible,
     RelationViolation,
-    RingMismatch,
     UnsupportedRing,
 )
 from .exact_arith import parse_rational
@@ -137,11 +135,7 @@ def _load(path: str, from_json: Callable[[object], T]) -> T:
 def _load_quadruple(path: str) -> Quadruple:
     """Parse and validate; a RelationViolation carries the intertwining
     report to main."""
-    mats = _load(path, Quadruple.matrices_from_json)
-    try:
-        return Quadruple(*mats)
-    except (RingMismatch, DimensionMismatch) as exc:
-        raise _Malformed(str(exc)) from exc
+    return Quadruple(*_load(path, Quadruple.matrices_from_json))
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -205,11 +199,7 @@ def _cmd_demo(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    mats = _load(args.infile, Quadruple.matrices_from_json)
-    try:
-        report = intertwining_report(*mats)
-    except (RingMismatch, DimensionMismatch) as exc:
-        raise _Malformed(str(exc)) from exc
+    report = intertwining_report(*_load(args.infile, Quadruple.matrices_from_json))
     _emit(out, report)
     return EXIT_OK if report["accepted"] else EXIT_REJECTED
 

@@ -10,41 +10,37 @@ in the element read off its characteristic polynomial, verified once under
 the flavor asked for. Over Z and Z/n only verification is available,
 with brute-force search providing candidates from the lab module. The unit
 transfer (jacobson_inverse) has one route in all four rings: the inverse
-as a polynomial in bd, read off the characteristic polynomial of ac, and
-proven for every lambda at once by two polynomial identities, each one
-matrix_rings._poly_at evaluation checked zero in exact integers. The proof
-is two-sided because both factors are polynomials in bd.
+as a polynomial in bd, proven for every lambda at once by two polynomial
+identities; _Resolvent holds the argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import (
-    DimensionMismatch,
     DrazinkitError,
     FormulaViolation,
     NoGroupInverse,
     NotAField,
-    NotInvertible,
     RelationViolation,
-    RingMismatch,
     UnsupportedRing,
     ZeroLambda,
 )
+from .exact_arith import _shifted_det
 from .matrix_rings import (
-    RING_Z,
     Scalar,
     SquareMatrix,
     _chi,
+    _chi_at,
     _first_power,
     _from_rows,
     _nilpotency_bound,
+    _numerators,
     _poly_at,
     _products_equal,
-    _trusted,
     in_radical,
     inverse,
     is_nilpotent,
@@ -201,10 +197,13 @@ class Quadruple:
 
     @staticmethod
     def matrices_from_json(obj: object) -> tuple[SquareMatrix, ...]:
-        """The matrices a, b, c, d of a quadruple JSON object, unvalidated.
+        """The matrices a, b, c, d of a quadruple JSON object, of one ring
+        and one dimension, the relations unchecked.
 
-        Only the schema is checked here; the relations are checked when the
-        matrices are passed to the constructor.
+        After all four parse, b, c and d must share a's ring and n, or
+        RingMismatch or DimensionMismatch names the first that does not;
+        the relations are checked when the matrices are passed to the
+        constructor.
         """
         if not isinstance(obj, dict):
             raise DrazinkitError("quadruple JSON must be an object with keys a, b, c, d")
@@ -214,7 +213,10 @@ class Quadruple:
         missing = {"a", "b", "c", "d"} - set(obj)
         if missing:
             raise DrazinkitError(f"quadruple JSON missing {sorted(missing)}")
-        return tuple(matrix_from_json(obj[k]) for k in ("a", "b", "c", "d"))
+        mats = tuple(matrix_from_json(obj[k]) for k in ("a", "b", "c", "d"))
+        for other in mats[1:]:
+            mats[0]._require_compatible(other)
+        return mats
 
     @staticmethod
     def from_json(obj: object) -> "Quadruple":
@@ -338,9 +340,7 @@ def flavor_inverse(a: SquareMatrix, flavor: Flavor) -> DrazinCertificate:
     if not ring.is_field:
         raise NotAField(f"drazin_inverse requires a field, got {ring}")
     n = a.n
-    # The integer numerators live over Z off the residue rings.
-    zring = ring if ring.is_finite else RING_Z
-    big_n = _trusted(zring, a.num)
+    big_n = _numerators(a)
     cs = _chi(a)
     r = n  # the degree of g; chi is monic, so g = 1 and h = 0 when r = 0
     while r and not cs[r]:
@@ -483,21 +483,10 @@ def cline_classical(
     return cline_generalized(q, flavor).e_cert
 
 
-def _shifted_det(cs: Sequence[int], u: int, s: int) -> int:
-    """det(u I - s A) = sum c_k u^(n-k) s^k, from the coefficients
-    [c_0, ..., c_n] of det(t I - A), by Horner's rule homogeneous in (u, s).
-    With u = p den and A the integer numerators of a = A / den, it is
-    (s den)^n det(lambda - a) at lambda = p / s."""
-    x, s_k = cs[0], 1
-    for c in cs[1:]:
-        s_k *= s
-        x = x * u + c * s_k
-    return x
-
-
 class _Resolvent:
     """The unit transfer r = 1 + b (lambda - ac)^(-1) d of one quadruple at
-    any nonzero lambda, as a polynomial in bd.
+    any nonzero lambda, as a polynomial in bd: the one statement of why
+    lambda - bd is a unit wherever lambda - ac is one.
 
     Write chi(t) = det(t - ac). Then (lambda - t) q(t) = chi(lambda) - chi(t)
     for a polynomial q in t, so (lambda - ac) q(ac) = chi(lambda) once
@@ -505,10 +494,10 @@ class _Resolvent:
     b q(ac) d into bd q(bd). Hence r = 1 + bd q(bd) / chi(lambda), and
     (lambda - bd) r = lambda - bd chi(bd) / chi(lambda). Two polynomial
     identities prove everything. With ac = A / alpha and bd = E / eps over
-    integer numerators (the residues themselves over GF(m) and Z/m, where
-    both denominators are 1), matrix_rings._chi(ac) gives
-    det(t I - A) = sum c_k t^(n-k): Berkowitz's recurrence, run once per
-    matrix, so a quadruple whose ac has been through flavor_inverse or
+    integer numerators (matrix_rings._numerators: the residues themselves
+    over GF(m) and Z/m, where both denominators are 1), matrix_rings._chi(ac)
+    gives det(t I - A) = sum c_k t^(n-k): Berkowitz's recurrence, run once
+    per matrix, so a quadruple whose ac has been through flavor_inverse or
     spectral.char_poly pays no second run here. Then
     - closure: sum c_k A^(n-k) = 0, which is chi(ac) = 0;
     - identity: sum c_k alpha^(n-k) eps^k E^(n-k+1) = 0, which is
@@ -519,25 +508,22 @@ class _Resolvent:
 
     At lambda = p / s the integers W_0 = 1, W_k = p alpha W_(k-1) + c_k s^k
     are (alpha s)^k times the Horner partial sums of chi at lambda, and
-    X = W_n = (alpha s)^n chi(lambda). The closure makes lambda - ac a unit
-    when X is one. The identity then gives (lambda - bd) r = lambda at
-    every such lambda, with r = R / (X eps^n), R = sum v_m E^m and
-    v_m = W_(n-m) (alpha s)^m eps^(n-m): no matrix is scaled by 1/lambda.
-    r is a polynomial in bd, so it commutes with lambda - bd and the proof
-    is two-sided. Where X is no unit, lambda - ac must be singular, and
-    inverse(lambda - ac) is asked to confirm it by raising NotInvertible.
-    Any other outcome raises FormulaViolation.
+    X = W_n = (alpha s)^n chi(lambda) = matrix_rings._chi_at(ac, p, s). The
+    closure makes lambda - ac a unit when X is one. The identity then gives
+    (lambda - bd) r = lambda at every such lambda, with r = R / (X eps^n),
+    R = sum v_m E^m and v_m = W_(n-m) (alpha s)^m eps^(n-m): no matrix is
+    scaled by 1/lambda. r is a polynomial in bd, so it commutes with
+    lambda - bd and the proof is two-sided. Where X is no unit,
+    lambda - ac must be singular, and inverse(lambda - ac) is asked to
+    confirm it by raising NotInvertible. Any other outcome raises
+    FormulaViolation.
     """
 
-    __slots__ = ("q", "zring", "alpha", "eps", "e", "cs", "proven")
+    __slots__ = ("q", "e", "proven")
 
     def __init__(self, q: Quadruple):
-        ring = q.ring
-        # The integer numerators live over Z off the residue rings.
-        self.zring = ring if ring.is_finite else RING_Z
-        self.q, self.alpha, self.eps = q, q.ac.den, q.bd.den
-        self.cs = _chi(q.ac)
-        self.e = _trusted(self.zring, q.bd.num)
+        self.q = q
+        self.e = _numerators(q.bd)
         self.proven = False
 
     def _split(self, lam: Scalar) -> tuple[int, int]:
@@ -548,34 +534,21 @@ class _Resolvent:
             raise UnsupportedRing(f"scaling needs Q, got {self.q.ring}")
         return lam.numerator, lam.denominator
 
-    def shifted_bd(self, lam: Scalar) -> SquareMatrix:
-        """V = p eps I - s E, the integer numerators of s eps (lambda - bd).
-        The unit transfer takes its determinant only where lambda - ac is
-        singular, as the elimination cross-check of the bd verdict that
-        the characteristic polynomial of E gives (spectral)."""
-        p, s = self._split(lam)
-        diag = p * self.eps
-        rows = [
-            [diag * (i == j) - s * x for j, x in enumerate(row)]
-            for i, row in enumerate(self.e.num)
-        ]
-        return _from_rows(self.zring, rows, 1)
-
     def unit_numerator(self, lam: Scalar) -> int:
         """X = (alpha s)^n det(lambda - ac), proven a unit of the ring
         together with the formula for r; raises NotInvertible, from
         inverse, when lambda - ac is singular."""
         p, s = self._split(lam)
         q = self.q
-        x = self.zring.canon(_shifted_det(self.cs, p * self.alpha, s))
+        x = _chi_at(q.ac, p, s)
         if not q.ring.is_unit_scalar(x):
             inverse(SquareMatrix.identity(q.ring, q.n).scalar_mul(lam) - q.ac)
             raise FormulaViolation(
                 "lambda - ac inverted although its resolvent determinant is no unit"
             )
         if not self.proven:
-            n, cs, alpha, eps = q.n, self.cs, self.alpha, self.eps
-            if not _poly_at(cs, _trusted(self.zring, q.ac.num)).is_zero:
+            n, cs, alpha, eps = q.n, _chi(q.ac), q.ac.den, q.bd.den
+            if not _poly_at(cs, _numerators(q.ac)).is_zero:
                 raise FormulaViolation(
                     "the characteristic polynomial of ac fails Cayley-Hamilton"
                 )
@@ -591,28 +564,24 @@ class _Resolvent:
         """r = R / (X eps^n), proven by unit_numerator; n - 1 products."""
         x = self.unit_numerator(lam)
         p, s = self._split(lam)
-        n, cs, eps = self.q.n, self.cs, self.eps
-        u, scale = p * self.alpha, self.alpha * s
+        q = self.q
+        n, cs, alpha, eps = q.n, _chi(q.ac), q.ac.den, q.bd.den
+        u, scale = p * alpha, alpha * s
         # v_(n-k) = W_k (alpha s)^(n-k) eps^k, highest degree first.
         vs = [
             _shifted_det(cs[:k + 1], u, s) * scale ** (n - k) * eps**k
             for k in range(n + 1)
         ]
-        return _from_rows(self.q.ring, _poly_at(vs, self.e).num, x * eps**n)
+        return _from_rows(q.ring, _poly_at(vs, self.e).num, x * eps**n)
 
 
 def jacobson_inverse(q: Quadruple, lam: Scalar = 1) -> SquareMatrix:
     """(1 - bd/lambda)^(-1) as r = 1 + b (lambda - ac)^(-1) d.
 
-    The unit transfer: lambda - bd is a unit whenever lambda - ac is. From
-    bdb = bac and dbd = acd, r = 1 + bd q(bd) / chi(lambda), with
-    chi(t) = det(t - ac) and (lambda - t) q(t) = chi(lambda) - chi(t): a
-    polynomial in bd, the one route in all four rings (see _Resolvent).
-    Two polynomial identities, chi(ac) = 0 and bd chi(bd) = 0, checked once
-    in integers, prove (lambda - bd) r = r (lambda - bd) = lambda for every
-    lambda at once, with no matrix scaled by 1/lambda; the two sides agree
-    because r and lambda - bd commute. The proof takes 2n - 1 products and
-    r itself n - 1 more.
+    The unit transfer: lambda - bd is a unit whenever lambda - ac is. r is
+    a polynomial in bd, read off chi(t) = det(t - ac) and proven for every
+    lambda at once by two polynomial identities in 2n - 1 products, r
+    itself taking n - 1 more; _Resolvent holds the argument.
     Raises ZeroLambda for lambda = 0, UnsupportedRing for lambda != 1
     outside Q, and NotInvertible, with inverse's own text, when
     lambda - ac is singular. A failed check raises FormulaViolation

@@ -143,6 +143,19 @@ def squarefree_part(cs: Sequence[int]) -> tuple[int, ...]:
     return primitive(q)
 
 
+def _shifted_det(cs: Sequence[int], u: int, s: int) -> int:
+    """sum c_k u^(n-k) s^k for cs = [c_0, ..., c_n], highest degree first:
+    s^n p(u / s) for p(t) = sum c_k t^(n-k), by Horner's rule homogeneous
+    in (u, s), in integers. On the coefficients of det(t I - A) it is
+    det(u I - s A), the one evaluation of a polynomial at a rational point
+    (the unit transfer's verdicts and the rational root search)."""
+    x, s_k = cs[0], 1
+    for c in cs[1:]:
+        s_k *= s
+        x = x * u + c * s_k
+    return x
+
+
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     small: list[int] = []
@@ -184,15 +197,11 @@ def rational_roots(cs: Sequence[int]) -> list[Fraction]:
         _check_root_budget(trials, "trial divisions")
         nums, dens = _divisors(form[0]), _divisors(form[-1])
         _check_root_budget(len(nums) * len(dens), "candidate pairs")
+        high_first = form[::-1]
         for den in dens:
-            # x/den is a root iff den^deg p(x/den), Horner in x on the
-            # coefficients c_i den^(deg-i), vanishes.
-            scaled = [c * den**j for j, c in enumerate(reversed(form))]
+            # x/den is a root iff den^deg p(x/den) vanishes.
             for x in (s * num for num in nums for s in (1, -1)):
-                acc = 0
-                for c in scaled:
-                    acc = acc * x + c
-                if acc == 0:
+                if _shifted_det(high_first, x, den) == 0:
                     roots.add(Fraction(x, den))
     return sorted(roots)
 

@@ -65,7 +65,7 @@ from .errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from .exact_arith import format_rational, int_literal, parse_rational
+from .exact_arith import _shifted_det, format_rational, int_literal, parse_rational
 
 Scalar = Fraction | int
 
@@ -879,6 +879,20 @@ def _chi(a: SquareMatrix) -> tuple[int, ...]:
         cs = tuple(_berkowitz(a.num, a.ring.modulus))
         _set_chi(a, cs)
         return cs
+
+
+def _chi_at(a: SquareMatrix, p: int, s: int) -> int:
+    """(s den)^n det(p / s - a) for a = N / den: det(p den I - s N) from
+    _chi(a), the one verdict on whether lambda - a is a unit at
+    lambda = p / s. It is not reduced mod m: is_unit_scalar reads x mod m
+    over GF(m) and gcd(x, m) over Z/m, which reduction leaves alone."""
+    return _shifted_det(_chi(a), p * a.den, s)
+
+
+def _numerators(a: SquareMatrix) -> SquareMatrix:
+    """The integer numerators N of a = N / den as a matrix: over Z for Q,
+    and a itself over Z, GF(m) and Z/m, where den = 1."""
+    return _trusted(RING_Z, a.num) if a.ring.kind == "Q" else a
 
 
 def det_bareiss(a: SquareMatrix) -> Scalar:

@@ -37,12 +37,14 @@ from .errors import (
     FormulaViolation,
     NoSolution,
     RelationViolation,
+    UnsupportedRing,
 )
 from .matrix_rings import (
     RING_Q,
     RingSpec,
     SquareMatrix,
     _from_rows,
+    _products_equal,
     _reduce,
     _trusted,
     _with_identity,
@@ -406,7 +408,7 @@ def _solve_by_elimination(
             if coef:
                 vec = [v + coef * t for v, t in zip(vec, bvec)]
         x = _from_rows(ring, [vec[i * n:(i + 1) * n] for i in range(n)], den)
-        if x * b * x == ac * x:
+        if _products_equal(x, b * x, ac, x):
             out.append(x)
             if len(out) == budget:
                 break
@@ -470,6 +472,11 @@ def random_matrix(ring: RingSpec, n: int, rng: random.Random) -> SquareMatrix:
 def random_invertible_matrix(
     ring: RingSpec, n: int, rng: random.Random
 ) -> SquareMatrix:
+    """random_matrix drawn again until invertible, up to 1000 tries, over
+    Q, GF(p) and Z/m. Over Z, where det = +-1 is rare among small entries,
+    it raises UnsupportedRing before drawing, rng untouched."""
+    if ring.kind == "Z":
+        raise UnsupportedRing("no invertible draw over Z: det = +-1 is rare")
     for _ in range(1000):
         m = random_matrix(ring, n, rng)
         if is_invertible(m):

@@ -12,18 +12,8 @@ exact_arith, once for both sides when their nonzero parts are equal, and the
 sets agree iff those tuples are identical (primitive forms are canonical, so
 equal tuples are equal monic polynomials). Monic rational coefficients
 appear only in the JSON reports. Pointwise unit transfer at sampled nonzero
-lambda complements the set comparison: one characteristic polynomial of ac
-per quadruple (drazin_core._Resolvent) decides at every lambda whether
-lambda - ac is invertible, and two polynomial identities, checked in
-integers once, prove the formula for (1 - bd/lambda)^(-1), a polynomial in
-bd, for every such lambda at once and on both sides; at every lambda where
-it finds lambda - ac singular, an elimination inverse must agree. The bd
-side is decided at every lambda by the one characteristic polynomial of bd
-that char_poly reads too, and each verdict rests on two routes: where
-lambda - ac is a unit, the proven formula makes lambda - bd one, and a
-characteristic polynomial that says otherwise is a bug; where lambda - ac is
-singular, the elimination determinant of lambda - bd must give the same
-verdict.
+lambda complements the set comparison (invertibility_transfer; the
+argument is drazin_core._Resolvent's).
 """
 
 from __future__ import annotations
@@ -32,16 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .drazin_core import (
-    Quadruple,
-    _Resolvent,
-    _shifted_det,
-    drazin_inverse,
-    quadruple_over_q,
-)
+from .drazin_core import Quadruple, _Resolvent, drazin_inverse, quadruple_over_q
 from .errors import FormulaViolation, NotInvertible
 from .exact_arith import format_rational, primitive, rational_roots, squarefree_part
-from .matrix_rings import SquareMatrix, _chi, det, matrix_to_json, over_q
+from .matrix_rings import SquareMatrix, _chi, _chi_at, det, matrix_to_json, over_q
 
 DEFAULT_LAMBDAS: tuple[Fraction, ...] = (
     Fraction(1),
@@ -194,53 +178,46 @@ def invertibility_transfer(
 ) -> TransferReport:
     """Pointwise unit transfer at each sampled nonzero lambda.
 
-    Whenever lambda - ac is invertible, the explicit formula
-    1 + b (lambda - ac)^(-1) d must invert 1 - bd/lambda, which is the
-    statement that lambda - bd is a unit whenever lambda - ac is. One
-    resolvent of ac serves every lambda (the route of jacobson_inverse).
-    At the first lambda where it finds lambda - ac invertible it proves
-    the formula for every lambda at once, by the two polynomial identities
-    chi(ac) = 0 and bd chi(bd) = 0, chi(t) = det(t - ac), checked in exact
-    integers in 2n - 1 products; the proof is two-sided because r is a
-    polynomial in bd. After that each lambda costs one Horner evaluation
-    of chi, no product, and the formula itself is never assembled. At each
-    lambda where it finds lambda - ac singular, inverse(lambda - ac) must
-    confirm that by raising NotInvertible, so no row holds on the
-    resolvent's word alone.
+    Whenever lambda - ac is invertible, 1 + b (lambda - ac)^(-1) d must
+    invert 1 - bd/lambda, which is the statement that lambda - bd is a
+    unit whenever lambda - ac is. One drazin_core._Resolvent, the route of
+    jacobson_inverse and the home of the argument, serves every lambda:
+    its unit_numerator decides the ac side, proving the formula once per
+    quadruple in 2n - 1 products at the first lambda where lambda - ac is
+    a unit, and asking inverse(lambda - ac) to confirm each lambda where
+    it is not; the formula itself is never assembled.
 
-    The bd side reads the characteristic polynomial of the integer
-    numerators E of bd = E / eps from matrix_rings._chi(q.bd), the one
-    Berkowitz run on that matrix, which char_poly(q.bd) shares, and takes
-    at lambda = p / s the same Horner evaluation,
-    det(p eps I - s E) = (s eps)^n det(lambda - bd). Each
-    verdict rests on two routes. Where lambda - ac is proven a unit, the
-    formula has proven lambda - bd one, and a characteristic polynomial
-    that finds no unit raises FormulaViolation (a bug), so every row holds.
-    Where lambda - ac is singular, the elimination determinant of
-    lambda - bd must return the same verdict, or FormulaViolation is
-    raised; both side verdicts are recorded.
+    The bd side is decided at every lambda by matrix_rings._chi_at(bd, p, s),
+    the Horner evaluation the ac side takes, on the one characteristic
+    polynomial of bd that char_poly(q.bd) reads too. Each verdict rests on
+    two routes. Where lambda - ac is proven a unit, the formula has proven
+    lambda - bd one, and a characteristic polynomial that finds no unit
+    raises FormulaViolation (a bug), so every row holds. Where lambda - ac
+    is singular, det(lambda - bd), an independent elimination, must return
+    the same verdict, or FormulaViolation is raised; both side verdicts
+    are recorded.
     """
     rows: list[TransferRow] = []
     resolvent = _Resolvent(q)
-    chi_e = _chi(q.bd)
     for lam in map(Fraction, lambdas):
         try:
             resolvent.unit_numerator(lam)
             ac_ok = True
         except NotInvertible:
             ac_ok = False
-        y = _shifted_det(chi_e, lam.numerator * resolvent.eps, lam.denominator)
-        bd_ok = q.ring.is_unit_scalar(resolvent.zring.canon(y))
+        bd_ok = q.ring.is_unit_scalar(_chi_at(q.bd, lam.numerator, lam.denominator))
         if ac_ok and not bd_ok:
             raise FormulaViolation(
                 "lambda - ac is a unit but lambda - bd is not at lambda = "
                 + format_rational(lam)
             )
-        if not ac_ok and bd_ok != q.ring.is_unit_scalar(det(resolvent.shifted_bd(lam))):
-            raise FormulaViolation(
-                "the characteristic polynomial and the determinant of lambda - bd "
-                "disagree on a unit at lambda = " + format_rational(lam)
-            )
+        if not ac_ok:
+            shifted = SquareMatrix.identity(q.ring, q.n).scalar_mul(lam) - q.bd
+            if bd_ok != q.ring.is_unit_scalar(det(shifted)):
+                raise FormulaViolation(
+                    "the characteristic polynomial and the determinant of "
+                    "lambda - bd disagree on a unit at lambda = " + format_rational(lam)
+                )
         rows.append(TransferRow(lam, ac_ok, bd_ok, True if ac_ok else None))
     return TransferReport(tuple(rows))
 

@@ -314,3 +314,22 @@ def test_readme_documents_each_subcommand_in_table_order():
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     headings = re.findall(r"^### (.+)$", section, flags=re.MULTILINE)
     assert headings == list(cli._COMMANDS)
+
+
+# Four matrices that disagree on the ring (a over Q, b over Z/4, c over Z)
+# or on the dimension (a 2 x 2, the rest 3 x 3): every quadruple command
+# refuses them as malformed input, naming the first disagreement with a.
+_RING_MIX = {"a": ("Q", _EYE), "b": ({"Zmod": 4}, _EYE), "c": ("Z", _EYE), "d": ("Q", _EYE)}
+_EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+_DIM_MIX = {"a": ("Q", _EYE), "b": ("Q", _EYE3), "c": ("Q", _EYE3), "d": ("Q", _EYE3)}
+
+
+@pytest.mark.parametrize("command", ["verify", "cline", "jacobson", "spectrum"])
+@pytest.mark.parametrize("mix, detail", [
+    (_RING_MIX, "Q vs Zmod(4)"),
+    (_DIM_MIX, "2 vs 3"),
+], ids=["rings", "dims"])
+def test_mismatched_quadruple_is_malformed(command, mix, detail, capsys, tmp_path):
+    path = write_json(tmp_path / "q.json", {k: _matrix(*v) for k, v in mix.items()})
+    error = {"detail": detail, "error": "malformed-input"}
+    assert run(capsys, command, "--in", path) == (2, "", json.dumps(error, sort_keys=True) + "\n")

@@ -17,6 +17,7 @@ from drazinkit.errors import (
     DrazinkitError,
     FormulaViolation,
     NoSolution,
+    UnsupportedRing,
 )
 from drazinkit.fixtures import example_matrices, example_quadruple
 from drazinkit.matrix_rings import (
@@ -663,11 +664,9 @@ class TestDrawStream:
                 )
                 assert got_rng.getstate() == want_rng.getstate()
 
-    @pytest.mark.parametrize("ring", STREAM_RINGS, ids=str)
+    @pytest.mark.parametrize("ring", [r for r in STREAM_RINGS if r != RING_Z], ids=str)
     def test_random_invertible_matrix_matches_randrange(self, ring, monkeypatch):
-        # Over Z, det = +-1 is rare from n = 3 on, so most seeds there spend
-        # all 1000 tries; n <= 2 covers both the hit and the retry.
-        sizes = range(1, 3) if ring == RING_Z else range(1, 6)
+        sizes = range(1, 6)
         seeds = range(200)
         got = [quadruple_lab.random_invertible_matrix(ring, n, random.Random(s))
                for n in sizes for s in seeds]
@@ -675,6 +674,20 @@ class TestDrawStream:
         want = [quadruple_lab.random_invertible_matrix(ring, n, random.Random(s))
                 for n in sizes for s in seeds]
         assert got == want
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_invertible_draw_over_z_is_refused_before_drawing(self, n, monkeypatch):
+        # det = +-1 is rare among entries in [-3, 3], so no n is drawn over Z:
+        # the refusal draws nothing and leaves the generator as it was.
+        def no_draw(*args):
+            raise AssertionError("drew a matrix over Z")
+
+        monkeypatch.setattr(quadruple_lab, "random_matrix", no_draw)
+        rng = random.Random(n)
+        state = rng.getstate()
+        with pytest.raises(UnsupportedRing, match="no invertible draw over Z"):
+            quadruple_lab.random_invertible_matrix(RING_Z, n, rng)
+        assert rng.getstate() == state
 
     def test_seeded_rational_suite_matches_randrange(self, monkeypatch):
         # The suite draws through random_matrix and random_invertible_matrix,

@@ -865,6 +865,36 @@ class TestBdSide:
         shifted = eye.scalar_mul(u) - a.scalar_mul(s)
         assert _shifted_det(_berkowitz(rows), u, s) == det_bareiss(shifted)
 
+    @given(
+        st.sampled_from([RING_Q, RING_Z, gf(5), zmod(12)]),
+        st.integers(1, 4).flatmap(lambda n: st.lists(
+            st.lists(
+                st.tuples(st.integers(-12, 12), st.integers(1, 12)),
+                min_size=n, max_size=n,
+            ),
+            min_size=n, max_size=n,
+        )),
+        st.integers(-9, 9),
+        st.integers(1, 9),
+    )
+    def test_chi_at_is_det_of_p_den_minus_s_n(self, ring, pairs, p, s):
+        # The one chi-at-lambda verdict of both sides, on a = N / den:
+        # det(p den I - s N), unreduced, whose residue mod m is the verdict's
+        # on GF(m) and Z/m.
+        if ring == RING_Q:
+            rows = [[Fraction(x, y) for x, y in row] for row in pairs]
+        else:
+            rows = [[x for x, _ in row] for row in pairs]
+        a = SquareMatrix(ring, rows)
+        big_n = SquareMatrix(RING_Z, a.num)
+        eye = SquareMatrix.identity(RING_Z, a.n)
+        want = det_bareiss(eye.scalar_mul(p * a.den) - big_n.scalar_mul(s))
+        got = matrix_rings._chi_at(a, p, s)
+        if ring.modulus is None:
+            assert got == want
+        else:
+            assert got % ring.modulus == want % ring.modulus
+
     def test_bd_verdicts_match_bareiss_on_rational_suite(self):
         singular = 0
         for q in seeded_rational_suite(40, seed=19):

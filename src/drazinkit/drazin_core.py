@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import (
@@ -35,12 +36,14 @@ from .matrix_rings import (
     SquareMatrix,
     _chi,
     _chi_at,
+    _equal_over,
     _first_power,
     _from_rows,
     _nilpotency_bound,
     _numerators,
     _poly_at,
     _products_equal,
+    _rows_mul,
     in_radical,
     inverse,
     is_nilpotent,
@@ -267,15 +270,25 @@ def verify_axioms(a: SquareMatrix, x: SquareMatrix, flavor: Flavor) -> DrazinCer
     zero for drazin, group and gdrazin, into the Jacobson radical for
     pdrazin. A candidate passing both axioms gets the walk's degree as its
     index, or 0 when a x = 1; any other candidate gets no index.
+
+    The axioms are decided in integers, on the raw rows of
+    matrix_rings._rows_mul (reduced mod m over GF(m) and Z/m): with
+    a = A / alpha, x = X / xi and s = alpha xi, a x = x a is AX = XA,
+    x a x = x is X AX = s X, and a x = 1 is AX = s I. The four products
+    AX, XA, X AX and A AX are the only ones before the walk, and none of
+    them becomes a matrix: only the core (s A - A AX) / (alpha s) does,
+    for the walk.
     """
     a._require_compatible(x)
     checks: list[AxiomCheck] = []
-    ax = a * x
-    commute = ax == x * a
+    m = a.ring.modulus
+    big_a, big_x, s = a.num, x.num, a.den * x.den
+    ax = _rows_mul(big_a, big_x, m)
+    commute = ax == _rows_mul(big_x, big_a, m)
     checks.append(
         AxiomCheck("commutes", commute, "a x = x a" if commute else "a x != x a")
     )
-    absorb = x * ax == x
+    absorb = _equal_over(_rows_mul(big_x, ax, m), s, big_x, 1)
     checks.append(
         AxiomCheck("absorbs", absorb, "x a x = x" if absorb else "x a x != x")
     )
@@ -286,13 +299,18 @@ def verify_axioms(a: SquareMatrix, x: SquareMatrix, flavor: Flavor) -> DrazinCer
     # a x = x a and x a x = x, a x is an idempotent commuting with a, so
     # (a - a^2 x)^k = a^k - a^(k+1) x for k >= 1, and the idempotent
     # 1 - a x lies in the radical only when it is 0.
-    core = a - a * ax
+    rows = [
+        [s * v - w for v, w in zip(row, a_ax)]
+        for row, a_ax in zip(big_a, _rows_mul(big_a, ax, m))
+    ]
+    core = _from_rows(a.ring, rows, a.den * s)
     pdrazin = flavor is Flavor.PDRAZIN
     degree = _first_power(core, in_radical) if pdrazin else is_nilpotent(core)[1]
     reached = degree is not None
     index = None
     if commute and absorb and reached:
-        index = 0 if ax == SquareMatrix.identity(a.ring, a.n) else degree
+        eye = SquareMatrix.identity(a.ring, a.n).num
+        index = 0 if _equal_over(ax, s, eye, 1) else degree
     if pdrazin:
         # Only the axioms make a^k - a^(k+1) x the core's k-th power.
         power, k = (
@@ -508,7 +526,8 @@ class _Resolvent:
 
     At lambda = p / s the integers W_0 = 1, W_k = p alpha W_(k-1) + c_k s^k
     are (alpha s)^k times the Horner partial sums of chi at lambda, and
-    X = W_n = (alpha s)^n chi(lambda) = matrix_rings._chi_at(ac, p, s). The
+    X = W_n = (alpha s)^n chi(lambda) = matrix_rings._chi_at(cs, alpha, p, s),
+    with cs = _chi(ac) read once, when the resolvent is made. The
     closure makes lambda - ac a unit when X is one. The identity then gives
     (lambda - bd) r = lambda at every such lambda, with r = R / (X eps^n),
     R = sum v_m E^m and v_m = W_(n-m) (alpha s)^m eps^(n-m): no matrix is
@@ -519,35 +538,46 @@ class _Resolvent:
     FormulaViolation.
     """
 
-    __slots__ = ("q", "e", "proven")
+    __slots__ = ("q", "e", "cs", "proven")
 
     def __init__(self, q: Quadruple):
         self.q = q
         self.e = _numerators(q.bd)
+        self.cs = _chi(q.ac)
         self.proven = False
 
-    def _split(self, lam: Scalar) -> tuple[int, int]:
-        """(p, s) with lambda = p / s and s > 0, after the checks on lambda."""
-        if lam == 0:
-            raise ZeroLambda("lambda must be nonzero")
-        if lam != 1 and self.q.ring.kind != "Q":
-            raise UnsupportedRing(f"scaling needs Q, got {self.q.ring}")
-        return lam.numerator, lam.denominator
+    def _split(self, lam: Scalar | float | str) -> tuple[Fraction, int, int]:
+        """(lambda, p, s): lambda as a Fraction, and p / s its lowest terms
+        with s > 0, after the checks on lambda.
 
-    def unit_numerator(self, lam: Scalar) -> int:
-        """X = (alpha s)^n det(lambda - ac), proven a unit of the ring
-        together with the formula for r; raises NotInvertible, from
-        inverse, when lambda - ac is singular."""
-        p, s = self._split(lam)
+        lambda is normalised here and nowhere else: a Fraction is read as it
+        stands, and anything else Fraction accepts (an int, a float, a
+        string such as "1/2") goes through Fraction once. The checks are
+        integer tests: lambda = 0 is p = 0, and lambda = 1 is p = s.
+        """
+        if not isinstance(lam, Fraction):
+            lam = Fraction(lam)
+        p, s = lam.numerator, lam.denominator
+        if not p:
+            raise ZeroLambda("lambda must be nonzero")
+        if p != s and self.q.ring.kind != "Q":
+            raise UnsupportedRing(f"scaling needs Q, got {self.q.ring}")
+        return lam, p, s
+
+    def unit_numerator(self, lam: Fraction, p: int, s: int) -> int:
+        """X = (alpha s)^n det(lambda - ac) at lambda = p / s, as _split
+        gives them, proven a unit of the ring together with the formula for
+        r; raises NotInvertible, from inverse, when lambda - ac is
+        singular."""
         q = self.q
-        x = _chi_at(q.ac, p, s)
+        x = _chi_at(self.cs, q.ac.den, p, s)
         if not q.ring.is_unit_scalar(x):
             inverse(SquareMatrix.identity(q.ring, q.n).scalar_mul(lam) - q.ac)
             raise FormulaViolation(
                 "lambda - ac inverted although its resolvent determinant is no unit"
             )
         if not self.proven:
-            n, cs, alpha, eps = q.n, _chi(q.ac), q.ac.den, q.bd.den
+            n, cs, alpha, eps = q.n, self.cs, q.ac.den, q.bd.den
             if not _poly_at(cs, _numerators(q.ac)).is_zero:
                 raise FormulaViolation(
                     "the characteristic polynomial of ac fails Cayley-Hamilton"
@@ -560,12 +590,12 @@ class _Resolvent:
             self.proven = True
         return x
 
-    def inverse_at(self, lam: Scalar) -> SquareMatrix:
+    def inverse_at(self, lam: Scalar | float | str) -> SquareMatrix:
         """r = R / (X eps^n), proven by unit_numerator; n - 1 products."""
-        x = self.unit_numerator(lam)
-        p, s = self._split(lam)
+        lam, p, s = self._split(lam)
+        x = self.unit_numerator(lam, p, s)
         q = self.q
-        n, cs, alpha, eps = q.n, _chi(q.ac), q.ac.den, q.bd.den
+        n, cs, alpha, eps = q.n, self.cs, q.ac.den, q.bd.den
         u, scale = p * alpha, alpha * s
         # v_(n-k) = W_k (alpha s)^(n-k) eps^k, highest degree first.
         vs = [
@@ -575,13 +605,14 @@ class _Resolvent:
         return _from_rows(q.ring, _poly_at(vs, self.e).num, x * eps**n)
 
 
-def jacobson_inverse(q: Quadruple, lam: Scalar = 1) -> SquareMatrix:
+def jacobson_inverse(q: Quadruple, lam: Scalar | float | str = 1) -> SquareMatrix:
     """(1 - bd/lambda)^(-1) as r = 1 + b (lambda - ac)^(-1) d.
 
     The unit transfer: lambda - bd is a unit whenever lambda - ac is. r is
     a polynomial in bd, read off chi(t) = det(t - ac) and proven for every
     lambda at once by two polynomial identities in 2n - 1 products, r
-    itself taking n - 1 more; _Resolvent holds the argument.
+    itself taking n - 1 more; _Resolvent holds the argument. lambda is
+    anything Fraction accepts: Fraction(1, 2), 0.5 and "1/2" are one lambda.
     Raises ZeroLambda for lambda = 0, UnsupportedRing for lambda != 1
     outside Q, and NotInvertible, with inverse's own text, when
     lambda - ac is singular. A failed check raises FormulaViolation

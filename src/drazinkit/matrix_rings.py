@@ -17,17 +17,21 @@ The stored form (lowest terms over Q, exact integers over Z, residues over
 GF(p) and Z/n) is coded twice: SquareMatrix(...) validates outside input
 into it, and _from_rows puts every derived matrix into it from integer
 rows over a denominator. Sums, negations, scalar multiples, inverses,
-constructed flavor-inverses and each step of _poly_at all go through
-_from_rows. Only the product
-reduces inline, mod m and on its den = 1 path, since it is the hot path.
-Its rows come, for n <= _UNROLL_MAX_N = 4, from a kernel generated and
-compiled once per dimension, with every entry an explicit sum of n
+constructed flavor-inverses and the result of _poly_at all go through
+_from_rows. Only the product reduces inline, mod m and on its den = 1
+path, since it is the hot path.
+
+Every product in the package is one function on raw integer rows,
+_rows_mul(x, y, m). For n <= _UNROLL_MAX_N = 4 it runs a kernel generated
+and compiled once per dimension, with every entry an explicit sum of n
 products; above the bound, where no measured workload runs and each
 process would pay a compile growing as n^3, one listcomp computes the
-rows. SquareMatrix.__mul__ is the one entry point of both that builds a
-matrix; _products_equal decides x1 y1 = x2 y2 from the kernel's raw rows,
-cross-multiplying the denominators over Q, without building either
-product, so that checking a relation costs no matrix.
+rows. SquareMatrix.__mul__ is _rows_mul plus the stored form. The checks
+that only compare products take the raw rows and build no matrix for
+them: _products_equal decides x1 y1 = x2 y2, cross-multiplying the
+denominators over Q, drazin_core.verify_axioms decides the commuting and
+absorbing axioms and a x = 1, and each Horner step of _poly_at stays rows
+until the one _from_rows at its end.
 
 Every polynomial evaluated at a matrix is evaluated by one function,
 _poly_at(cs, x), by Horner's rule on an integer matrix (over Z or a
@@ -366,37 +370,19 @@ class SquareMatrix:
         return _from_rows(self.ring, [[-x for x in row] for row in self.num], self.den)
 
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
-        """Row-by-column integer dot products, one per output entry.
-
-        For n <= _UNROLL_MAX_N the rows come from the kernel that
-        _product_kernels(n) generates, straight-line code with each entry
-        written out as its n products; above the bound one listcomp
-        computes them. This method is the only caller of either, so every
-        product passes through it. Over GF(m) and Z/m each entry is reduced
-        mod m. Over Q the numerator rows multiply as integers over the
-        product of the two denominators, and one gcd over the result puts
-        it in lowest terms.
+        """The product as a matrix: _rows_mul on the two num tuples, then
+        the stored form. Over GF(m) and Z/m the rows come back reduced mod
+        m, and so does a den = 1 product over Q and Z; otherwise the integer
+        rows lie over the product of the two denominators, and one gcd over
+        the result puts them in lowest terms. The checks that only compare
+        products (_products_equal, drazin_core.verify_axioms) and the Horner
+        steps of _poly_at call _rows_mul without building a matrix here.
         """
         ring = self.ring
-        n = self.n
-        if (ring is not other.ring and ring != other.ring) or n != other.n:
+        if (ring is not other.ring and ring != other.ring) or self.n != other.n:
             self._require_compatible(other)
         m = ring.modulus
-        if n <= _UNROLL_MAX_N:
-            kernels = _KERNELS.get(n) or _product_kernels(n)
-            rows = kernels[m is not None](self.num, other.num, m)
-        else:
-            cols = tuple(zip(*other.num))
-            # List comprehensions, which run faster than generator
-            # expressions on every Python this package supports.
-            if m is None:
-                rows = tuple(
-                    [tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num]
-                )
-            else:
-                rows = tuple(
-                    [tuple([sum(map(mul, row, col)) % m for col in cols]) for row in self.num]
-                )
+        rows = _rows_mul(self.num, other.num, m)
         if m is not None:
             return _trusted(ring, rows)
         den = self.den * other.den
@@ -474,25 +460,27 @@ def _trusted(
 
 # Products up to this dimension run unrolled: every product of both
 # benchmark workloads (n <= 4) and of every PackedSpace (n <= 3). The
-# kernels' source has n^3 terms, so their one-off compile, paid again by
-# each process, grows as n^3: both kernels of one n take about 1.2 ms at
+# kernel's source has 2 n^3 terms, so its one-off compile, paid again by
+# each process, grows as n^3: the kernel of one n takes about 1.2 ms at
 # n = 4, 6 ms at n = 8 and 42 ms at n = 16 (Python 3.11 on a shared 2-vCPU
 # Xeon VM). No workload measures a gain above 4, so larger n keep the
 # listcomp.
 _UNROLL_MAX_N = 4
 
-# n -> the compiled kernels (Q and Z, GF(m) and Z/m); filled on first use.
-_KERNELS: dict[int, tuple[Callable, Callable]] = {}
+# n -> the compiled kernel; filled on first use.
+_KERNELS: dict[int, Callable] = {}
 
 
-def _product_kernels(n: int) -> tuple[Callable, Callable]:
-    """The pair of kernel(a, b, m) for n x n integer rows, plain then mod m.
+def _product_kernel(n: int) -> Callable:
+    """kernel(a, b, m) for n x n integer rows: the rows of the product of
+    a and b, each entry reduced mod m unless m is None.
 
-    A kernel returns the rows of the product of the num tuples a and b.
     Its generated body unpacks both into locals and writes each of the n^2
-    entries out as an explicit sum of n products, reduced mod m in the
-    second kernel (the first ignores m): no loop and no transpose. Built
-    once per n and cached in _KERNELS; only SquareMatrix.__mul__ calls them.
+    entries out as an explicit sum of n products, twice: as it is under
+    `if m is None`, and reduced mod m after it. There is no loop and no
+    transpose, and one kernel serves all four rings, so that choosing it
+    is one lookup by n. Built once per n and cached in _KERNELS; only
+    _rows_mul calls it.
     """
 
     def grid(cell: Callable[[int, int], str]) -> str:
@@ -508,43 +496,55 @@ def _product_kernels(n: int) -> tuple[Callable, Callable]:
 
     unpack_a = grid(lambda i, j: f"a{i * n + j}")
     unpack_b = grid(lambda i, j: f"b{i * n + j}")
-    kernels = []
-    for mod in ("", " % m"):
-        rows = grid(lambda i, j: dot(i, j) + mod)
-        source = (
-            f"def kernel(a, b, m):\n"
-            f"    {unpack_a} = a\n    {unpack_b} = b\n    return {rows}\n"
-        )
-        namespace: dict[str, Callable] = {}
-        exec(compile(source, f"<product kernel n={n}>", "exec"), namespace)
-        kernels.append(namespace["kernel"])
-    pair = _KERNELS[n] = (kernels[0], kernels[1])
-    return pair
+    source = (
+        f"def kernel(a, b, m):\n"
+        f"    {unpack_a} = a\n    {unpack_b} = b\n"
+        f"    if m is None:\n        return {grid(dot)}\n"
+        f"    return {grid(lambda i, j: dot(i, j) + ' % m')}\n"
+    )
+    namespace: dict[str, Callable] = {}
+    exec(compile(source, f"<product kernel n={n}>", "exec"), namespace)
+    kernel = _KERNELS[n] = namespace["kernel"]
+    return kernel
 
 
-def _products_equal(
-    x1: SquareMatrix, y1: SquareMatrix, x2: SquareMatrix, y2: SquareMatrix
-) -> bool:
-    """Whether x1 y1 = x2 y2, decided on the raw rows of the product
-    kernel without building either product; all four share one ring and n.
+# Integer rows as _rows_mul takes them (tuples or lists) and as it returns them.
+IntRows = Sequence[Sequence[int]]
+Rows = tuple[tuple[int, ...], ...]
 
-    Over GF(m) and Z/m the kernel's rows are the reduced products, compared
-    as tuples. Over Q and Z it gives integer rows L over the denominator
-    product lam = den(x1) den(y1), and R over rho likewise, neither in
-    lowest terms: where lam = rho the rows compare as they are, otherwise
-    L rho = R lam entrywise. Above _UNROLL_MAX_N, where no kernel is
-    compiled, the two SquareMatrix products compare.
+
+def _rows_mul(x: IntRows, y: IntRows, m: int | None) -> Rows:
+    """The integer rows of the product of the n x n integer rows x and y,
+    each entry reduced mod m unless m is None: the one product in the
+    package, which SquareMatrix.__mul__ and every check on raw rows call.
+
+    For n <= _UNROLL_MAX_N the rows come from the kernel that
+    _product_kernel(n) generates, straight-line code with each entry
+    written out as its n products; above the bound one listcomp computes
+    them. x and y may be tuples or lists; the result is a tuple of tuples.
     """
-    n = x1.n
-    if n > _UNROLL_MAX_N:
-        return x1 * y1 == x2 * y2
-    m = x1.ring.modulus
-    kernel = (_KERNELS.get(n) or _product_kernels(n))[m is not None]
-    left = kernel(x1.num, y1.num, m)
-    right = kernel(x2.num, y2.num, m)
-    if m is not None:
-        return left == right
-    lam, rho = x1.den * y1.den, x2.den * y2.den
+    n = len(x)
+    if n <= _UNROLL_MAX_N:
+        # A subscript inside try, where the miss happens once per n, costs
+        # less than a call to _KERNELS.get on every product.
+        try:
+            kernel = _KERNELS[n]
+        except KeyError:
+            kernel = _product_kernel(n)
+        return kernel(x, y, m)
+    cols = tuple(zip(*y))
+    # List comprehensions, which run faster than generator expressions on
+    # every Python this package supports.
+    if m is None:
+        return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in x])
+    return tuple([tuple([sum(map(mul, row, col)) % m for col in cols]) for row in x])
+
+
+def _equal_over(left: IntRows, lam: int, right: IntRows, rho: int) -> bool:
+    """Whether left / lam = right / rho for integer rows over positive
+    denominators, neither side in lowest terms: the rows compare as they
+    are where lam = rho, so both must then be tuples of tuples, as num and
+    _rows_mul give them, and entrywise as left rho = right lam otherwise."""
     if lam == rho:
         return left == right
     return all([
@@ -552,6 +552,25 @@ def _products_equal(
         for row_l, row_r in zip(left, right)
         for x, y in zip(row_l, row_r)
     ])
+
+
+def _products_equal(
+    x1: SquareMatrix, y1: SquareMatrix, x2: SquareMatrix, y2: SquareMatrix
+) -> bool:
+    """Whether x1 y1 = x2 y2, decided on the raw rows of _rows_mul without
+    building either product; all four share one ring and n.
+
+    Over GF(m) and Z/m the rows are the reduced products, compared as
+    tuples. Over Q and Z they are integer rows L over the denominator
+    product lam = den(x1) den(y1), and R over rho likewise, which
+    _equal_over compares.
+    """
+    m = x1.ring.modulus
+    left = _rows_mul(x1.num, y1.num, m)
+    right = _rows_mul(x2.num, y2.num, m)
+    if m is not None:
+        return left == right
+    return _equal_over(left, x1.den * y1.den, right, x2.den * y2.den)
 
 
 # -- elimination ---------------------------------------------------------------
@@ -742,21 +761,24 @@ def _poly_at(cs: Sequence[int], x: SquareMatrix) -> SquareMatrix:
 
     x holds integers (den = 1): over Z, or residues over GF(m) and Z/m,
     where the coefficients are reduced mod m. Horner's rule, started at
-    cs[0] x + cs[1] I, takes max(len(cs) - 2, 0) products, and each step
-    brings acc x + c I to stored form with one _from_rows.
+    cs[0] x + cs[1] I, takes max(len(cs) - 2, 0) products. It runs on
+    integer rows, acc x from _rows_mul (reduced mod m over GF(m) and Z/m)
+    plus c on the diagonal, and one _from_rows at the end brings the
+    result to stored form.
     """
-    ring, n = x.ring, x.n
+    n, m, xs = x.n, x.ring.modulus, x.num
 
-    def plus_c(rows: Sequence[Sequence[int]], c: int) -> SquareMatrix:
-        rows = [[v + c * (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)]
-        return _from_rows(ring, rows, 1)
+    def plus_c(rows: list[list[int]], c: int) -> list[list[int]]:
+        for i in range(n):
+            rows[i][i] += c
+        return rows
 
     if len(cs) < 2:
-        return plus_c(((0,) * n,) * n, cs[0] if cs else 0)
-    acc = plus_c([[cs[0] * v for v in row] for row in x.num], cs[1])
+        return _from_rows(x.ring, plus_c([[0] * n for _ in xs], cs[0] if cs else 0), 1)
+    acc = plus_c([[cs[0] * v for v in row] for row in xs], cs[1])
     for c in cs[2:]:
-        acc = plus_c((acc * x).num, c)
-    return acc
+        acc = plus_c(list(map(list, _rows_mul(acc, xs, m))), c)
+    return _from_rows(x.ring, acc, 1)
 
 
 def _det_in_ring(ring: RingSpec, det_num: int, den: int, n: int) -> Scalar:
@@ -881,12 +903,13 @@ def _chi(a: SquareMatrix) -> tuple[int, ...]:
         return cs
 
 
-def _chi_at(a: SquareMatrix, p: int, s: int) -> int:
-    """(s den)^n det(p / s - a) for a = N / den: det(p den I - s N) from
-    _chi(a), the one verdict on whether lambda - a is a unit at
-    lambda = p / s. It is not reduced mod m: is_unit_scalar reads x mod m
-    over GF(m) and gcd(x, m) over Z/m, which reduction leaves alone."""
-    return _shifted_det(_chi(a), p * a.den, s)
+def _chi_at(cs: Sequence[int], den: int, p: int, s: int) -> int:
+    """(s den)^n det(p / s - a) for a = N / den with cs = _chi(a), which
+    the caller reads once for all its lambdas: det(p den I - s N), the one
+    verdict on whether lambda - a is a unit at lambda = p / s. It is not
+    reduced mod m: is_unit_scalar reads x mod m over GF(m) and gcd(x, m)
+    over Z/m, which reduction leaves alone."""
+    return _shifted_det(cs, p * den, s)
 
 
 def _numerators(a: SquareMatrix) -> SquareMatrix:

@@ -174,7 +174,7 @@ class TransferReport:
 
 
 def invertibility_transfer(
-    q: Quadruple, lambdas: Sequence[Fraction]
+    q: Quadruple, lambdas: Sequence[Fraction | int | float | str]
 ) -> TransferReport:
     """Pointwise unit transfer at each sampled nonzero lambda.
 
@@ -185,11 +185,13 @@ def invertibility_transfer(
     its unit_numerator decides the ac side, proving the formula once per
     quadruple in 2n - 1 products at the first lambda where lambda - ac is
     a unit, and asking inverse(lambda - ac) to confirm each lambda where
-    it is not; the formula itself is never assembled.
+    it is not; the formula itself is never assembled. Its _split reads
+    each lambda, anything Fraction accepts, once, as p / s in lowest terms.
 
-    The bd side is decided at every lambda by matrix_rings._chi_at(bd, p, s),
-    the Horner evaluation the ac side takes, on the one characteristic
-    polynomial of bd that char_poly(q.bd) reads too. Each verdict rests on
+    The bd side is decided at every lambda by matrix_rings._chi_at, the
+    Horner evaluation the ac side takes, on the one characteristic
+    polynomial of bd that char_poly(q.bd) reads too, read once per
+    quadruple as the resolvent reads that of ac. Each verdict rests on
     two routes. Where lambda - ac is proven a unit, the formula has proven
     lambda - bd one, and a characteristic polynomial that finds no unit
     raises FormulaViolation (a bug), so every row holds. Where lambda - ac
@@ -199,13 +201,15 @@ def invertibility_transfer(
     """
     rows: list[TransferRow] = []
     resolvent = _Resolvent(q)
-    for lam in map(Fraction, lambdas):
+    chi_bd, eps = _chi(q.bd), q.bd.den
+    for lam in lambdas:
+        lam, p, s = resolvent._split(lam)
         try:
-            resolvent.unit_numerator(lam)
+            resolvent.unit_numerator(lam, p, s)
             ac_ok = True
         except NotInvertible:
             ac_ok = False
-        bd_ok = q.ring.is_unit_scalar(_chi_at(q.bd, lam.numerator, lam.denominator))
+        bd_ok = q.ring.is_unit_scalar(_chi_at(chi_bd, eps, p, s))
         if ac_ok and not bd_ok:
             raise FormulaViolation(
                 "lambda - ac is a unit but lambda - bd is not at lambda = "

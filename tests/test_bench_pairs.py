@@ -171,3 +171,44 @@ def test_a_relative_checkout_runs_its_own_bench(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     assert bench_pairs.run_once(Path("parent"), "w", 1.0, None) == "{}"
     assert seen == [tmp_path / "parent" / "bench" / "run.py"]
+
+
+def spec_line(**values) -> str:
+    """A result line carrying every end-to-end metric of BENCHMARK.json, at
+    1.0 unless values names it."""
+    spec = json.loads(bench_pairs.BENCHMARK.read_text(encoding="utf-8"))
+    return json.dumps({
+        "failed": 0,
+        "metrics": {
+            m["name"]: {"value": values.get(m["name"], 1.0)} for m in spec["end_to_end"]
+        },
+    })
+
+
+@pytest.mark.parametrize("after_ops,status", [(0.5, 1), (1.0, 0), (2.0, 0)])
+def test_exit_status_is_one_exactly_when_a_verdict_regressed(
+    monkeypatch, capsys, after_ops, status
+):
+    def fake_run(checkout, workload, seconds, seed):
+        if checkout.name == "after" and workload == "rational_certify":
+            return spec_line(throughput_ops_s=after_ops)
+        return spec_line()
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    assert bench_pairs.main(["before", "after", "--pairs", "2"]) == status
+    verdicts = [
+        line.split()[-1] for line in capsys.readouterr().out.splitlines()
+        if line.startswith("throughput_ops_s")
+    ]
+    assert ("regressed" in verdicts) == (status == 1)
+
+
+def test_an_unknown_workload_is_refused_before_any_run(monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: runs.append(args))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["before", "after", "--workload", "cli_oneshot"])
+    assert exc.value.code == 2 and runs == []
+    err = capsys.readouterr().err
+    assert "invalid choice: 'cli_oneshot'" in err
+    assert "rational_certify" in err and "residue_sampling" in err

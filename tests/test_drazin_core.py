@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from drazinkit import drazin_core, matrix_rings
 from drazinkit.drazin_core import (
+    AxiomCheck,
+    DrazinCertificate,
     Flavor,
     Quadruple,
     cline_classical,
@@ -37,11 +39,13 @@ from drazinkit.matrix_rings import (
     RING_Z,
     SquareMatrix,
     _berkowitz,
+    _first_power,
     _nilpotency_bound,
     all_matrices,
     gf,
     in_radical,
     inverse,
+    is_nilpotent,
     over_q,
     reduced_echelon,
     zmod,
@@ -53,6 +57,7 @@ from drazinkit.quadruple_lab import (
     random_matrix,
     seeded_rational_suite,
 )
+from test_matrix_rings import count_products
 
 
 def m(ring, rows) -> SquareMatrix:
@@ -230,14 +235,7 @@ class TestSingleConstruction:
         # c_0 a + c_1 I, and four verify the axioms; the core
         # a - a^2 x is already zero (or in the radical) at its first power,
         # so no flavor's walk takes another.
-        calls = []
-        mul = SquareMatrix.__mul__
-
-        def counted(self, other):
-            calls.append(1)
-            return mul(self, other)
-
-        monkeypatch.setattr(SquareMatrix, "__mul__", counted)
+        calls = count_products(monkeypatch)
         a = m(RING_Q, [[2, 1, 0], [1, 1, 0], [0, Fraction(1, 3), 5]])
         cert = flavor_inverse(a, flavor)
         assert cert.valid and cert.index == 0
@@ -380,14 +378,7 @@ class TestIndexFromCore:
                 assert cert.index == reference_index(e, cert.inverse)
 
     def test_one_nilpotency_proof(self, monkeypatch):
-        calls = []
-        mul = SquareMatrix.__mul__
-
-        def counted(self, other):
-            calls.append(1)
-            return mul(self, other)
-
-        monkeypatch.setattr(SquareMatrix, "__mul__", counted)
+        calls = count_products(monkeypatch)
         # Strictly upper triangular 3 x 3 with Drazin inverse 0: degree 3.
         a = m(RING_Q, [[0, 1, 2], [0, 0, 3], [0, 0, 0]])
         cert = verify_axioms(a, SquareMatrix.zeros(RING_Q, 3), Flavor.DRAZIN)
@@ -497,6 +488,172 @@ class TestPDrazinFromCore:
         assert cert.checks[-1].witness == "(a - a^2 x)^k outside radical for all k <= 4"
 
 
+# -- verify_axioms on integer rows against the matrix route ----------------------
+
+
+def matrix_route_verify_axioms(a, x, flavor):
+    """verify_axioms as it was written on SquareMatrix products: each axiom
+    decided by comparing built matrices, and the core built as
+    a - a (a x). The integer-row route must give equal certificates."""
+    a._require_compatible(x)
+    checks = []
+    ax = a * x
+    commute = ax == x * a
+    checks.append(
+        AxiomCheck("commutes", commute, "a x = x a" if commute else "a x != x a")
+    )
+    absorb = x * ax == x
+    checks.append(
+        AxiomCheck("absorbs", absorb, "x a x = x" if absorb else "x a x != x")
+    )
+    bound = _nilpotency_bound(a)
+    core = a - a * ax
+    pdrazin = flavor is Flavor.PDRAZIN
+    degree = _first_power(core, in_radical) if pdrazin else is_nilpotent(core)[1]
+    reached = degree is not None
+    index = None
+    if commute and absorb and reached:
+        index = 0 if ax == SquareMatrix.identity(a.ring, a.n) else degree
+    if pdrazin:
+        power, k = (
+            ("a^k - a^(k+1) x", index) if commute and absorb else ("(a - a^2 x)^k", degree)
+        )
+        name = "core-radical"
+        found = f"{power} in radical at k = {k}"
+        missed = f"{power} outside radical for all k <= {bound}"
+    else:
+        name = "core-qnil" if flavor is Flavor.GDRAZIN else "core-nilpotent"
+        found = f"(a - a^2 x)^{degree} = 0"
+        missed = f"a - a^2 x not nilpotent within bound {bound}"
+    checks.append(AxiomCheck(name, reached, found if reached else missed))
+    if flavor is Flavor.GROUP:
+        ok = index is not None and index <= 1
+        witness = f"index {index}" if index is not None else "index undefined"
+        checks.append(AxiomCheck("index-at-most-one", ok, witness))
+    return DrazinCertificate(a, x, flavor, index, tuple(checks))
+
+
+# Q with denominators, Z, a prime field and two residue rings, one of them
+# with a radical that is not nil of index 2.
+ROW_RINGS = [RING_Q, RING_Z, gf(5), zmod(4), zmod(12)]
+
+
+def ring_cells(ring):
+    if ring.kind == "Q":
+        return st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    if ring.kind == "Z":
+        return st.integers(min_value=-3, max_value=3)
+    return st.integers(min_value=0, max_value=ring.modulus - 1)
+
+
+def drawn_matrix(data, ring, n):
+    cell = ring_cells(ring)
+    return m(ring, data.draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                      min_size=n, max_size=n)))
+
+
+def elementary_unit(data, ring, n):
+    """A product of drawn row operations R_i += t R_j on I: det 1, so a unit
+    in every ring, Z included."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), ring_cells(ring))
+    for i, j, t in data.draw(st.lists(ops, max_size=2 * n)):
+        if i != j:
+            rows[i] = [u + t * v for u, v in zip(rows[i], rows[j])]
+    return m(ring, rows)
+
+
+def conjugated_pair(data, ring, n):
+    """(a, x) = (P diag(U, N) P^-1, P diag(U^-1, 0) P^-1) with P and U
+    elementary units and N strictly upper triangular: x is the Drazin
+    inverse of a in every ring, of index at most n - r for the r x r U."""
+    r = data.draw(st.integers(0, n))
+    a_rows = [[0] * n for _ in range(n)]
+    x_rows = [[0] * n for _ in range(n)]
+    if r:
+        u = elementary_unit(data, ring, r)
+        for i, (u_row, v_row) in enumerate(zip(u.entries, inverse(u).entries)):
+            a_rows[i][:r], x_rows[i][:r] = u_row, v_row
+    cell = ring_cells(ring)
+    for i in range(r, n):
+        for j in range(i + 1, n):
+            a_rows[i][j] = data.draw(cell)
+    p = elementary_unit(data, ring, n)
+    p_inv = inverse(p)
+    return p * m(ring, a_rows) * p_inv, p * m(ring, x_rows) * p_inv
+
+
+def bumped(x):
+    """x with its (0, 0) entry raised by 1: another element of the ring."""
+    rows = [list(row) for row in x.entries]
+    rows[0][0] += 1
+    return m(x.ring, rows)
+
+
+class TestVerifyAxiomsOnRows:
+    """verify_axioms decides the axioms on the integer rows of _rows_mul
+    and builds only the core; the certificates are those of the matrix
+    route, for valid and invalid candidates, at n = 1..5 (n = 5 is above
+    the unrolled kernels, in the listcomp)."""
+
+    @pytest.mark.parametrize("ring", ROW_RINGS, ids=str)
+    @given(data=st.data())
+    def test_certificates_match_the_matrix_route(self, ring, data):
+        n = data.draw(st.integers(1, 5))
+        sources = ["constructed", "conjugated", "commuting", "random"]
+        source = data.draw(st.sampled_from(sources))
+        a = drawn_matrix(data, ring, n)
+        if source == "constructed" and ring.is_field:
+            x = flavor_inverse(a, Flavor.DRAZIN).inverse
+        elif source in ("constructed", "conjugated"):
+            a, x = conjugated_pair(data, ring, n)
+        elif source == "commuting":
+            # c0 + c1 a commutes with a and rarely absorbs it.
+            c0, c1 = data.draw(st.tuples(ring_cells(ring), ring_cells(ring)))
+            x = SquareMatrix.identity(ring, n).scalar_mul(c0) + a.scalar_mul(c1)
+        else:
+            x = drawn_matrix(data, ring, n)
+        valid = source in ("constructed", "conjugated")
+        for flavor in Flavor:
+            cert = verify_axioms(a, x, flavor)
+            assert cert == matrix_route_verify_axioms(a, x, flavor), (a, x, flavor)
+            if valid and flavor is not Flavor.GROUP:
+                assert cert.valid, (a, x, flavor)
+
+    @pytest.mark.parametrize("ring", ROW_RINGS, ids=str)
+    @given(data=st.data())
+    def test_a_bumped_inverse_is_refused(self, ring, data):
+        # Every flavor-inverse is unique, so x with one entry moved is none.
+        n = data.draw(st.integers(1, 5))
+        if ring.is_field and data.draw(st.booleans()):
+            a = drawn_matrix(data, ring, n)
+            x = flavor_inverse(a, Flavor.DRAZIN).inverse
+        else:
+            a, x = conjugated_pair(data, ring, n)
+        for flavor in (Flavor.DRAZIN, Flavor.PDRAZIN, Flavor.GDRAZIN):
+            assert verify_axioms(a, x, flavor).valid
+            cert = verify_axioms(a, bumped(x), flavor)
+            assert cert == matrix_route_verify_axioms(a, bumped(x), flavor)
+            assert not cert.valid, (a, x, flavor)
+
+    def test_brute_forced_certificates_over_m2_z4(self):
+        refused = 0
+        for a in all_matrices(zmod(4), 2):
+            for flavor in Flavor:
+                for cert in brute_force_inverse(a, flavor):
+                    # The brute-force certificate adds the double-commutant
+                    # check after the axioms.
+                    got = verify_axioms(a, cert.inverse, flavor)
+                    assert got == matrix_route_verify_axioms(a, cert.inverse, flavor)
+                    assert got.valid and got.index == cert.index
+                    assert cert.checks[:len(got.checks)] == got.checks
+                    wrong = verify_axioms(a, bumped(cert.inverse), flavor)
+                    assert wrong == matrix_route_verify_axioms(a, bumped(cert.inverse), flavor)
+                    assert not wrong.valid
+                    refused += 1
+        assert refused > 256
+
+
 class TestQuadruple:
     def test_first_demo_instance_rejected_with_report(self):
         mats = example_matrices("2.4")
@@ -602,8 +759,8 @@ class TestQuadruple:
 
     @pytest.mark.parametrize("ring", [RING_Q, gf(5), zmod(4)], ids=str)
     def test_above_the_unroll_bound(self, ring):
-        # n = 5 compares the relations' SquareMatrix products, compiling no
-        # kernel for 5.
+        # n = 5 decides the relations on the raw rows of _rows_mul's
+        # listcomp, compiling no kernel for 5.
         n = 5
         rng = random.Random(5)
         cached = dict(matrix_rings._KERNELS)

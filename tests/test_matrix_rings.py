@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 from math import gcd
@@ -36,6 +37,7 @@ from drazinkit.matrix_rings import (
     _is_prime,
     _poly_at,
     _products_equal,
+    _rows_mul,
     _trusted,
     all_matrices,
     det,
@@ -55,6 +57,25 @@ from drazinkit.matrix_rings import (
 
 def m(ring: RingSpec, rows: list) -> SquareMatrix:
     return SquareMatrix(ring, rows)
+
+
+def count_products(mp: pytest.MonkeyPatch) -> list[int]:
+    """Count every product from here on at matrix_rings._rows_mul, the one
+    product function, in each drazinkit module that imported it; the list
+    returned gets the dimension of each product as it is made."""
+    calls: list[int] = []
+    rows_mul = matrix_rings._rows_mul
+
+    def counted(x, y, m):
+        calls.append(len(x))
+        return rows_mul(x, y, m)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "drazinkit":
+            continue
+        if getattr(module, "_rows_mul", None) is rows_mul:
+            mp.setattr(module, "_rows_mul", counted)
+    return calls
 
 
 def leibniz_det(a: SquareMatrix) -> int | Fraction:
@@ -401,14 +422,7 @@ class TestMatrixBasics:
         expected = [SquareMatrix.identity(ring, 2)]
         for _ in range(9):
             expected.append(expected[-1] * a)
-        calls = []
-        mul = SquareMatrix.__mul__
-
-        def counted(self, other):
-            calls.append(1)
-            return mul(self, other)
-
-        monkeypatch.setattr(SquareMatrix, "__mul__", counted)
+        calls = count_products(monkeypatch)
         for k, want in enumerate(expected):
             calls.clear()
             assert a.power(k) == want
@@ -433,15 +447,8 @@ class TestMatrixBasics:
         want = SquareMatrix.zeros(ring, n)
         for i, c in enumerate(cs):
             want = want + powers[d - i].scalar_mul(c)
-        calls = []
-        mul = SquareMatrix.__mul__
-
-        def counted(self, other):
-            calls.append(1)
-            return mul(self, other)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(SquareMatrix, "__mul__", counted)
+            calls = count_products(mp)
             got = _poly_at(cs, x)
         assert got == want and len(calls) == max(len(cs) - 2, 0)
         assert_canonical(got)
@@ -463,6 +470,22 @@ class TestMatrixBasics:
         # The draw above need not reach both sides for every ring; this does.
         a, b = (data.draw(entries_strategy(ring, n, max_denominator=12)) for _ in range(2))
         assert a * b == reference_product(a, b)
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @pytest.mark.parametrize("n", [_UNROLL_MAX_N + 1, _UNROLL_MAX_N + 2])
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_rows_mul_above_the_unroll_bound(self, ring, n, data):
+        # The listcomp side of _rows_mul on raw rows, against the scalar
+        # triple loop: reduced rows mod m, and integer rows over the product
+        # of the denominators over Q and Z.
+        a, b = (data.draw(entries_strategy(ring, n, max_denominator=12)) for _ in range(2))
+        rows = _rows_mul(a.num, b.num, ring.modulus)
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        want = reference_product(a, b)
+        if ring.modulus is not None:
+            assert rows == want.num
+        assert _from_rows(ring, rows, a.den * b.den) == want
 
     def test_products_above_the_unroll_bound_compile_no_kernel(self):
         n = _UNROLL_MAX_N + 1

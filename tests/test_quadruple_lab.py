@@ -47,6 +47,7 @@ from drazinkit.quadruple_lab import (
     seeded_rational_suite,
     solve_for_d,
 )
+from test_matrix_rings import count_products
 
 GF2 = gf(2)
 Z4 = zmod(4)
@@ -264,14 +265,7 @@ class TestBruteForce:
         # One product a step of the core walk: 2416 products over all 256
         # elements, where a second walk over a^k and a^(k+1) x made 4192.
         space = quadruple_lab.PackedSpace(Z4, 2)
-        calls = []
-        mul = SquareMatrix.__mul__
-
-        def counted(self, other):
-            calls.append(1)
-            return mul(self, other)
-
-        monkeypatch.setattr(SquareMatrix, "__mul__", counted)
+        calls = count_products(monkeypatch)
         for i in range(len(space.elements)):
             space.brute(i, Flavor.PDRAZIN)
         assert len(calls) <= 2416

@@ -65,7 +65,7 @@ from drazinkit.spectral import (
     transfer_lambdas,
 )
 from test_cli_golden import INPUTS
-from test_matrix_rings import leibniz_det
+from test_matrix_rings import count_products, leibniz_det
 
 
 def m(ring, rows) -> SquareMatrix:
@@ -798,18 +798,11 @@ class TestResolventTrust:
         # Once per quadruple, n - 1 products check the closure and n the
         # identity, whose polynomial in E has degree n + 1; a lambda adds
         # none.
-        calls = []
-        mul = SquareMatrix.__mul__
-
-        def counted(self, other):
-            calls.append(1)
-            return mul(self, other)
-
         more = DEFAULT_LAMBDAS + tuple(Fraction(k, 11) for k in range(1, 8))
         quads = [q for q in seeded_rational_suite(12, seed=41)
                  if reference_unit(q, 1) is not None]
         assert {q.n for q in quads} == {1, 2, 3, 4}
-        monkeypatch.setattr(SquareMatrix, "__mul__", counted)
+        calls = count_products(monkeypatch)
         for q in quads:
             counts = []
             for lams in (DEFAULT_LAMBDAS, more):
@@ -843,6 +836,26 @@ class TestResolventTrust:
             invertibility_transfer(q, [Fraction(0), Fraction(2)])
         with pytest.raises(ZeroLambda, match="lambda must be nonzero"):
             jacobson_inverse(q, 0)
+
+    def test_lambda_is_anything_fraction_takes(self):
+        # A float or a "p/q" string is the lambda Fraction makes of it, at
+        # both entry points, and a transfer row records it as that Fraction.
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        q = next(q for q in seeded_rational_suite(20, seed=3)
+                 if reference_unit(q, half) is not None and q.n > 1)
+        r = jacobson_inverse(q, half)
+        assert r == reference_unit(q, half)
+        assert jacobson_inverse(q, 0.5) == r and jacobson_inverse(q, "1/2") == r
+        rows = invertibility_transfer(q, [half, 0.5, "1/2", third, "1/3", 2, "-3"]).rows
+        assert rows[:3] == (rows[0],) * 3 and rows[3] == rows[4]
+        assert [row.lam for row in rows] == [half] * 3 + [third] * 2 + [2, -3]
+        assert all(type(row.lam) is Fraction for row in rows)
+        z = example_quadruple("3.6")
+        assert jacobson_inverse(z, 1.0) == jacobson_inverse(z, "1") == jacobson_inverse(z)
+        with pytest.raises(UnsupportedRing, match="scaling needs Q, got Z"):
+            jacobson_inverse(z, "2/1")
+        with pytest.raises(ZeroLambda, match="lambda must be nonzero"):
+            invertibility_transfer(q, ["0/5"])
 
 
 # -- the bd side: one characteristic polynomial, det where ac is singular ------
@@ -889,7 +902,7 @@ class TestBdSide:
         big_n = SquareMatrix(RING_Z, a.num)
         eye = SquareMatrix.identity(RING_Z, a.n)
         want = det_bareiss(eye.scalar_mul(p * a.den) - big_n.scalar_mul(s))
-        got = matrix_rings._chi_at(a, p, s)
+        got = matrix_rings._chi_at(matrix_rings._chi(a), a.den, p, s)
         if ring.modulus is None:
             assert got == want
         else:

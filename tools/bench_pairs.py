@@ -20,7 +20,9 @@ BENCHMARK.json next to this script. The verdict, first match wins:
   regression within that spread could not be told apart from noise;
 - an em dash otherwise.
 
-Standard library only.
+The exit status is 1 when any verdict is regressed, so that a local run or
+a CI step can gate on it, and 0 otherwise. A --workload that is not in
+BENCHMARK.json is refused before any run. Standard library only.
 """
 
 from __future__ import annotations
@@ -122,11 +124,13 @@ def run_once(checkout: Path, workload: str, seconds: float, seed: int | None) ->
 
 
 def main(argv: list[str] | None = None) -> int:
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    known = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("before", type=Path, help="checkout of the parent commit")
     parser.add_argument("after", type=Path, help="checkout of the change")
     parser.add_argument(
-        "--workload", help="one workload of BENCHMARK.json (default: every one)"
+        "--workload", choices=known, help="one workload of BENCHMARK.json (default: every one)"
     )
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=20.0)
@@ -134,8 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
-    workloads = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
+    workloads = [args.workload] if args.workload else known
     sides = {w: {"before": [], "after": []} for w in workloads}
     for i in range(args.pairs):
         order = ("before", "after") if i % 2 == 0 else ("after", "before")
@@ -144,10 +147,15 @@ def main(argv: list[str] | None = None) -> int:
                 line = run_once(getattr(args, key), workload, args.seconds, args.seed)
                 sides[workload][key].append(line)
                 print(f"pair {i + 1} {workload} {key}: {line}", file=sys.stderr)
+    regressed = False
     for workload, runs in sides.items():
         print(f"{workload}: {args.pairs} pairs of {args.seconds:g} s runs")
-        print("\n".join(summarize(runs["before"], runs["after"], spec["end_to_end"])))
-    return 0
+        lines = summarize(runs["before"], runs["after"], spec["end_to_end"])
+        print("\n".join(lines))
+        # Lines 1..len(metrics) are the metric rows, each ending in its verdict.
+        metric_rows = lines[1:len(spec["end_to_end"]) + 1]
+        regressed |= any(row.split()[-1] == "regressed" for row in metric_rows)
+    return 1 if regressed else 0
 
 
 if __name__ == "__main__":

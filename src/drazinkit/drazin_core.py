@@ -149,8 +149,9 @@ class Quadruple:
     def __init__(
         self, a: SquareMatrix, b: SquareMatrix, c: SquareMatrix, d: SquareMatrix
     ):
-        for other in (b, c, d):
-            a._require_compatible(other)
+        # a * c checks c against a, and b * d checks d against b, with the
+        # text _require_compatible gives, so only b is checked here.
+        a._require_compatible(b)
         ac, bd = a * c, b * d
         if not (_products_equal(bd, b, b, ac) and _products_equal(d, bd, ac, d)):
             report = intertwining_report(a, b, c, d)
@@ -274,10 +275,10 @@ def verify_axioms(a: SquareMatrix, x: SquareMatrix, flavor: Flavor) -> DrazinCer
     The axioms are decided in integers, on the raw rows of
     matrix_rings._rows_mul (reduced mod m over GF(m) and Z/m): with
     a = A / alpha, x = X / xi and s = alpha xi, a x = x a is AX = XA,
-    x a x = x is X AX = s X, and a x = 1 is AX = s I. The four products
-    AX, XA, X AX and A AX are the only ones before the walk, and none of
-    them becomes a matrix: only the core (s A - A AX) / (alpha s) does,
-    for the walk.
+    x a x = x is X AX = s X, and a x = 1 is AX = s I, read entrywise off
+    the rows of AX with no identity built. The four products AX, XA, X AX
+    and A AX are the only ones before the walk, and none of them becomes
+    a matrix: only the core (s A - A AX) / (alpha s) does, for the walk.
     """
     a._require_compatible(x)
     checks: list[AxiomCheck] = []
@@ -309,8 +310,11 @@ def verify_axioms(a: SquareMatrix, x: SquareMatrix, flavor: Flavor) -> DrazinCer
     reached = degree is not None
     index = None
     if commute and absorb and reached:
-        eye = SquareMatrix.identity(a.ring, a.n).num
-        index = 0 if _equal_over(ax, s, eye, 1) else degree
+        # a x = 1 is AX = s I, read off the rows of AX: s >= 1, so a row
+        # with s on the diagonal is right when its other n - 1 entries are 0.
+        zeros = a.n - 1
+        unit = all([row[i] == s and row.count(0) == zeros for i, row in enumerate(ax)])
+        index = 0 if unit else degree
     if pdrazin:
         # Only the axioms make a^k - a^(k+1) x the core's k-th power.
         power, k = (
@@ -552,11 +556,16 @@ class _Resolvent:
 
         lambda is normalised here and nowhere else: a Fraction is read as it
         stands, and anything else Fraction accepts (an int, a float, a
-        string such as "1/2") goes through Fraction once. The checks are
-        integer tests: lambda = 0 is p = 0, and lambda = 1 is p = s.
+        string such as "1/2") goes through Fraction once; what Fraction
+        refuses (a NaN, an infinity, None, "abc", "1/0") raises
+        DrazinkitError naming lambda. The checks are integer tests:
+        lambda = 0 is p = 0, and lambda = 1 is p = s.
         """
         if not isinstance(lam, Fraction):
-            lam = Fraction(lam)
+            try:
+                lam = Fraction(lam)
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                raise DrazinkitError(f"lambda {lam!r} is not a rational number") from None
         p, s = lam.numerator, lam.denominator
         if not p:
             raise ZeroLambda("lambda must be nonzero")
@@ -612,7 +621,8 @@ def jacobson_inverse(q: Quadruple, lam: Scalar | float | str = 1) -> SquareMatri
     a polynomial in bd, read off chi(t) = det(t - ac) and proven for every
     lambda at once by two polynomial identities in 2n - 1 products, r
     itself taking n - 1 more; _Resolvent holds the argument. lambda is
-    anything Fraction accepts: Fraction(1, 2), 0.5 and "1/2" are one lambda.
+    anything Fraction accepts: Fraction(1, 2), 0.5 and "1/2" are one lambda;
+    anything else raises DrazinkitError naming it.
     Raises ZeroLambda for lambda = 0, UnsupportedRing for lambda != 1
     outside Q, and NotInvertible, with inverse's own text, when
     lambda - ac is singular. A failed check raises FormulaViolation

@@ -46,6 +46,7 @@ from .matrix_rings import (
     _from_rows,
     _products_equal,
     _reduce,
+    _rows_mul,
     _trusted,
     _with_identity,
     all_matrices,
@@ -301,9 +302,11 @@ def solve_for_d(
 
     The first relation is linear in d and is solved exactly: over small
     finite spaces the whole solution set is read from PackedSpace.sandwich;
-    over other fields a particular solution plus a nullspace basis come from
-    two n x 2n reductions, of [b | I] and [b^T | I], since the n^2 x n^2
-    system matrix is the Kronecker product of b and b^T. The second
+    over other fields the n x 2n rows [b | I] are reduced first. A unit b
+    stops there: the right half is b^(-1), and the one solution is
+    d = a c b^(-1), one product. Otherwise a particular solution plus a
+    nullspace basis come from a second reduction, of [b^T | I], since the
+    n^2 x n^2 system matrix is the Kronecker product of b and b^T. The second
     relation is quadratic and applied as a filter. Up to budget solutions
     are returned in a deterministic order. Raises NoSolution when the
     linear relation is inconsistent, and BudgetExceeded up front when n * n
@@ -357,7 +360,6 @@ def _solve_by_elimination(
     m = ring.modulus
     n = a.n
     ac = a * c
-    bac = b * ac
     # Entry (i, j) of b X b = b a c has the coefficient b[i][k] * b[l][j] at
     # X[k][l], so the system matrix on row-major X is the Kronecker product
     # of b and b^T. Its reduced echelon form is the Kronecker product of
@@ -367,12 +369,19 @@ def _solve_by_elimination(
     # pivot unknowns are X[p_i][q_j], and the solutions are T[i][j] there,
     # plus for each free (k, l) any multiple of
     # e_(k,l) - sum R1[i][k] R2[j][l] e_(p_i,q_j).
-    bt = _trusted(ring, tuple(zip(*b.num)), b.den)
+    # At r = n, R1 = I and P1 = b^(-1), and the system is X b = a c: its one
+    # solution a c b^(-1) is read off the first reduction, and b^T is not
+    # reduced. That d still passes the d b d = a c d filter below.
     rows1, piv1, d1 = _reduce(_with_identity(b), n, m)
+    if len(piv1) == n:
+        binv = [row[n:] for row in rows1]
+        x = _from_rows(ring, _rows_mul(ac.num, binv, m), ac.den * d1)
+        return [x] if _products_equal(x, b * x, ac, x) else []
+    bt = _trusted(ring, tuple(zip(*b.num)), b.den)
     rows2, piv2, d2 = _reduce(_with_identity(bt), n, m)
     p1 = _from_rows(ring, [row[n:] for row in rows1], d1)
     p2t = _from_rows(ring, list(zip(*(row[n:] for row in rows2))), d2)
-    rhs = p1 * bac * p2t
+    rhs = p1 * (b * ac) * p2t
     r = len(piv1)
     if any(map(any, rhs.num[r:])) or any(any(row[r:]) for row in rhs.num[:r]):
         raise NoSolution("b X b = b a c is inconsistent")

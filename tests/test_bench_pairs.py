@@ -203,6 +203,21 @@ def test_exit_status_is_one_exactly_when_a_verdict_regressed(
     assert ("regressed" in verdicts) == (status == 1)
 
 
+def test_a_failed_run_exits_two_not_one(monkeypatch, capsys):
+    # A broken checkout is told apart from a slower one: status 2, with
+    # the child's command, status and stderr on stderr.
+    def fake_run(cmd, cwd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 1, stdout="", stderr="Traceback: boom\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["before", "after", "--pairs", "1", "--workload", "residue_sampling"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "bench/run.py --workload residue_sampling" in err
+    assert "exited 1:" in err and "Traceback: boom" in err
+
+
 def test_an_unknown_workload_is_refused_before_any_run(monkeypatch, capsys):
     runs = []
     monkeypatch.setattr(bench_pairs, "run_once", lambda *args: runs.append(args))

@@ -26,12 +26,14 @@ from drazinkit.drazin_core import (
     verify_intertwining,
 )
 from drazinkit.errors import (
+    DimensionMismatch,
     DrazinkitError,
     FormulaViolation,
     NoGroupInverse,
     NotAField,
     NotInvertible,
     RelationViolation,
+    RingMismatch,
 )
 from drazinkit.fixtures import example_matrices, example_quadruple
 from drazinkit.matrix_rings import (
@@ -654,7 +656,85 @@ class TestVerifyAxiomsOnRows:
         assert refused > 256
 
 
+class TestIndexZero:
+    """a x = 1 is decided as AX = s I, with a = A / alpha, x = X / xi and
+    s = alpha xi: index 0 goes to an inverse, never to an x whose AX is
+    some other multiple s' I, nor to one whose AX is diagonal but not
+    scalar."""
+
+    @staticmethod
+    def indices(a, x):
+        return {flavor: verify_axioms(a, x, flavor).index for flavor in Flavor}
+
+    @pytest.mark.parametrize("ring", [RING_Q, gf(2), gf(5), zmod(4), zmod(12)], ids=str)
+    def test_an_inverse_gets_index_zero(self, ring):
+        rng = random.Random(f"index zero {ring}")
+        for n in (1, 2, 3):
+            a = random_invertible_matrix(ring, n, rng)
+            if ring is RING_Q:
+                a = a.scalar_mul(Fraction(2, 3))
+            x = inverse(a)
+            if ring is RING_Q:
+                assert a.den * x.den != 1
+            assert self.indices(a, x) == dict.fromkeys(Flavor, 0)
+
+    @pytest.mark.parametrize("ring", [RING_Q, gf(5), zmod(4)], ids=str)
+    def test_zero_times_zero_is_scalar_but_not_one(self, ring):
+        # AX = 0 I with s = 1 (or 3 over Q): x = 0 is the inverse of a
+        # nilpotent a at its degree, never at index 0.
+        nil = m(ring, NILP)
+        if ring is RING_Q:
+            nil = nil.scalar_mul(Fraction(1, 3))
+        zero = SquareMatrix.zeros(ring, 2)
+        assert self.indices(nil, zero) == dict.fromkeys(Flavor, 2)
+        assert self.indices(zero, zero) == dict.fromkeys(Flavor, 1)
+
+    @pytest.mark.parametrize(
+        "ring, rows",
+        [(zmod(6), [[3, 0], [0, 3]]), (zmod(12), [[4, 0], [0, 4]]),
+         (zmod(12), [[9, 0], [0, 9]]), (RING_Q, [[1, 0], [0, 0]]),
+         (gf(2), [[1, 1, 1]] * 3)],
+        ids=["3I-mod-6", "4I-mod-12", "9I-mod-12", "diagonal", "ones-mod-2"],
+    )
+    def test_an_idempotent_other_than_one_is_index_one(self, ring, rows):
+        # e^2 = e: a = x = e passes both axioms with a x = e != 1 and the
+        # core e - e^3 = 0. Here AX is a multiple of I other than s I, or
+        # diagonal but not scalar, or s on the diagonal beside nonzero
+        # entries (the all-ones matrix over GF(2), 3 = 1 mod 2).
+        e = m(ring, rows)
+        assert e * e == e
+        assert self.indices(e, e) == dict.fromkeys(Flavor, 1)
+
+    def test_a_multiple_of_the_inverse_is_refused(self):
+        # x = 2 a^(-1) has AX = 2 s I: a x != 1, and x a x = 2 x != x.
+        a = m(RING_Q, [[Fraction(1, 2), 1], [0, 3]])
+        cert = verify_axioms(a, inverse(a).scalar_mul(2), Flavor.DRAZIN)
+        assert not cert.valid and cert.index is None
+
+
 class TestQuadruple:
+    @pytest.mark.parametrize("slot", [1, 2, 3], ids=["b", "c", "d"])
+    @pytest.mark.parametrize(
+        "other, error, text",
+        [(SquareMatrix.zeros(zmod(4), 2), RingMismatch, "Q vs Zmod(4)"),
+         (SquareMatrix.zeros(RING_Q, 3), DimensionMismatch, "2 vs 3")],
+        ids=["ring", "dimension"],
+    )
+    def test_a_mismatch_names_the_operand(self, slot, other, error, text):
+        mats = [SquareMatrix.zeros(RING_Q, 2)] * 4
+        mats[slot] = other
+        with pytest.raises(error) as exc:
+            Quadruple(*mats)
+        assert type(exc.value) is error and str(exc.value) == text
+
+    def test_c_is_checked_before_d(self):
+        zero = SquareMatrix.zeros(RING_Q, 2)
+        ring_off, dim_off = SquareMatrix.zeros(zmod(4), 2), SquareMatrix.zeros(RING_Q, 3)
+        with pytest.raises(RingMismatch, match="^Q vs Zmod\\(4\\)$"):
+            Quadruple(zero, zero, ring_off, dim_off)
+        with pytest.raises(DimensionMismatch, match="^2 vs 3$"):
+            Quadruple(zero, zero, dim_off, ring_off)
+
     def test_first_demo_instance_rejected_with_report(self):
         mats = example_matrices("2.4")
         with pytest.raises(RelationViolation) as exc:

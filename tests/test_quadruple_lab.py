@@ -1,6 +1,8 @@
 """Finite-ring oracles, quadruple generation, and the d-solver."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -26,7 +28,9 @@ from drazinkit.matrix_rings import (
     SquareMatrix,
     all_matrices,
     gf,
+    inverse,
     is_nilpotent,
+    matrix_to_json,
     reduced_echelon,
     zmod,
 )
@@ -117,6 +121,115 @@ def kronecker_solve(a, b, c, budget):
 
 def m(ring, rows) -> SquareMatrix:
     return SquareMatrix(ring, rows)
+
+
+# -- a golden of solve_for_d ---------------------------------------------------
+
+GOLDEN_RINGS = (RING_Q, GF2, gf(3), gf(5), gf(7))
+
+# Triples per (ring, n, kind); a singular b walks the free-unknown loop,
+# which over Q at n = 4 costs up to _CANDIDATE_CAP candidates, so it
+# gets fewer.
+GOLDEN_COUNTS = {"unit": 60, "any": 60, "singular": 15}
+
+
+def golden_triple(ring, n, kind, rng):
+    """(a, b, c) of one kind: b a unit, b as random_matrix draws it, or b
+    with its last row the sum of the others (rank at most n - 1) and
+    c = b, which makes b X b = b a c consistent (X = a solves it)."""
+    a, c = random_matrix(ring, n, rng), random_matrix(ring, n, rng)
+    if kind == "unit":
+        return a, quadruple_lab.random_invertible_matrix(ring, n, rng), c
+    b = random_matrix(ring, n, rng)
+    if kind == "singular":
+        rows = [list(r) for r in b.num]
+        rows[-1] = [sum(col) for col in zip(*rows[:-1])] if n > 1 else [0]
+        b = SquareMatrix(ring, rows)
+        return a, b, b
+    return a, b, c
+
+
+def solve_digest(ring, n, kind) -> str:
+    """The first 16 hex digits of the sha256 of a seeded solve_for_d
+    transcript at budget 3: one line per triple, the rows of each d as
+    JSON, or NoSolution."""
+    rng = random.Random(f"{ring} {n} {kind}")
+    lines = []
+    for _ in range(GOLDEN_COUNTS[kind]):
+        a, b, c = golden_triple(ring, n, kind, rng)
+        try:
+            ds = solve_for_d(a, b, c, budget=3)
+        except NoSolution:
+            lines.append("NoSolution")
+        else:
+            lines.append(json.dumps([matrix_to_json(d)["rows"] for d in ds]))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+# Recorded before solve_for_d gained its exit for a unit b; every output,
+# NoSolution included, must stay as it was.
+SOLVE_GOLDEN = {
+    ("Q", 1, "unit"): "68c7c84ed9edd68e",
+    ("Q", 1, "any"): "13bb1ad6ec91b360",
+    ("Q", 1, "singular"): "5135a2a99e5d41be",
+    ("Q", 2, "unit"): "cf3125e4a62e587a",
+    ("Q", 2, "any"): "b5578b1e4b9ce12d",
+    ("Q", 2, "singular"): "9cf01f5ad830b9d3",
+    ("Q", 3, "unit"): "1a580fd04e9ecbfc",
+    ("Q", 3, "any"): "16357655d04ecda6",
+    ("Q", 3, "singular"): "8005c4cfeaee9d00",
+    ("Q", 4, "unit"): "1b8ac49df38664ef",
+    ("Q", 4, "any"): "75c8a92a0ae00079",
+    ("Q", 4, "singular"): "28489cb55d1ed8d2",
+    ("GF(2)", 1, "unit"): "d7a11e62707d7481",
+    ("GF(2)", 1, "any"): "8d22f88f6f427e2c",
+    ("GF(2)", 1, "singular"): "570010780f6a9a6f",
+    ("GF(2)", 2, "unit"): "ab4a71918b31a6e6",
+    ("GF(2)", 2, "any"): "6e74fa7303793016",
+    ("GF(2)", 2, "singular"): "3facfde996710429",
+    ("GF(2)", 3, "unit"): "b99f4878bb4eaf1c",
+    ("GF(2)", 3, "any"): "d4358d282663e075",
+    ("GF(2)", 3, "singular"): "15afc45c635fee9a",
+    ("GF(2)", 4, "unit"): "333032fbaff3f766",
+    ("GF(2)", 4, "any"): "ed04ba8d4dbacd55",
+    ("GF(2)", 4, "singular"): "18123b078ab1f729",
+    ("GF(3)", 1, "unit"): "2c47e90b6e1d30b2",
+    ("GF(3)", 1, "any"): "51ea24c697b5e28a",
+    ("GF(3)", 1, "singular"): "83f94fa28f51d6fd",
+    ("GF(3)", 2, "unit"): "eb78fa2d4d4f9ca8",
+    ("GF(3)", 2, "any"): "d1b97946e0f6d4f8",
+    ("GF(3)", 2, "singular"): "a031ec59cf56ded1",
+    ("GF(3)", 3, "unit"): "833dd51bb6f437f8",
+    ("GF(3)", 3, "any"): "54337e08a187c498",
+    ("GF(3)", 3, "singular"): "5f2897f935194a94",
+    ("GF(3)", 4, "unit"): "829c57d9187ceb4d",
+    ("GF(3)", 4, "any"): "765c06b32dda9aa7",
+    ("GF(3)", 4, "singular"): "c82dbdc04aaec38f",
+    ("GF(5)", 1, "unit"): "29dd26c7a4b95991",
+    ("GF(5)", 1, "any"): "9ef451b227ba0e76",
+    ("GF(5)", 1, "singular"): "83f94fa28f51d6fd",
+    ("GF(5)", 2, "unit"): "24a5e85a90d2cd3f",
+    ("GF(5)", 2, "any"): "f544d4d6b16b04a7",
+    ("GF(5)", 2, "singular"): "d52646fcd33b8cae",
+    ("GF(5)", 3, "unit"): "9c1e209d67a47206",
+    ("GF(5)", 3, "any"): "969b1df65e46a0a3",
+    ("GF(5)", 3, "singular"): "6f71230ebf2dfefe",
+    ("GF(5)", 4, "unit"): "b44aefb71e6b32cb",
+    ("GF(5)", 4, "any"): "3174f7c3d5e1c7e6",
+    ("GF(5)", 4, "singular"): "f4783f02922ce503",
+    ("GF(7)", 1, "unit"): "c92bab7ec4730113",
+    ("GF(7)", 1, "any"): "e577c0007616b407",
+    ("GF(7)", 1, "singular"): "83f94fa28f51d6fd",
+    ("GF(7)", 2, "unit"): "b4aac8613fe1a436",
+    ("GF(7)", 2, "any"): "93a8daae8f3acc57",
+    ("GF(7)", 2, "singular"): "c338e3083979e4a8",
+    ("GF(7)", 3, "unit"): "1d2c5b8417f7a6ac",
+    ("GF(7)", 3, "any"): "3bc5b760b11e848f",
+    ("GF(7)", 3, "singular"): "7d288b21da8c032d",
+    ("GF(7)", 4, "unit"): "3051243311dd97bf",
+    ("GF(7)", 4, "any"): "2da20842e25ce512",
+    ("GF(7)", 4, "singular"): "4559ac073865e80d",
+}
 
 
 class TestCommutant:
@@ -424,6 +537,67 @@ class TestSolveForD:
         # b d = b (ac) b^(-1) is then conjugate to a c
         ds = solve_for_d(a, b, c, budget=4)
         assert ds == [(a * c) * inverse(b)]
+
+    @pytest.mark.parametrize("key", list(SOLVE_GOLDEN), ids=str)
+    def test_outputs_match_the_golden(self, key):
+        name, n, kind = key
+        ring = {str(r): r for r in GOLDEN_RINGS}[name]
+        assert solve_digest(ring, n, kind) == SOLVE_GOLDEN[key]
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        """The column counts of every _reduce call solve_for_d makes."""
+        calls = []
+        real = quadruple_lab._reduce
+
+        def counted(rows, ncols, m):
+            calls.append(ncols)
+            return real(rows, ncols, m)
+
+        monkeypatch.setattr(quadruple_lab, "_reduce", counted)
+        return calls
+
+    # Every (ring, n) here is over the table budget, so solve_for_d takes
+    # the elimination route.
+    ELIMINATION = [(RING_Q, 1), (RING_Q, 2), (RING_Q, 3), (RING_Q, 4),
+                   (GF2, 4), (gf(3), 3), (gf(5), 2), (gf(7), 4)]
+
+    @pytest.mark.parametrize("ring, n", ELIMINATION, ids=str)
+    def test_a_unit_b_takes_one_reduction(self, ring, n, reductions):
+        rng = random.Random(f"unit exit {ring} {n}")
+        for _ in range(6):
+            a, b, c = golden_triple(ring, n, "unit", rng)
+            reductions.clear()
+            ds = solve_for_d(a, b, c, budget=3)
+            assert reductions == [n]
+            assert ds == [a * c * inverse(b)]
+
+    @pytest.mark.parametrize("ring, n", ELIMINATION, ids=str)
+    def test_a_singular_b_takes_two_reductions(self, ring, n, reductions):
+        rng = random.Random(f"singular b {ring} {n}")
+        for trial in range(6):
+            a, b, c = golden_triple(ring, n, "singular", rng)
+            if trial % 2:
+                c = random_matrix(ring, n, rng)
+            reductions.clear()
+            try:
+                solve_for_d(a, b, c, budget=3)
+            except NoSolution:
+                pass
+            assert reductions == [n, n]
+
+    def test_the_unit_exit_keeps_the_dbd_filter(self, monkeypatch):
+        # d = a c b^(-1) always satisfies d b d = a c d; the filter is
+        # still asked, and a refusal there leaves no solution.
+        asked = []
+
+        def refuse(*args):
+            asked.append(args)
+            return False
+
+        monkeypatch.setattr(quadruple_lab, "_products_equal", refuse)
+        a, b, c = golden_triple(RING_Q, 3, "unit", random.Random(3))
+        assert solve_for_d(a, b, c, budget=3) == [] and len(asked) == 1
 
 
 class TestPackedSpace:

@@ -24,6 +24,7 @@ from drazinkit.drazin_core import (
     quadruple_over_q,
 )
 from drazinkit.errors import (
+    DrazinkitError,
     FormulaViolation,
     NotInvertible,
     UnsupportedRing,
@@ -856,6 +857,25 @@ class TestResolventTrust:
             jacobson_inverse(z, "2/1")
         with pytest.raises(ZeroLambda, match="lambda must be nonzero"):
             invertibility_transfer(q, ["0/5"])
+
+    @pytest.mark.parametrize(
+        "lam, shown",
+        [("abc", "'abc'"), (float("nan"), "nan"), (float("inf"), "inf"), (None, "None")],
+        ids=["text", "nan", "inf", "none"],
+    )
+    @pytest.mark.parametrize("entry", ["jacobson_inverse", "invertibility_transfer"])
+    def test_a_lambda_fraction_refuses_is_a_package_error(self, entry, lam, shown):
+        # Fraction's own ValueError, OverflowError or TypeError stays inside
+        # the package; the refusal names the lambda, at both entry points.
+        q = example_quadruple("3.6")
+        call = {
+            "jacobson_inverse": lambda: jacobson_inverse(q, lam),
+            "invertibility_transfer": lambda: invertibility_transfer(q, [1, lam]),
+        }[entry]
+        with pytest.raises(DrazinkitError) as exc:
+            call()
+        assert type(exc.value) is DrazinkitError
+        assert str(exc.value) == f"lambda {shown} is not a rational number"
 
 
 # -- the bd side: one characteristic polynomial, det where ac is singular ------

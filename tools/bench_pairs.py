@@ -21,8 +21,11 @@ BENCHMARK.json next to this script. The verdict, first match wins:
 - an em dash otherwise.
 
 The exit status is 1 when any verdict is regressed, so that a local run or
-a CI step can gate on it, and 0 otherwise. A --workload that is not in
-BENCHMARK.json is refused before any run. Standard library only.
+a CI step can gate on it, and 0 otherwise. It is 2 when a child
+``bench/run.py`` fails, its command, status and stderr then on stderr, so
+that a broken checkout is told apart from a slower one; a --workload that
+is not in BENCHMARK.json is refused with status 2 too, before any run.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -110,7 +113,8 @@ def summarize(
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int | None) -> str:
-    """The last stdout line of one untraced bench/run.py in checkout."""
+    """The last stdout line of one untraced bench/run.py in checkout; a
+    failed run ends the comparison with exit status 2."""
     # Absolute, because the run's working directory is the checkout itself.
     checkout = checkout.resolve()
     cmd = [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
@@ -119,7 +123,8 @@ def run_once(checkout: Path, workload: str, seconds: float, seed: int | None) ->
         cmd += ["--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
+        print(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}", file=sys.stderr)
+        raise SystemExit(2)
     return proc.stdout.strip().splitlines()[-1]
 
 

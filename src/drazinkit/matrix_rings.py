@@ -6,12 +6,14 @@ integer numerators over one denominator, so products, sums and elimination
 read integers. det and inverse share one kernel, Bareiss's fraction-free
 elimination on integer rows (residue lifts over GF(p) and Z/n), except that
 inverse eliminates mod p over GF(p), as the solvers do. The
-characteristic polynomial has one kernel too, Berkowitz's division-free
-recurrence on the same integer rows, with one caller, _chi(a): it runs the
-recurrence at most once per matrix object and keeps the coefficients on
-the matrix, so spectral.char_poly, the spectral bd verdict and, in
-drazin_core, the unit-transfer resolvent and the construction of every
-flavor-inverse all share one run per matrix. Nothing ever leaves the ring.
+characteristic polynomial has one kernel too, _berkowitz: Berkowitz's
+division-free recurrence on the same integer rows, written once as a loop
+and, for n <= _UNROLL_MAX_N, run as straight-line code traced from that
+loop. It has one caller, _chi(a), which runs it at most once per matrix
+object and keeps the coefficients on the matrix, so spectral.char_poly,
+the spectral bd verdict and, in drazin_core, the unit-transfer resolvent
+and the construction of every flavor-inverse all share one run per
+matrix. Nothing ever leaves the ring.
 
 The stored form (lowest terms over Q, exact integers over Z, residues over
 GF(p) and Z/n) is coded twice: SquareMatrix(...) validates outside input
@@ -456,18 +458,40 @@ def _trusted(
     return self
 
 
-# -- the product kernel --------------------------------------------------------
+# -- the generated kernels -----------------------------------------------------
 
-# Products up to this dimension run unrolled: every product of both
-# benchmark workloads (n <= 4) and of every PackedSpace (n <= 3). The
-# kernel's source has 2 n^3 terms, so its one-off compile, paid again by
-# each process, grows as n^3: the kernel of one n takes about 1.2 ms at
-# n = 4, 6 ms at n = 8 and 42 ms at n = 16 (Python 3.11 on a shared 2-vCPU
-# Xeon VM). No workload measures a gain above 4, so larger n keep the
-# listcomp.
+# Products and characteristic polynomials up to this dimension run as
+# straight-line kernels generated once per n: every product and every
+# characteristic polynomial of both benchmark workloads (n <= 4) and every
+# product of a PackedSpace (n <= 3). Each process pays each kernel's build
+# again, and it grows with n: the product kernel's source has 2 n^3 terms
+# and takes about 1.2 ms at n = 4, 6 ms at n = 8 and 42 ms at n = 16; the
+# characteristic polynomial's, traced from Berkowitz's loop, has O(n^4)
+# lines (99 at n = 4) and takes about 0.05 ms at n = 1, 0.6 ms at n = 4 and
+# 13 ms at n = 8 (Python 3.11 on a shared 2-vCPU Xeon VM). No workload
+# measures a gain above 4, so larger n keep the loops.
 _UNROLL_MAX_N = 4
 
-# n -> the compiled kernel; filled on first use.
+
+def _grid(n: int, cell: Callable[[int, int], str]) -> str:
+    """An n x n nested tuple display of cell(i, j), with a comma after every
+    item, so that n = 1 reads ((x, ), ): the left side that unpacks rows
+    into locals, or the rows a kernel returns."""
+
+    def tup(items: Iterable[str]) -> str:
+        return "(" + "".join(f"{x}, " for x in items) + ")"
+
+    return tup(tup(cell(i, j) for j in range(n)) for i in range(n))
+
+
+def _compiled(source: str, label: str) -> Callable:
+    """The function named kernel that source defines."""
+    namespace: dict[str, Callable] = {}
+    exec(compile(source, label, "exec"), namespace)
+    return namespace["kernel"]
+
+
+# n -> the compiled product kernel; filled on first use.
 _KERNELS: dict[int, Callable] = {}
 
 
@@ -483,28 +507,17 @@ def _product_kernel(n: int) -> Callable:
     _rows_mul calls it.
     """
 
-    def grid(cell: Callable[[int, int], str]) -> str:
-        # Nested tuple displays with a comma after every item, so that
-        # n = 1 reads ((x, ), ).
-        def tup(items: Iterable[str]) -> str:
-            return "(" + "".join(f"{x}, " for x in items) + ")"
-
-        return tup(tup(cell(i, j) for j in range(n)) for i in range(n))
-
     def dot(i: int, j: int) -> str:
         return "(" + " + ".join(f"a{i * n + k} * b{k * n + j}" for k in range(n)) + ")"
 
-    unpack_a = grid(lambda i, j: f"a{i * n + j}")
-    unpack_b = grid(lambda i, j: f"b{i * n + j}")
     source = (
         f"def kernel(a, b, m):\n"
-        f"    {unpack_a} = a\n    {unpack_b} = b\n"
-        f"    if m is None:\n        return {grid(dot)}\n"
-        f"    return {grid(lambda i, j: dot(i, j) + ' % m')}\n"
+        f"    {_grid(n, lambda i, j: f'a{i * n + j}')} = a\n"
+        f"    {_grid(n, lambda i, j: f'b{i * n + j}')} = b\n"
+        f"    if m is None:\n        return {_grid(n, dot)}\n"
+        f"    return {_grid(n, lambda i, j: dot(i, j) + ' % m')}\n"
     )
-    namespace: dict[str, Callable] = {}
-    exec(compile(source, f"<product kernel n={n}>", "exec"), namespace)
-    kernel = _KERNELS[n] = namespace["kernel"]
+    kernel = _KERNELS[n] = _compiled(source, f"<product kernel n={n}>")
     return kernel
 
 
@@ -862,14 +875,36 @@ def det(a: SquareMatrix) -> Scalar:
     return _det_in_ring(a.ring, det_num, a.den, n)
 
 
-def _berkowitz(rows: Sequence[Sequence[int]], m: int | None = None) -> list[int]:
-    """[c_0, ..., c_n] with det(t I - A) = sum c_k t^(n-k), A the integer
-    rows, by Berkowitz's recurrence: the characteristic polynomial of a
+def _berkowitz(rows: IntRows, m: int | None = None) -> list[int]:
+    """[c_0, ..., c_n] with det(t I - A) = sum c_k t^(n-k), A the n x n
+    integer rows, each reduced mod m unless m is None: the one
+    characteristic polynomial kernel, Berkowitz's recurrence.
+
+    The recurrence is written once, in _berkowitz_loop. For n <=
+    _UNROLL_MAX_N it runs as the straight-line kernel that _chi_kernel(n)
+    traces from that loop, which reduces mod m once at the end; above the
+    bound the loop runs as it is, reducing at every step. Both give the
+    same residues, since reduction mod m is a ring homomorphism.
+    """
+    n = len(rows)
+    if n <= _UNROLL_MAX_N:
+        # As in _rows_mul: the miss happens once per n.
+        try:
+            kernel = _CHI_KERNELS[n]
+        except KeyError:
+            kernel = _chi_kernel(n)
+        return kernel(rows, m)
+    return _berkowitz_loop(rows, m)
+
+
+def _berkowitz_loop(rows: IntRows, m: int | None = None) -> list[int]:
+    """_berkowitz(rows, m) as a loop: the characteristic polynomial of a
     trailing block [[h, r], [v, S]] is the lower-triangular Toeplitz matrix
     with first column (1, -h, -r v, -r S v, ...) times that of S. It needs
     no division, so every value is an integer. With m set the rows are
     residue lifts and every value is reduced mod m, which is exact because
-    reduction mod m is a ring homomorphism."""
+    reduction mod m is a ring homomorphism. It reads its entries only
+    through +, * and unary -, so that _chi_kernel can trace it."""
     p = [1]
     for k in range(len(rows) - 1, -1, -1):
         r, sub = rows[k][k + 1:], [row[k + 1:] for row in rows[k + 1:]]
@@ -885,9 +920,81 @@ def _berkowitz(rows: Sequence[Sequence[int]], m: int | None = None) -> list[int]
     return p
 
 
+class _Traced:
+    """A value of _berkowitz_loop run on symbolic entries: one local of the
+    kernel being generated. Each +, * and unary - appends one assignment,
+    (the local it binds, its expression, the locals it reads), to the
+    shared lines and returns the new local. The loop's only constants are
+    the 0 that sum starts from and the 1s that start t and p, so adding 0
+    and multiplying by 1 return the other operand and bind nothing."""
+
+    __slots__ = ("name", "lines")
+
+    def __init__(self, name: str, lines: list[tuple[str, str, tuple[str, ...]]]):
+        self.name = name
+        self.lines = lines
+
+    def _bind(self, expr: str, *reads: str) -> "_Traced":
+        name = f"v{len(self.lines)}"
+        self.lines.append((name, expr, reads))
+        return _Traced(name, self.lines)
+
+    def __add__(self, other: "_Traced | int") -> "_Traced":
+        if other == 0:
+            return self
+        return self._bind(f"{self.name} + {other.name}", self.name, other.name)
+
+    def __mul__(self, other: "_Traced | int") -> "_Traced":
+        if other == 1:
+            return self
+        return self._bind(f"{self.name} * {other.name}", self.name, other.name)
+
+    def __neg__(self) -> "_Traced":
+        return self._bind(f"-{self.name}", self.name)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+
+# n -> the compiled characteristic polynomial kernel; filled on first use.
+_CHI_KERNELS: dict[int, Callable] = {}
+
+
+def _chi_kernel(n: int) -> Callable:
+    """kernel(rows, m) for n x n integer rows: _berkowitz_loop(rows, m) as
+    straight-line code, each coefficient reduced mod m once at the end
+    unless m is None.
+
+    _berkowitz_loop runs once on the symbols a0 .. a(n^2 - 1), and the
+    lines it binds become the kernel's body, less those no coefficient
+    reads (the loop's last v of each block). The loop itself is traced,
+    never _berkowitz, so the kernel does not depend on what that name is
+    bound to. Built once per n and cached in _CHI_KERNELS; only
+    _berkowitz calls it.
+    """
+    lines: list[tuple[str, str, tuple[str, ...]]] = []
+    symbols = [[_Traced(f"a{i * n + j}", lines) for j in range(n)] for i in range(n)]
+    cs = [c.name if isinstance(c, _Traced) else str(c) for c in _berkowitz_loop(symbols)]
+    live, body = set(cs), []
+    for name, expr, reads in reversed(lines):
+        if name in live:
+            live.update(reads)
+            body.append(f"    {name} = {expr}\n")
+    source = (
+        f"def kernel(rows, m):\n"
+        f"    {_grid(n, lambda i, j: f'a{i * n + j}')} = rows\n"
+        + "".join(reversed(body))
+        + f"    if m is None:\n        return [{', '.join(cs)}]\n"
+        f"    return [{', '.join(f'{c} % m' for c in cs)}]\n"
+    )
+    kernel = _CHI_KERNELS[n] = _compiled(source, f"<chi kernel n={n}>")
+    return kernel
+
+
 def _chi(a: SquareMatrix) -> tuple[int, ...]:
     """The coefficients _berkowitz(a.num, a.ring.modulus) of
-    det(t I - a.num), as a tuple, run once per matrix object.
+    det(t I - a.num), as a tuple, run once per matrix object: the
+    straight-line kernel up to _UNROLL_MAX_N, Berkowitz's loop above it.
 
     The first call stores them in a's _chi slot and every later call reads
     them there. They depend only on num and the modulus, which never change

@@ -227,3 +227,30 @@ def test_an_unknown_workload_is_refused_before_any_run(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "invalid choice: 'cli_oneshot'" in err
     assert "rational_certify" in err and "residue_sampling" in err
+
+
+@pytest.mark.parametrize("report", [
+    {"correct": False, "failed": 0},
+    {"correct": True, "failed": 3},
+    {"failed": 1},
+], ids=["incorrect", "failed-ops", "failed-ops-only"])
+def test_an_incorrect_run_exits_two_naming_its_pair(monkeypatch, capsys, report):
+    # A run that exits 0 but reports wrong answers ends the comparison as a
+    # failed child does, before any verdict: here pair 2's before run of
+    # rational_certify, the sixth run.
+    calls = []
+
+    def fake_run(checkout, workload, seconds, seed):
+        calls.append((checkout.name, workload))
+        line = json.loads(spec_line())
+        if len(calls) == 6:
+            line.update(report)
+        return json.dumps(line)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    assert bench_pairs.main(["before", "after", "--pairs", "3"]) == 2
+    assert calls[-1] == ("before", "rational_certify") and len(calls) == 6
+    out, err = capsys.readouterr()
+    assert out == ""
+    failed = report.get("failed", 0)
+    assert f"pair 2 rational_certify before: the run was not correct, {failed} failed ops" in err

@@ -29,13 +29,17 @@ from drazinkit.matrix_rings import (
     SquareMatrix,
     _KERNELS,
     _MR_PROVEN_BELOW,
+    _CHI_KERNELS,
     _UNROLL_MAX_N,
     _Building,
     _berkowitz,
+    _berkowitz_loop,
     _chi,
+    _chi_kernel,
     _from_rows,
     _is_prime,
     _poly_at,
+    _product_kernel,
     _products_equal,
     _rows_mul,
     _trusted,
@@ -965,3 +969,174 @@ class TestMatrixJson:
     def test_residue_scalars_serialize_reduced(self):
         a = m(zmod(4), [[7]])
         assert matrix_to_json(a)["rows"] == [["3"]]
+
+
+class Poly:
+    """A polynomial with integer coefficients in symbols such as ("x", i, j):
+    a dict from monomials, sorted tuples of symbols, to nonzero
+    coefficients. It knows +, *, unary - and % m (each coefficient reduced
+    mod m), all a generated kernel can do to its entries, so running a
+    kernel on symbols gives the polynomial it computes."""
+
+    __hash__ = None
+
+    def __init__(self, terms: dict):
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    @staticmethod
+    def lift(x: "Poly | int") -> "Poly":
+        return x if isinstance(x, Poly) else Poly({(): x})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, c in Poly.lift(other).terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return Poly(terms)
+
+    def __mul__(self, other):
+        terms: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in Poly.lift(other).terms.items():
+                k = tuple(sorted(k1 + k2))
+                terms[k] = terms.get(k, 0) + c1 * c2
+        return Poly(terms)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Poly({k: -c for k, c in self.terms.items()})
+
+    def __mod__(self, m: int):
+        return Poly({k: c % m for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return isinstance(other, (Poly, int)) and self.terms == Poly.lift(other).terms
+
+    def __repr__(self):
+        return f"Poly({self.terms})"
+
+
+def symbols(name: str, n: int) -> list[list[Poly]]:
+    """The n x n rows of the symbols (name, i, j)."""
+    return [[Poly({((name, i, j),): 1}) for j in range(n)] for i in range(n)]
+
+
+def built(cache: dict, build, n: int):
+    """The kernel of n that the package runs: cached, or built as on first use."""
+    return cache[n] if n in cache else build(n)
+
+
+UP_TO_THE_BOUND = range(1, _UNROLL_MAX_N + 1)
+
+
+class TestGeneratedKernels:
+    """The straight-line kernels are proved on symbols, once per n up to the
+    bound: the polynomial each one computes is the one its definition
+    computes, over Z and after reduction mod m."""
+
+    def test_polynomials_multiply_as_polynomials(self):
+        [[x]], [[y]] = symbols("x", 1), symbols("y", 1)
+        assert (x + y) * (x + -y) == x * x + -(y * y)
+        assert (x + 1) * (x + 1) + -(x * x) + -(2 * x) == 1
+        assert (3 * x + 5) % 4 == 3 * x + 1 and x * 2 % 2 == 0
+        assert x != y and x + 0 == x and 0 + x == x and not x == "x"
+
+    def test_the_loop_is_the_characteristic_polynomial_at_n_two(self):
+        # The reference the kernels are proved against, on the symbols:
+        # det(t I - X) = t^2 - (x00 + x11) t + (x00 x11 - x01 x10).
+        (x00, x01), (x10, x11) = symbols("x", 2)
+        assert _berkowitz_loop(symbols("x", 2)) == [
+            1, -(x00 + x11), x00 * x11 + -(x01 * x10)
+        ]
+
+    @pytest.mark.parametrize("modulus", [None, 2, 4, 12, 2**64])
+    @pytest.mark.parametrize("n", UP_TO_THE_BOUND)
+    def test_chi_kernel_is_the_loop_on_symbols(self, n, modulus):
+        kernel = built(_CHI_KERNELS, _chi_kernel, n)
+        x = symbols("x", n)
+        assert kernel(x, modulus) == _berkowitz_loop(x, modulus)
+
+    @pytest.mark.parametrize("modulus", [None, 2, 12, 2**64])
+    @pytest.mark.parametrize("n", UP_TO_THE_BOUND)
+    def test_product_kernel_is_the_sum_of_products_on_symbols(self, n, modulus):
+        kernel = built(_KERNELS, _product_kernel, n)
+        a, b = symbols("x", n), symbols("y", n)
+        want = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        if modulus is not None:
+            want = [[x % modulus for x in row] for row in want]
+        got = kernel(a, b, modulus)
+        assert type(got) is tuple and all(type(row) is tuple for row in got)
+        assert [list(row) for row in got] == want
+
+    @pytest.mark.parametrize("n", range(1, _UNROLL_MAX_N + 2))
+    def test_berkowitz_is_the_loop_on_big_integers(self, n):
+        rng = random.Random(3100 + n)
+        for _ in range(40):
+            bound = rng.choice([3, 2**20, 2**80])
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            want = _berkowitz_loop(rows)
+            assert _berkowitz(rows) == want
+            assert _berkowitz(tuple(map(tuple, rows))) == want
+
+    @pytest.mark.parametrize("modulus", [2, 5, 4, 12, 2**64], ids=["GF2", "GF5", "Z4", "Z12", "Z2^64"])
+    @pytest.mark.parametrize("n", range(1, _UNROLL_MAX_N + 2))
+    def test_berkowitz_is_the_loop_on_residues(self, n, modulus):
+        rng = random.Random(modulus * 10 + n)
+        for _ in range(40):
+            rows = tuple(
+                tuple(rng.choice([0, 1, modulus - 1, rng.randrange(modulus)]) for _ in range(n))
+                for _ in range(n)
+            )
+            got = _berkowitz(rows, modulus)
+            assert type(got) is list and got == _berkowitz_loop(rows, modulus)
+            assert all(0 <= c < modulus for c in got)
+
+    def test_up_to_the_bound_the_loop_never_runs_once_a_kernel_exists(self, monkeypatch):
+        rows = {n: [[(3 * i + j) % 7 - 3 for j in range(n)] for i in range(n)]
+                for n in range(1, _UNROLL_MAX_N + 2)}
+        for n in UP_TO_THE_BOUND:
+            _berkowitz(rows[n])
+        loop, calls = _berkowitz_loop, []
+
+        def counted(rows, m=None):
+            calls.append((len(rows), m))
+            return loop(rows, m)
+
+        monkeypatch.setattr(matrix_rings, "_berkowitz_loop", counted)
+        for n in rows:
+            for modulus in (None, 5):
+                assert _berkowitz(rows[n], modulus) == loop(rows[n], modulus)
+        assert calls == [(_UNROLL_MAX_N + 1, None), (_UNROLL_MAX_N + 1, 5)]
+
+    def test_a_patched_berkowitz_leaves_the_cached_kernels_alone(self, monkeypatch):
+        for n in UP_TO_THE_BOUND:
+            _berkowitz([[1] * n] * n)
+        cached = dict(_CHI_KERNELS)
+        monkeypatch.setattr(matrix_rings, "_berkowitz", lambda rows, m=None: [7] * 5)
+        for n in UP_TO_THE_BOUND:
+            assert _chi(_square(RING_Q, n, seed=n)) == (7,) * 5
+        assert _CHI_KERNELS == cached
+        assert all(_CHI_KERNELS[n] is kernel for n, kernel in cached.items())
+
+    def test_kernels_built_while_berkowitz_is_patched_trace_the_loop(self, monkeypatch):
+        # _chi reaches the dispatcher through a patched name that bumps its
+        # result; kernels built on that path are still the loop's own.
+        real = _berkowitz
+
+        def bumped(rows, m=None):
+            cs = real(rows, m)
+            cs[-1] += 1
+            return cs
+
+        monkeypatch.setattr(matrix_rings, "_CHI_KERNELS", {})
+        monkeypatch.setattr(matrix_rings, "_berkowitz", bumped)
+        for n in UP_TO_THE_BOUND:
+            a = _square(RING_Z, n, seed=20 + n)
+            assert _chi(a) == (*_berkowitz_loop(a.num)[:-1], _berkowitz_loop(a.num)[-1] + 1)
+        kernels = matrix_rings._CHI_KERNELS
+        assert sorted(kernels) == list(UP_TO_THE_BOUND)
+        for n, kernel in kernels.items():
+            x = symbols("x", n)
+            assert kernel(x, None) == _berkowitz_loop(x)

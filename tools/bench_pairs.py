@@ -23,9 +23,12 @@ BENCHMARK.json next to this script. The verdict, first match wins:
 The exit status is 1 when any verdict is regressed, so that a local run or
 a CI step can gate on it, and 0 otherwise. It is 2 when a child
 ``bench/run.py`` fails, its command, status and stderr then on stderr, so
-that a broken checkout is told apart from a slower one; a --workload that
-is not in BENCHMARK.json is refused with status 2 too, before any run.
-Standard library only.
+that a broken checkout is told apart from a slower one. A run that exits 0
+but reports ``"correct": false`` or failed ops is a failed run too: it ends
+the comparison with status 2, naming its pair, workload and side, before
+any verdict, since the speed of wrong answers is no measurement. A
+--workload that is not in BENCHMARK.json is refused with status 2 too,
+before any run. Standard library only.
 """
 
 from __future__ import annotations
@@ -150,8 +153,13 @@ def main(argv: list[str] | None = None) -> int:
         for workload in workloads:
             for key in order:
                 line = run_once(getattr(args, key), workload, args.seconds, args.seed)
-                sides[workload][key].append(line)
                 print(f"pair {i + 1} {workload} {key}: {line}", file=sys.stderr)
+                run = json.loads(line)
+                if run.get("correct") is False or run.get("failed", 0) > 0:
+                    print(f"pair {i + 1} {workload} {key}: the run was not correct, "
+                          f"{run.get('failed', 0)} failed ops", file=sys.stderr)
+                    return 2
+                sides[workload][key].append(line)
     regressed = False
     for workload, runs in sides.items():
         print(f"{workload}: {args.pairs} pairs of {args.seconds:g} s runs")

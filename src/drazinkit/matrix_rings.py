@@ -20,20 +20,22 @@ GF(p) and Z/n) is coded twice: SquareMatrix(...) validates outside input
 into it, and _from_rows puts every derived matrix into it from integer
 rows over a denominator. Sums, negations, scalar multiples, inverses,
 constructed flavor-inverses and the result of _poly_at all go through
-_from_rows. Only the product reduces inline, mod m and on its den = 1
-path, since it is the hot path.
+_from_rows; over Q with n <= _UNROLL_MAX_N it brings rows to lowest terms
+in a straight-line kernel generated once per dimension. Only the product
+reduces inline, mod m and on its den = 1 path, since it is the hot path.
 
 Every product in the package is one function on raw integer rows,
-_rows_mul(x, y, m). For n <= _UNROLL_MAX_N = 4 it runs a kernel generated
-and compiled once per dimension, with every entry an explicit sum of n
-products; above the bound, where no measured workload runs and each
-process would pay a compile growing as n^3, one listcomp computes the
-rows. SquareMatrix.__mul__ is _rows_mul plus the stored form. The checks
-that only compare products take the raw rows and build no matrix for
-them: _products_equal decides x1 y1 = x2 y2, cross-multiplying the
-denominators over Q, drazin_core.verify_axioms decides the commuting and
-absorbing axioms and a x = 1, and each Horner step of _poly_at stays rows
-until the one _from_rows at its end.
+_rows_mul(x, y, m, c=0), which gives x y + c I. For n <= _UNROLL_MAX_N = 4
+it runs a kernel generated and compiled once per dimension, with every
+entry an explicit sum of n products; above the bound, where no measured
+workload runs and each process would pay a compile growing as n^3, one
+listcomp computes the rows. SquareMatrix.__mul__ is _rows_mul plus the
+stored form. The checks that only compare products take the raw rows and
+build no matrix for them: _products_equal decides x1 y1 = x2 y2,
+cross-multiplying the denominators over Q, drazin_core.verify_axioms
+decides the commuting and absorbing axioms and a x = 1, and each Horner
+step of _poly_at is one _rows_mul with its coefficient as c, rows until
+the one _from_rows at its end.
 
 Every polynomial evaluated at a matrix is evaluated by one function,
 _poly_at(cs, x), by Horner's rule on an integer matrix (over Z or a
@@ -375,10 +377,11 @@ class SquareMatrix:
         """The product as a matrix: _rows_mul on the two num tuples, then
         the stored form. Over GF(m) and Z/m the rows come back reduced mod
         m, and so does a den = 1 product over Q and Z; otherwise the integer
-        rows lie over the product of the two denominators, and one gcd over
-        the result puts them in lowest terms. The checks that only compare
-        products (_products_equal, drazin_core.verify_axioms) and the Horner
-        steps of _poly_at call _rows_mul without building a matrix here.
+        rows lie over the product of the two denominators, and _from_rows
+        puts them in lowest terms, through the generated normaliser kernel
+        for n <= _UNROLL_MAX_N. The checks that only compare products
+        (_products_equal, drazin_core.verify_axioms) and the Horner steps of
+        _poly_at call _rows_mul without building a matrix here.
         """
         ring = self.ring
         if (ring is not other.ring and ring != other.ring) or self.n != other.n:
@@ -460,16 +463,20 @@ def _trusted(
 
 # -- the generated kernels -----------------------------------------------------
 
-# Products and characteristic polynomials up to this dimension run as
-# straight-line kernels generated once per n: every product and every
-# characteristic polynomial of both benchmark workloads (n <= 4) and every
-# product of a PackedSpace (n <= 3). Each process pays each kernel's build
-# again, and it grows with n: the product kernel's source has 2 n^3 terms
-# and takes about 1.2 ms at n = 4, 6 ms at n = 8 and 42 ms at n = 16; the
-# characteristic polynomial's, traced from Berkowitz's loop, has O(n^4)
-# lines (99 at n = 4) and takes about 0.05 ms at n = 1, 0.6 ms at n = 4 and
-# 13 ms at n = 8 (Python 3.11 on a shared 2-vCPU Xeon VM). No workload
-# measures a gain above 4, so larger n keep the loops.
+# Products, characteristic polynomials and the lowest terms of Q rows up to
+# this dimension run as straight-line kernels generated once per n: every
+# product and every characteristic polynomial of both benchmark workloads
+# (n <= 4), every product of a PackedSpace (n <= 3) and every derived Q
+# matrix of rational_certify. Each process pays each kernel's build again,
+# and it grows with n: the product kernel's source has 4 n^3 terms (with
+# and without the diagonal addend, reduced and not) and takes about 1.0 ms
+# at n = 4, 6.8 ms at n = 8 and 58 ms at n = 16; the characteristic
+# polynomial's, traced from Berkowitz's loop, has O(n^4) lines (99 at
+# n = 4) and takes about 0.06 ms at n = 1, 0.7 ms at n = 4 and 12 ms at
+# n = 8; the normaliser's has 2 n^2 divisions and takes about 0.08, 0.12,
+# 0.18 and 0.27 ms at n = 1..4 and 0.8 ms at n = 8 (Python 3.11 on a
+# shared 2-vCPU Xeon VM). No workload measures a gain above 4, so larger
+# n keep the loops.
 _UNROLL_MAX_N = 4
 
 
@@ -496,26 +503,37 @@ _KERNELS: dict[int, Callable] = {}
 
 
 def _product_kernel(n: int) -> Callable:
-    """kernel(a, b, m) for n x n integer rows: the rows of the product of
-    a and b, each entry reduced mod m unless m is None.
+    """kernel(a, b, m, c=0) for n x n integer rows: the rows of a b + c I,
+    each entry reduced mod m, after c is added, unless m is None.
 
     Its generated body unpacks both into locals and writes each of the n^2
-    entries out as an explicit sum of n products, twice: as it is under
-    `if m is None`, and reduced mod m after it. There is no loop and no
-    transpose, and one kernel serves all four rings, so that choosing it
-    is one lookup by n. Built once per n and cached in _KERNELS; only
-    _rows_mul calls it.
+    entries out as an explicit sum of n products, four times over: for m
+    None and m set, each with and without + c on the diagonal. A plain
+    product (c = 0) thus runs the same code as a kernel without the addend,
+    and with m set each entry is reduced after c is added. There is no
+    loop and no transpose, and one kernel serves all four rings, so that
+    choosing it is one lookup by n. Built once per n and cached in
+    _KERNELS; only _rows_mul calls it.
     """
 
-    def dot(i: int, j: int) -> str:
-        return "(" + " + ".join(f"a{i * n + k} * b{k * n + j}" for k in range(n)) + ")"
+    def cell(plus_c: bool, mod_m: bool) -> Callable[[int, int], str]:
+        def entry(i: int, j: int) -> str:
+            terms = [f"a{i * n + k} * b{k * n + j}" for k in range(n)]
+            if plus_c and i == j:
+                terms.append("c")
+            return "(" + " + ".join(terms) + ")" + (" % m" if mod_m else "")
+
+        return entry
 
     source = (
-        f"def kernel(a, b, m):\n"
+        f"def kernel(a, b, m, c=0):\n"
         f"    {_grid(n, lambda i, j: f'a{i * n + j}')} = a\n"
         f"    {_grid(n, lambda i, j: f'b{i * n + j}')} = b\n"
-        f"    if m is None:\n        return {_grid(n, dot)}\n"
-        f"    return {_grid(n, lambda i, j: dot(i, j) + ' % m')}\n"
+        f"    if m is None:\n"
+        f"        if c:\n            return {_grid(n, cell(True, False))}\n"
+        f"        return {_grid(n, cell(False, False))}\n"
+        f"    if c:\n        return {_grid(n, cell(True, True))}\n"
+        f"    return {_grid(n, cell(False, True))}\n"
     )
     kernel = _KERNELS[n] = _compiled(source, f"<product kernel n={n}>")
     return kernel
@@ -526,15 +544,17 @@ IntRows = Sequence[Sequence[int]]
 Rows = tuple[tuple[int, ...], ...]
 
 
-def _rows_mul(x: IntRows, y: IntRows, m: int | None) -> Rows:
-    """The integer rows of the product of the n x n integer rows x and y,
-    each entry reduced mod m unless m is None: the one product in the
-    package, which SquareMatrix.__mul__ and every check on raw rows call.
+def _rows_mul(x: IntRows, y: IntRows, m: int | None, c: int = 0) -> Rows:
+    """The integer rows of x y + c I for n x n integer rows x and y, each
+    entry reduced mod m, after c is added, unless m is None: the one
+    product in the package, which SquareMatrix.__mul__, every check on raw
+    rows and each Horner step of _poly_at call.
 
     For n <= _UNROLL_MAX_N the rows come from the kernel that
     _product_kernel(n) generates, straight-line code with each entry
     written out as its n products; above the bound one listcomp computes
-    them. x and y may be tuples or lists; the result is a tuple of tuples.
+    them and c goes on its diagonal. x and y may be tuples or lists; the
+    result is a tuple of tuples.
     """
     n = len(x)
     if n <= _UNROLL_MAX_N:
@@ -544,13 +564,46 @@ def _rows_mul(x: IntRows, y: IntRows, m: int | None) -> Rows:
             kernel = _KERNELS[n]
         except KeyError:
             kernel = _product_kernel(n)
-        return kernel(x, y, m)
+        return kernel(x, y, m, c)
     cols = tuple(zip(*y))
     # List comprehensions, which run faster than generator expressions on
     # every Python this package supports.
+    rows = [[sum(map(mul, row, col)) for col in cols] for row in x]
+    if c:
+        for i in range(n):
+            rows[i][i] += c
     if m is None:
-        return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in x])
-    return tuple([tuple([sum(map(mul, row, col)) % m for col in cols]) for row in x])
+        return tuple(map(tuple, rows))
+    return tuple([tuple([v % m for v in row]) for row in rows])
+
+
+# n -> the compiled normaliser kernel; filled on first use.
+_NORMALISER_KERNELS: dict[int, Callable] = {}
+
+
+def _normaliser_kernel(n: int) -> Callable:
+    """kernel(rows, den) for n x n integer rows over a nonzero den: the
+    pair (num, den) of rows / den in lowest terms with den > 0, num a tuple
+    of tuples.
+
+    Its generated body unpacks the rows into locals, takes the gcd of den
+    and the n^2 entries in one call, signs it as den is, and returns the
+    locals as they are when it is 1 and each divided by it otherwise. Built
+    once per n and cached in _NORMALISER_KERNELS; only _from_rows calls it,
+    on its Q path.
+    """
+    entries = ", ".join(f"a{k}" for k in range(n * n))
+    source = (
+        f"from math import gcd\n"
+        f"def kernel(rows, den):\n"
+        f"    {_grid(n, lambda i, j: f'a{i * n + j}')} = rows\n"
+        f"    g = gcd(den, {entries})\n"
+        f"    if den < 0:\n        g = -g\n"
+        f"    if g == 1:\n        return {_grid(n, lambda i, j: f'a{i * n + j}')}, den\n"
+        f"    return {_grid(n, lambda i, j: f'a{i * n + j} // g')}, den // g\n"
+    )
+    kernel = _NORMALISER_KERNELS[n] = _compiled(source, f"<normaliser kernel n={n}>")
+    return kernel
 
 
 def _equal_over(left: IntRows, lam: int, right: IntRows, rho: int) -> bool:
@@ -747,7 +800,11 @@ def _from_rows(
     over Z and be a unit modulo m; a den that is not raises NotInvertible
     naming gcd(den, m). Over Q it may be negative or share a factor with
     every entry; one division by their gcd, signed as den is, brings it to
-    the stored form.
+    the stored form. For n <= _UNROLL_MAX_N that is the straight-line
+    kernel _normaliser_kernel(n) generates, one gcd call on den and the n^2
+    entries and each division written out; above the bound, one gcd over
+    the chained entries and a nested comprehension. The Z, GF(m), Z/m and
+    den = 1 paths need no gcd and run as they are.
     """
     m = ring.modulus
     if m is not None:
@@ -760,6 +817,15 @@ def _from_rows(
         return _trusted(ring, tuple(map(tuple, rows)))
     if ring.kind == "Z":
         return _trusted(ring, tuple([tuple([x // den for x in row]) for row in rows]))
+    n = len(rows)
+    if n <= _UNROLL_MAX_N:
+        # As in _rows_mul: the miss happens once per n.
+        try:
+            kernel = _NORMALISER_KERNELS[n]
+        except KeyError:
+            kernel = _normaliser_kernel(n)
+        num, den = kernel(rows, den)
+        return _trusted(ring, num, den)
     g = gcd(den, *chain.from_iterable(rows))
     if den < 0:
         g = -g
@@ -775,22 +841,22 @@ def _poly_at(cs: Sequence[int], x: SquareMatrix) -> SquareMatrix:
     x holds integers (den = 1): over Z, or residues over GF(m) and Z/m,
     where the coefficients are reduced mod m. Horner's rule, started at
     cs[0] x + cs[1] I, takes max(len(cs) - 2, 0) products. It runs on
-    integer rows, acc x from _rows_mul (reduced mod m over GF(m) and Z/m)
-    plus c on the diagonal, and one _from_rows at the end brings the
-    result to stored form.
+    integer rows: each step is one _rows_mul(acc, x.num, m, c), acc x + c I
+    reduced mod m over GF(m) and Z/m, whose tuple rows feed the next step
+    as they are, and one _from_rows at the end brings the result to stored
+    form.
     """
     n, m, xs = x.n, x.ring.modulus, x.num
-
-    def plus_c(rows: list[list[int]], c: int) -> list[list[int]]:
-        for i in range(n):
-            rows[i][i] += c
-        return rows
-
     if len(cs) < 2:
-        return _from_rows(x.ring, plus_c([[0] * n for _ in xs], cs[0] if cs else 0), 1)
-    acc = plus_c([[cs[0] * v for v in row] for row in xs], cs[1])
+        c = cs[0] if cs else 0
+        return _from_rows(x.ring, [[c if i == j else 0 for j in range(n)] for i in range(n)], 1)
+    c0, c1 = cs[0], cs[1]
+    acc = [
+        [c0 * v + (c1 if i == j else 0) for j, v in enumerate(row)]
+        for i, row in enumerate(xs)
+    ]
     for c in cs[2:]:
-        acc = plus_c(list(map(list, _rows_mul(acc, xs, m))), c)
+        acc = _rows_mul(acc, xs, m, c)
     return _from_rows(x.ring, acc, 1)
 
 

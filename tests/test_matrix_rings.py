@@ -30,6 +30,7 @@ from drazinkit.matrix_rings import (
     _KERNELS,
     _MR_PROVEN_BELOW,
     _CHI_KERNELS,
+    _NORMALISER_KERNELS,
     _UNROLL_MAX_N,
     _Building,
     _berkowitz,
@@ -66,13 +67,14 @@ def m(ring: RingSpec, rows: list) -> SquareMatrix:
 def count_products(mp: pytest.MonkeyPatch) -> list[int]:
     """Count every product from here on at matrix_rings._rows_mul, the one
     product function, in each drazinkit module that imported it; the list
-    returned gets the dimension of each product as it is made."""
+    returned gets the dimension of each product as it is made. The addend
+    c of a Horner step passes through, and the step counts as a product."""
     calls: list[int] = []
     rows_mul = matrix_rings._rows_mul
 
-    def counted(x, y, m):
+    def counted(x, y, m, c=0):
         calls.append(len(x))
-        return rows_mul(x, y, m)
+        return rows_mul(x, y, m, c)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] != "drazinkit":
@@ -458,6 +460,25 @@ class TestMatrixBasics:
         assert_canonical(got)
         assert _poly_at([], x) == SquareMatrix.zeros(ring, n)
 
+    @pytest.mark.parametrize("ring", [RING_Z, gf(5), zmod(12)], ids=str)
+    @pytest.mark.parametrize("n", [_UNROLL_MAX_N, _UNROLL_MAX_N + 1])
+    def test_poly_at_products_on_both_sides_of_the_bound(self, ring, n, monkeypatch):
+        # Each Horner step passes its coefficient to _rows_mul as the
+        # addend and still counts as one product, in the kernel and in the
+        # listcomp alike.
+        x = _square(ring, n, seed=40 + n)
+        calls = count_products(monkeypatch)
+        rng = random.Random(n)
+        for size in range(8):
+            cs = [rng.randint(-30, 30) for _ in range(size)]
+            want = SquareMatrix.zeros(ring, n)
+            for c in cs:
+                want = reference_product(want, x) + SquareMatrix.identity(ring, n).scalar_mul(c)
+            calls.clear()
+            got = _poly_at(cs, x)
+            assert got == want and calls == [n] * max(size - 2, 0)
+            assert_canonical(got)
+
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @given(data=st.data())
     def test_product_matches_reference(self, ring, data):
@@ -591,6 +612,12 @@ def _square(ring: RingSpec, n: int, seed: int) -> SquareMatrix:
     return m(ring, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
 
 
+def _seeded_rows(n: int, seed: int, f: int) -> list[list[int]]:
+    """Fixed n x n integer rows, f times entries in [-3, 3]."""
+    rng = random.Random(seed)
+    return [[f * rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+
+
 # Every route that builds a matrix: the validating constructor, products
 # on both kernels and the listcomp, the normaliser in all four ring kinds,
 # and the public results built from derived rows.
@@ -603,6 +630,8 @@ CONSTRUCTION_ROUTES = {
     "product-n5-gf5": lambda: _square(gf(5), 5, 9) * _square(gf(5), 5, 10),
     "product-n5-q": lambda: _square(RING_Q, 5, 11) * _square(RING_Q, 5, 12),
     "from-rows-q": lambda: _from_rows(RING_Q, [[4, -6], [2, 0]], -6),
+    "from-rows-q-n4": lambda: _from_rows(RING_Q, _seeded_rows(4, 15, 6), -4),
+    "from-rows-q-n5": lambda: _from_rows(RING_Q, _seeded_rows(5, 16, 6), -4),
     "from-rows-z": lambda: _from_rows(RING_Z, [[4, -6], [2, 0]], 2),
     "from-rows-gf5": lambda: _from_rows(gf(5), [[4, -6], [2, 0]], 3),
     "from-rows-zmod6": lambda: _from_rows(zmod(6), [[4, -6], [2, 0]], 5),
@@ -1069,6 +1098,88 @@ class TestGeneratedKernels:
         got = kernel(a, b, modulus)
         assert type(got) is tuple and all(type(row) is tuple for row in got)
         assert [list(row) for row in got] == want
+
+    @pytest.mark.parametrize("modulus", [None, 2, 12, 2**64])
+    @pytest.mark.parametrize("n", UP_TO_THE_BOUND)
+    def test_product_kernel_adds_c_on_the_diagonal_on_symbols(self, n, modulus):
+        # The addend is -c for a symbol c: its coefficient -1 changes under
+        # % m, so adding it after the reduction gives another polynomial.
+        kernel = built(_KERNELS, _product_kernel, n)
+        a, b = symbols("x", n), symbols("y", n)
+        [[c]] = symbols("c", 1)
+        want = [[sum(a[i][k] * b[k][j] for k in range(n)) + (-c if i == j else 0)
+                 for j in range(n)] for i in range(n)]
+        if modulus is not None:
+            want = [[x % modulus for x in row] for row in want]
+        got = kernel(a, b, modulus, -c)
+        assert type(got) is tuple and all(type(row) is tuple for row in got)
+        assert [list(row) for row in got] == want
+
+    @pytest.mark.parametrize("modulus", [None, 2, 12, 2**64])
+    @pytest.mark.parametrize("n", range(1, _UNROLL_MAX_N + 2))
+    def test_rows_mul_adds_c_before_reducing(self, n, modulus):
+        # Kernels up to the bound and the listcomp above it, against the
+        # sum of products plus c on the diagonal, reduced once at the end.
+        rng = random.Random(3200 + n)
+        for c in (0, 1, -7, 13, 2**70, -(2**64) - 1):
+            x, y = ([[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+                    for _ in range(2))
+            want = tuple(
+                tuple(sum(x[i][k] * y[k][j] for k in range(n)) + (c if i == j else 0)
+                      for j in range(n))
+                for i in range(n)
+            )
+            if modulus is not None:
+                want = tuple(tuple(v % modulus for v in row) for row in want)
+            assert _rows_mul(x, y, modulus, c) == want
+            assert _rows_mul(tuple(map(tuple, x)), y, modulus, c) == want
+
+    # (den, f, bound): rows of f times seeded integers in [-bound, bound]
+    # over den: a negative den, a den sharing a factor with every entry,
+    # gcd 1 with either sign of den, all-zero rows, and entries near 2^80.
+    @pytest.mark.parametrize("den,f,bound", [
+        (-6, 1, 30), (6, 3, 30), (-10, 10, 30), (7, 1, 30), (-7, 1, 30),
+        (5, 0, 30), (-5, 0, 30), (3 * 2**40, 2**40, 2**40), (-9, 1, 2**80),
+    ], ids=str)
+    @pytest.mark.parametrize("n", UP_TO_THE_BOUND)
+    def test_normaliser_is_the_loop_and_the_constructor(self, n, den, f, bound, monkeypatch):
+        rng = random.Random(3300 + n)
+        cases = []
+        for _ in range(20):
+            rows = [[f * rng.choice([rng.randint(-bound, bound), bound - rng.randint(0, 3),
+                                     -bound + rng.randint(0, 3)])
+                     for _ in range(n)] for _ in range(n)]
+            got = _from_rows(RING_Q, rows, den)
+            assert _from_rows(RING_Q, tuple(map(tuple, rows)), den) == got
+            assert got == SquareMatrix(RING_Q, [[Fraction(x, den) for x in row] for row in rows])
+            assert_canonical(got)
+            cases.append((rows, got))
+        # The same rows through the path above the bound.
+        monkeypatch.setattr(matrix_rings, "_UNROLL_MAX_N", 0)
+        for rows, got in cases:
+            loop = _from_rows(RING_Q, rows, den)
+            assert (loop.num, loop.den) == (got.num, got.den)
+
+    def test_up_to_the_bound_q_rows_never_reach_the_chained_gcd(self, monkeypatch):
+        # Once a normaliser kernel exists, _from_rows over Q calls no gcd of
+        # its own for n <= _UNROLL_MAX_N; above the bound it calls one.
+        rows = {n: _seeded_rows(n, 50 + n, 2) for n in range(1, _UNROLL_MAX_N + 2)}
+        want = {n: SquareMatrix(RING_Q, [[Fraction(x, -4) for x in row] for row in r])
+                for n, r in rows.items()}
+        for n in UP_TO_THE_BOUND:
+            _from_rows(RING_Q, rows[n], 4)
+        real, calls = matrix_rings.gcd, []
+
+        def counted(*args):
+            calls.append(len(args))
+            return real(*args)
+
+        monkeypatch.setattr(matrix_rings, "gcd", counted)
+        for n, r in rows.items():
+            assert _from_rows(RING_Q, r, -4) == want[n]
+        n = _UNROLL_MAX_N + 1
+        assert calls == [n * n + 1]
+        assert sorted(_NORMALISER_KERNELS) == list(UP_TO_THE_BOUND)
 
     @pytest.mark.parametrize("n", range(1, _UNROLL_MAX_N + 2))
     def test_berkowitz_is_the_loop_on_big_integers(self, n):

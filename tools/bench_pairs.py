@@ -108,10 +108,6 @@ def summarize(
             f"{' / '.join(f'{v:.4g}' for v in q_after):>32s} {change:>8s} "
             f"{f'{won}/{pairs}':>7s} {outcome:>10s}"
         )
-    for key, results in runs.items():
-        failed = sum(run["failed"] for run in results)
-        if failed:
-            lines.append(f"{key}: {failed} failed ops over {pairs} runs")
     return lines
 
 

@@ -7,35 +7,42 @@ read integers. det and inverse share one kernel, Bareiss's fraction-free
 elimination on integer rows (residue lifts over GF(p) and Z/n), except that
 inverse eliminates mod p over GF(p), as the solvers do. The
 characteristic polynomial has one kernel too, _berkowitz: Berkowitz's
-division-free recurrence on the same integer rows, written once as a loop
-and, for n <= _UNROLL_MAX_N, run as straight-line code traced from that
-loop. It has one caller, _chi(a), which runs it at most once per matrix
-object and keeps the coefficients on the matrix, so spectral.char_poly,
-the spectral bd verdict and, in drazin_core, the unit-transfer resolvent
-and the construction of every flavor-inverse all share one run per
-matrix. Nothing ever leaves the ring.
+division-free recurrence on the same integer rows. It has one caller,
+_chi(a), which runs it at most once per matrix object and keeps the
+coefficients on the matrix, so spectral.char_poly, the spectral bd verdict
+and, in drazin_core, the unit-transfer resolvent and the construction of
+every flavor-inverse all share one run per matrix. Nothing ever leaves the
+ring.
 
 The stored form (lowest terms over Q, exact integers over Z, residues over
 GF(p) and Z/n) is coded twice: SquareMatrix(...) validates outside input
 into it, and _from_rows puts every derived matrix into it from integer
 rows over a denominator. Sums, negations, scalar multiples, inverses,
 constructed flavor-inverses and the result of _poly_at all go through
-_from_rows; over Q with n <= _UNROLL_MAX_N it brings rows to lowest terms
-in a straight-line kernel generated once per dimension. Only the product
-reduces inline, mod m and on its den = 1 path, since it is the hot path.
+_from_rows. Only the product reduces inline, mod m and on its den = 1
+path, since it is the hot path.
 
 Every product in the package is one function on raw integer rows,
-_rows_mul(x, y, m, c=0), which gives x y + c I. For n <= _UNROLL_MAX_N = 4
-it runs a kernel generated and compiled once per dimension, with every
-entry an explicit sum of n products; above the bound, where no measured
-workload runs and each process would pay a compile growing as n^3, one
-listcomp computes the rows. SquareMatrix.__mul__ is _rows_mul plus the
-stored form. The checks that only compare products take the raw rows and
-build no matrix for them: _products_equal decides x1 y1 = x2 y2,
-cross-multiplying the denominators over Q, drazin_core.verify_axioms
-decides the commuting and absorbing axioms and a x = 1, and each Horner
-step of _poly_at is one _rows_mul with its coefficient as c, rows until
-the one _from_rows at its end.
+_rows_mul(x, y, m, c=0), which gives x y + c I. SquareMatrix.__mul__ is
+_rows_mul plus the stored form. The checks that only compare products take
+the raw rows and build no matrix for them: _products_equal decides
+x1 y1 = x2 y2, cross-multiplying the denominators over Q,
+drazin_core.verify_axioms decides the commuting and absorbing axioms and
+a x = 1, and each Horner step of _poly_at is one _rows_mul with its
+coefficient as c, rows until the one _from_rows at its end.
+
+Three operations run through a kernel table, a _Table keyed by the
+dimension n, so that each dispatch is one subscript: the product
+(_PRODUCT, behind _rows_mul), the characteristic polynomial (_CHI, behind
+_berkowitz) and the lowest terms of Q rows (_NORMALISER, behind the Q path
+of _from_rows). On the first lookup of an n a table compiles the
+straight-line kernel that its source function generates for n when
+n <= _UNROLL_MAX_N = 4, and otherwise takes the loop that the kernel
+unrolls: _rows_mul_loop, _berkowitz_loop or _normalise_loop. Either way it
+keeps the result under n. The characteristic polynomial's kernel, traced
+from _berkowitz_loop, reduces mod m once at the end where the loop
+reduces at every step; both give the same residues, since reduction mod m
+is a ring homomorphism.
 
 Every polynomial evaluated at a matrix is evaluated by one function,
 _poly_at(cs, x), by Horner's rule on an integer matrix (over Z or a
@@ -378,10 +385,7 @@ class SquareMatrix:
         the stored form. Over GF(m) and Z/m the rows come back reduced mod
         m, and so does a den = 1 product over Q and Z; otherwise the integer
         rows lie over the product of the two denominators, and _from_rows
-        puts them in lowest terms, through the generated normaliser kernel
-        for n <= _UNROLL_MAX_N. The checks that only compare products
-        (_products_equal, drazin_core.verify_axioms) and the Horner steps of
-        _poly_at call _rows_mul without building a matrix here.
+        puts them in lowest terms.
         """
         ring = self.ring
         if (ring is not other.ring and ring != other.ring) or self.n != other.n:
@@ -476,7 +480,7 @@ def _trusted(
 # n = 8; the normaliser's has 2 n^2 divisions and takes about 0.08, 0.12,
 # 0.18 and 0.27 ms at n = 1..4 and 0.8 ms at n = 8 (Python 3.11 on a
 # shared 2-vCPU Xeon VM). No workload measures a gain above 4, so larger
-# n keep the loops.
+# n keep the loops. _Table.__missing__ is the one reader of this bound.
 _UNROLL_MAX_N = 4
 
 
@@ -498,22 +502,39 @@ def _compiled(source: str, label: str) -> Callable:
     return namespace["kernel"]
 
 
-# n -> the compiled product kernel; filled on first use.
-_KERNELS: dict[int, Callable] = {}
+class _Table(dict):
+    """n -> the function that runs one operation at dimension n: the kernel
+    compiled from source(n) for n <= _UNROLL_MAX_N, loop above the bound.
+    Each n is filled on its first lookup and kept, so a dispatch is one
+    subscript."""
+
+    __slots__ = ("source", "loop")
+
+    def __init__(self, source: Callable[[int], str], loop: Callable):
+        super().__init__()
+        self.source = source
+        self.loop = loop
+
+    def __missing__(self, n: int) -> Callable:
+        if n <= _UNROLL_MAX_N:
+            kernel = _compiled(self.source(n), f"<{self.source.__name__} n={n}>")
+        else:
+            kernel = self.loop
+        self[n] = kernel
+        return kernel
 
 
-def _product_kernel(n: int) -> Callable:
-    """kernel(a, b, m, c=0) for n x n integer rows: the rows of a b + c I,
-    each entry reduced mod m, after c is added, unless m is None.
+def _product_source(n: int) -> str:
+    """The source of kernel(a, b, m, c=0) for n x n integer rows: the rows
+    of a b + c I, each entry reduced mod m, after c is added, unless m is
+    None.
 
-    Its generated body unpacks both into locals and writes each of the n^2
-    entries out as an explicit sum of n products, four times over: for m
-    None and m set, each with and without + c on the diagonal. A plain
-    product (c = 0) thus runs the same code as a kernel without the addend,
-    and with m set each entry is reduced after c is added. There is no
-    loop and no transpose, and one kernel serves all four rings, so that
-    choosing it is one lookup by n. Built once per n and cached in
-    _KERNELS; only _rows_mul calls it.
+    The body unpacks both into locals and writes each of the n^2 entries
+    out as an explicit sum of n products, four times over: for m None and
+    m set, each with and without + c on the diagonal. A plain product
+    (c = 0) thus runs the same code as a kernel without the addend, and
+    with m set each entry is reduced after c is added. There is no loop and
+    no transpose, and one kernel serves all four rings.
     """
 
     def cell(plus_c: bool, mod_m: bool) -> Callable[[int, int], str]:
@@ -525,7 +546,7 @@ def _product_kernel(n: int) -> Callable:
 
         return entry
 
-    source = (
+    return (
         f"def kernel(a, b, m, c=0):\n"
         f"    {_grid(n, lambda i, j: f'a{i * n + j}')} = a\n"
         f"    {_grid(n, lambda i, j: f'b{i * n + j}')} = b\n"
@@ -535,8 +556,6 @@ def _product_kernel(n: int) -> Callable:
         f"    if c:\n        return {_grid(n, cell(True, True))}\n"
         f"    return {_grid(n, cell(False, True))}\n"
     )
-    kernel = _KERNELS[n] = _compiled(source, f"<product kernel n={n}>")
-    return kernel
 
 
 # Integer rows as _rows_mul takes them (tuples or lists) and as it returns them.
@@ -544,27 +563,10 @@ IntRows = Sequence[Sequence[int]]
 Rows = tuple[tuple[int, ...], ...]
 
 
-def _rows_mul(x: IntRows, y: IntRows, m: int | None, c: int = 0) -> Rows:
-    """The integer rows of x y + c I for n x n integer rows x and y, each
-    entry reduced mod m, after c is added, unless m is None: the one
-    product in the package, which SquareMatrix.__mul__, every check on raw
-    rows and each Horner step of _poly_at call.
-
-    For n <= _UNROLL_MAX_N the rows come from the kernel that
-    _product_kernel(n) generates, straight-line code with each entry
-    written out as its n products; above the bound one listcomp computes
-    them and c goes on its diagonal. x and y may be tuples or lists; the
-    result is a tuple of tuples.
-    """
+def _rows_mul_loop(x: IntRows, y: IntRows, m: int | None, c: int = 0) -> Rows:
+    """_rows_mul(x, y, m, c) as a loop: one listcomp of integer dot
+    products computes the rows, and c goes on its diagonal."""
     n = len(x)
-    if n <= _UNROLL_MAX_N:
-        # A subscript inside try, where the miss happens once per n, costs
-        # less than a call to _KERNELS.get on every product.
-        try:
-            kernel = _KERNELS[n]
-        except KeyError:
-            kernel = _product_kernel(n)
-        return kernel(x, y, m, c)
     cols = tuple(zip(*y))
     # List comprehensions, which run faster than generator expressions on
     # every Python this package supports.
@@ -577,23 +579,30 @@ def _rows_mul(x: IntRows, y: IntRows, m: int | None, c: int = 0) -> Rows:
     return tuple([tuple([v % m for v in row]) for row in rows])
 
 
-# n -> the compiled normaliser kernel; filled on first use.
-_NORMALISER_KERNELS: dict[int, Callable] = {}
+_PRODUCT = _Table(_product_source, _rows_mul_loop)
 
 
-def _normaliser_kernel(n: int) -> Callable:
-    """kernel(rows, den) for n x n integer rows over a nonzero den: the
-    pair (num, den) of rows / den in lowest terms with den > 0, num a tuple
-    of tuples.
+def _rows_mul(x: IntRows, y: IntRows, m: int | None, c: int = 0) -> Rows:
+    """The integer rows of x y + c I for n x n integer rows x and y, each
+    entry reduced mod m, after c is added, unless m is None: the one
+    product in the package, which SquareMatrix.__mul__, every check on raw
+    rows and each Horner step of _poly_at call. x and y may be tuples or
+    lists; the result is a tuple of tuples.
+    """
+    return _PRODUCT[len(x)](x, y, m, c)
 
-    Its generated body unpacks the rows into locals, takes the gcd of den
-    and the n^2 entries in one call, signs it as den is, and returns the
-    locals as they are when it is 1 and each divided by it otherwise. Built
-    once per n and cached in _NORMALISER_KERNELS; only _from_rows calls it,
-    on its Q path.
+
+def _normaliser_source(n: int) -> str:
+    """The source of kernel(rows, den) for n x n integer rows over a
+    nonzero den: the pair (num, den) of rows / den in lowest terms with
+    den > 0, num a tuple of tuples.
+
+    The body unpacks the rows into locals, takes the gcd of den and the n^2
+    entries in one call, signs it as den is, and returns the locals as they
+    are when it is 1 and each divided by it otherwise.
     """
     entries = ", ".join(f"a{k}" for k in range(n * n))
-    source = (
+    return (
         f"from math import gcd\n"
         f"def kernel(rows, den):\n"
         f"    {_grid(n, lambda i, j: f'a{i * n + j}')} = rows\n"
@@ -602,8 +611,20 @@ def _normaliser_kernel(n: int) -> Callable:
         f"    if g == 1:\n        return {_grid(n, lambda i, j: f'a{i * n + j}')}, den\n"
         f"    return {_grid(n, lambda i, j: f'a{i * n + j} // g')}, den // g\n"
     )
-    kernel = _NORMALISER_KERNELS[n] = _compiled(source, f"<normaliser kernel n={n}>")
-    return kernel
+
+
+def _normalise_loop(rows: IntRows, den: int) -> tuple[Rows, int]:
+    """The normaliser kernel as a loop: one gcd over the chained entries,
+    signed as den is, and a nested comprehension for the divisions."""
+    g = gcd(den, *chain.from_iterable(rows))
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(map(tuple, rows)), den
+    return tuple([tuple([x // g for x in row]) for row in rows]), den // g
+
+
+_NORMALISER = _Table(_normaliser_source, _normalise_loop)
 
 
 def _equal_over(left: IntRows, lam: int, right: IntRows, rho: int) -> bool:
@@ -800,11 +821,7 @@ def _from_rows(
     over Z and be a unit modulo m; a den that is not raises NotInvertible
     naming gcd(den, m). Over Q it may be negative or share a factor with
     every entry; one division by their gcd, signed as den is, brings it to
-    the stored form. For n <= _UNROLL_MAX_N that is the straight-line
-    kernel _normaliser_kernel(n) generates, one gcd call on den and the n^2
-    entries and each division written out; above the bound, one gcd over
-    the chained entries and a nested comprehension. The Z, GF(m), Z/m and
-    den = 1 paths need no gcd and run as they are.
+    the stored form. The Z, GF(m), Z/m and den = 1 paths need no gcd.
     """
     m = ring.modulus
     if m is not None:
@@ -817,21 +834,8 @@ def _from_rows(
         return _trusted(ring, tuple(map(tuple, rows)))
     if ring.kind == "Z":
         return _trusted(ring, tuple([tuple([x // den for x in row]) for row in rows]))
-    n = len(rows)
-    if n <= _UNROLL_MAX_N:
-        # As in _rows_mul: the miss happens once per n.
-        try:
-            kernel = _NORMALISER_KERNELS[n]
-        except KeyError:
-            kernel = _normaliser_kernel(n)
-        num, den = kernel(rows, den)
-        return _trusted(ring, num, den)
-    g = gcd(den, *chain.from_iterable(rows))
-    if den < 0:
-        g = -g
-    if g == 1:
-        return _trusted(ring, tuple(map(tuple, rows)), den)
-    return _trusted(ring, tuple([tuple([x // g for x in row]) for row in rows]), den // g)
+    num, den = _NORMALISER[len(rows)](rows, den)
+    return _trusted(ring, num, den)
 
 
 def _poly_at(cs: Sequence[int], x: SquareMatrix) -> SquareMatrix:
@@ -944,23 +948,10 @@ def det(a: SquareMatrix) -> Scalar:
 def _berkowitz(rows: IntRows, m: int | None = None) -> list[int]:
     """[c_0, ..., c_n] with det(t I - A) = sum c_k t^(n-k), A the n x n
     integer rows, each reduced mod m unless m is None: the one
-    characteristic polynomial kernel, Berkowitz's recurrence.
-
-    The recurrence is written once, in _berkowitz_loop. For n <=
-    _UNROLL_MAX_N it runs as the straight-line kernel that _chi_kernel(n)
-    traces from that loop, which reduces mod m once at the end; above the
-    bound the loop runs as it is, reducing at every step. Both give the
-    same residues, since reduction mod m is a ring homomorphism.
+    characteristic polynomial kernel, Berkowitz's recurrence, written once
+    in _berkowitz_loop.
     """
-    n = len(rows)
-    if n <= _UNROLL_MAX_N:
-        # As in _rows_mul: the miss happens once per n.
-        try:
-            kernel = _CHI_KERNELS[n]
-        except KeyError:
-            kernel = _chi_kernel(n)
-        return kernel(rows, m)
-    return _berkowitz_loop(rows, m)
+    return _CHI[len(rows)](rows, m)
 
 
 def _berkowitz_loop(rows: IntRows, m: int | None = None) -> list[int]:
@@ -970,7 +961,7 @@ def _berkowitz_loop(rows: IntRows, m: int | None = None) -> list[int]:
     no division, so every value is an integer. With m set the rows are
     residue lifts and every value is reduced mod m, which is exact because
     reduction mod m is a ring homomorphism. It reads its entries only
-    through +, * and unary -, so that _chi_kernel can trace it."""
+    through +, * and unary -, so that _chi_source can trace it."""
     p = [1]
     for k in range(len(rows) - 1, -1, -1):
         r, sub = rows[k][k + 1:], [row[k + 1:] for row in rows[k + 1:]]
@@ -1022,21 +1013,16 @@ class _Traced:
     __rmul__ = __mul__
 
 
-# n -> the compiled characteristic polynomial kernel; filled on first use.
-_CHI_KERNELS: dict[int, Callable] = {}
-
-
-def _chi_kernel(n: int) -> Callable:
-    """kernel(rows, m) for n x n integer rows: _berkowitz_loop(rows, m) as
-    straight-line code, each coefficient reduced mod m once at the end
-    unless m is None.
+def _chi_source(n: int) -> str:
+    """The source of kernel(rows, m) for n x n integer rows:
+    _berkowitz_loop(rows, m) as straight-line code, each coefficient
+    reduced mod m once at the end unless m is None.
 
     _berkowitz_loop runs once on the symbols a0 .. a(n^2 - 1), and the
     lines it binds become the kernel's body, less those no coefficient
     reads (the loop's last v of each block). The loop itself is traced,
     never _berkowitz, so the kernel does not depend on what that name is
-    bound to. Built once per n and cached in _CHI_KERNELS; only
-    _berkowitz calls it.
+    bound to.
     """
     lines: list[tuple[str, str, tuple[str, ...]]] = []
     symbols = [[_Traced(f"a{i * n + j}", lines) for j in range(n)] for i in range(n)]
@@ -1046,21 +1032,21 @@ def _chi_kernel(n: int) -> Callable:
         if name in live:
             live.update(reads)
             body.append(f"    {name} = {expr}\n")
-    source = (
+    return (
         f"def kernel(rows, m):\n"
         f"    {_grid(n, lambda i, j: f'a{i * n + j}')} = rows\n"
         + "".join(reversed(body))
         + f"    if m is None:\n        return [{', '.join(cs)}]\n"
         f"    return [{', '.join(f'{c} % m' for c in cs)}]\n"
     )
-    kernel = _CHI_KERNELS[n] = _compiled(source, f"<chi kernel n={n}>")
-    return kernel
+
+
+_CHI = _Table(_chi_source, _berkowitz_loop)
 
 
 def _chi(a: SquareMatrix) -> tuple[int, ...]:
     """The coefficients _berkowitz(a.num, a.ring.modulus) of
-    det(t I - a.num), as a tuple, run once per matrix object: the
-    straight-line kernel up to _UNROLL_MAX_N, Berkowitz's loop above it.
+    det(t I - a.num), as a tuple, run once per matrix object.
 
     The first call stores them in a's _chi slot and every later call reads
     them there. They depend only on num and the modulus, which never change

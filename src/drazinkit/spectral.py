@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .drazin_core import Quadruple, _Resolvent, drazin_inverse, quadruple_over_q
 from .errors import FormulaViolation, NotInvertible
@@ -230,13 +230,9 @@ def transfer_lambdas(q: Quadruple) -> tuple[Fraction, ...]:
     """The fixed deterministic sample list plus every rational eigenvalue
     candidate of ac and bd, which are the points where invertibility can
     actually change."""
-    return _with_eigenvalues(char_poly(m) for m in (q.ac, q.bd))
-
-
-def _with_eigenvalues(chars: Iterable[tuple[int, ...]]) -> tuple[Fraction, ...]:
     extra: set[Fraction] = set()
-    for p in chars:
-        for root in rational_roots(p):
+    for m in (q.ac, q.bd):
+        for root in rational_roots(char_poly(m)):
             if root != 0 and root not in DEFAULT_LAMBDAS:
                 extra.add(root)
     return DEFAULT_LAMBDAS + tuple(sorted(extra))
@@ -258,7 +254,7 @@ def quadruple_spectrum_report(
     q = quadruple_over_q(q)
     comparison = nonzero_spectrum_equal(q.ac, q.bd)
     if lambdas is None:
-        lambdas = _with_eigenvalues((comparison.left.char, comparison.right.char))
+        lambdas = transfer_lambdas(q)
     transfer = invertibility_transfer(q, lambdas)
     return {
         "ac": matrix_to_json(q.ac),

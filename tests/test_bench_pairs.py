@@ -40,7 +40,8 @@ def test_quartiles_interpolate_between_ranks():
 def test_summary_reports_quartiles_median_change_and_wins():
     before = [result_line(800, 1.2), result_line(810, 1.1), result_line(790, 1.0)]
     after = [result_line(900, 1.0), result_line(800, 1.2), result_line(910, 0.9)]
-    header, ops, p50 = bench_pairs.summarize(before, after, METRICS)
+    (header, ops, p50), verdicts = bench_pairs.summarize(before, after, METRICS)
+    assert verdicts == ["—", "—"]
     assert header.split()[:2] == ["metric", "better"]
     assert header.split()[-1] == "verdict"
     # 2/3 pairs won is short of 9/10, so no gain; neither median is worse.
@@ -58,7 +59,7 @@ def test_summary_reports_quartiles_median_change_and_wins():
 def test_summary_counts_failed_ops_and_ties_as_no_win():
     before = [result_line(800, 1.0), result_line(800, 1.0)]
     after = [result_line(800, 1.0, failed=3), result_line(800, 1.0)]
-    lines = bench_pairs.summarize(before, after, METRICS)
+    lines, _ = bench_pairs.summarize(before, after, METRICS)
     assert lines[1].split()[-2] == "0/2" and lines[2].split()[-2] == "0/2"
 
 
@@ -68,14 +69,16 @@ def test_summary_needs_paired_runs():
 
 
 def ten_pairs(before_ops, after_ops, bound=0.25):
-    """The verdict column of the throughput line for ten pairs."""
+    """The verdict of the throughput line for ten pairs, which ends the
+    printed line too."""
     metrics = [{"name": "throughput_ops_s", "better": "higher", "bound": bound}]
-    lines = bench_pairs.summarize(
+    lines, [outcome] = bench_pairs.summarize(
         [result_line(x, 1.0) for x in before_ops],
         [result_line(y, 1.0) for y in after_ops],
         metrics,
     )
-    return lines[1].split()[-1]
+    assert lines[1].split()[-1] == outcome
+    return outcome
 
 
 # Ten parent runs with q1 = 99.25 and q3 = 100.75: a spread of 1.5.
@@ -97,8 +100,8 @@ def test_verdict_gain_reads_the_better_direction():
     before = [result_line(100, x) for x in PARENT]
     faster = [result_line(100, x - 3) for x in PARENT]
     slower = [result_line(100, x + 3) for x in PARENT]
-    assert bench_pairs.summarize(before, faster, metrics)[1].split()[-1] == "gain"
-    assert bench_pairs.summarize(before, slower, metrics)[1].split()[-1] == "—"
+    assert bench_pairs.summarize(before, faster, metrics)[1] == ["gain"]
+    assert bench_pairs.summarize(before, slower, metrics)[1] == ["—"]
 
 
 def test_verdict_regressed_is_a_median_worse_by_more_than_the_bound():
@@ -126,7 +129,7 @@ def test_bounds_are_read_from_the_benchmark_file(monkeypatch, capsys):
 
     def fake_summarize(before, after, metrics):
         seen.append(metrics)
-        return []
+        return [], []
 
     monkeypatch.setattr(bench_pairs, "summarize", fake_summarize)
     monkeypatch.setattr(bench_pairs, "run_once", lambda *args: "{}")

@@ -840,17 +840,17 @@ class TestQuadruple:
     @pytest.mark.parametrize("ring", [RING_Q, gf(5), zmod(4)], ids=str)
     def test_above_the_unroll_bound(self, ring):
         # n = 5 decides the relations on the raw rows of _rows_mul's
-        # listcomp, compiling no kernel for 5.
+        # loop, compiling no kernel for 5.
         n = 5
         rng = random.Random(5)
-        cached = dict(matrix_rings._KERNELS)
+        cached = dict(matrix_rings._PRODUCT)
         for _ in range(20):
             a, b = random_matrix(ring, n, rng), random_matrix(ring, n, rng)
             q = Quadruple(a, b, b, a)
             assert (q.ac, q.bd) == (a * b, b * a)
             with pytest.raises(RelationViolation):
                 Quadruple(a, b, b, b * a * a)
-        assert 5 not in matrix_rings._KERNELS and matrix_rings._KERNELS == cached
+        assert matrix_rings._PRODUCT == {**cached, n: matrix_rings._rows_mul_loop}
 
 
 class TestClineGeneralized:

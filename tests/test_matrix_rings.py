@@ -27,22 +27,26 @@ from drazinkit.matrix_rings import (
     RING_Z,
     RingSpec,
     SquareMatrix,
-    _KERNELS,
+    _CHI,
     _MR_PROVEN_BELOW,
-    _CHI_KERNELS,
-    _NORMALISER_KERNELS,
+    _NORMALISER,
+    _PRODUCT,
     _UNROLL_MAX_N,
     _Building,
+    _Table,
     _berkowitz,
     _berkowitz_loop,
     _chi,
-    _chi_kernel,
+    _chi_source,
     _from_rows,
     _is_prime,
+    _normalise_loop,
+    _normaliser_source,
     _poly_at,
-    _product_kernel,
+    _product_source,
     _products_equal,
     _rows_mul,
+    _rows_mul_loop,
     _trusted,
     all_matrices,
     det,
@@ -515,12 +519,12 @@ class TestMatrixBasics:
     def test_products_above_the_unroll_bound_compile_no_kernel(self):
         n = _UNROLL_MAX_N + 1
         a = SquareMatrix(RING_Q, [[Fraction(i - j, 1 + i) for j in range(n)] for i in range(n)])
-        cached = dict(_KERNELS)
+        cached = dict(_PRODUCT)
         assert a * a == reference_product(a, a)
         half = a.scalar_mul(Fraction(1, 2))
         assert _products_equal(a, a, half, a.scalar_mul(2))
         assert not _products_equal(a, a, half, a)
-        assert _KERNELS == cached
+        assert _PRODUCT == {**cached, n: _rows_mul_loop}
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @given(data=st.data())
@@ -1051,11 +1055,6 @@ def symbols(name: str, n: int) -> list[list[Poly]]:
     return [[Poly({((name, i, j),): 1}) for j in range(n)] for i in range(n)]
 
 
-def built(cache: dict, build, n: int):
-    """The kernel of n that the package runs: cached, or built as on first use."""
-    return cache[n] if n in cache else build(n)
-
-
 UP_TO_THE_BOUND = range(1, _UNROLL_MAX_N + 1)
 
 
@@ -1082,14 +1081,14 @@ class TestGeneratedKernels:
     @pytest.mark.parametrize("modulus", [None, 2, 4, 12, 2**64])
     @pytest.mark.parametrize("n", UP_TO_THE_BOUND)
     def test_chi_kernel_is_the_loop_on_symbols(self, n, modulus):
-        kernel = built(_CHI_KERNELS, _chi_kernel, n)
+        kernel = _CHI[n]
         x = symbols("x", n)
         assert kernel(x, modulus) == _berkowitz_loop(x, modulus)
 
     @pytest.mark.parametrize("modulus", [None, 2, 12, 2**64])
     @pytest.mark.parametrize("n", UP_TO_THE_BOUND)
     def test_product_kernel_is_the_sum_of_products_on_symbols(self, n, modulus):
-        kernel = built(_KERNELS, _product_kernel, n)
+        kernel = _PRODUCT[n]
         a, b = symbols("x", n), symbols("y", n)
         want = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
                 for i in range(n)]
@@ -1104,7 +1103,7 @@ class TestGeneratedKernels:
     def test_product_kernel_adds_c_on_the_diagonal_on_symbols(self, n, modulus):
         # The addend is -c for a symbol c: its coefficient -1 changes under
         # % m, so adding it after the reduction gives another polynomial.
-        kernel = built(_KERNELS, _product_kernel, n)
+        kernel = _PRODUCT[n]
         a, b = symbols("x", n), symbols("y", n)
         [[c]] = symbols("c", 1)
         want = [[sum(a[i][k] * b[k][j] for k in range(n)) + (-c if i == j else 0)
@@ -1142,9 +1141,8 @@ class TestGeneratedKernels:
         (5, 0, 30), (-5, 0, 30), (3 * 2**40, 2**40, 2**40), (-9, 1, 2**80),
     ], ids=str)
     @pytest.mark.parametrize("n", UP_TO_THE_BOUND)
-    def test_normaliser_is_the_loop_and_the_constructor(self, n, den, f, bound, monkeypatch):
+    def test_normaliser_is_the_loop_and_the_constructor(self, n, den, f, bound):
         rng = random.Random(3300 + n)
-        cases = []
         for _ in range(20):
             rows = [[f * rng.choice([rng.randint(-bound, bound), bound - rng.randint(0, 3),
                                      -bound + rng.randint(0, 3)])
@@ -1153,16 +1151,13 @@ class TestGeneratedKernels:
             assert _from_rows(RING_Q, tuple(map(tuple, rows)), den) == got
             assert got == SquareMatrix(RING_Q, [[Fraction(x, den) for x in row] for row in rows])
             assert_canonical(got)
-            cases.append((rows, got))
-        # The same rows through the path above the bound.
-        monkeypatch.setattr(matrix_rings, "_UNROLL_MAX_N", 0)
-        for rows, got in cases:
-            loop = _from_rows(RING_Q, rows, den)
-            assert (loop.num, loop.den) == (got.num, got.den)
+            # The same rows through the loop that runs above the bound.
+            assert _normalise_loop(rows, den) == (got.num, got.den)
 
     def test_up_to_the_bound_q_rows_never_reach_the_chained_gcd(self, monkeypatch):
         # Once a normaliser kernel exists, _from_rows over Q calls no gcd of
-        # its own for n <= _UNROLL_MAX_N; above the bound it calls one.
+        # this module for n <= _UNROLL_MAX_N; above the bound the table's
+        # loop calls one.
         rows = {n: _seeded_rows(n, 50 + n, 2) for n in range(1, _UNROLL_MAX_N + 2)}
         want = {n: SquareMatrix(RING_Q, [[Fraction(x, -4) for x in row] for row in r])
                 for n, r in rows.items()}
@@ -1179,7 +1174,8 @@ class TestGeneratedKernels:
             assert _from_rows(RING_Q, r, -4) == want[n]
         n = _UNROLL_MAX_N + 1
         assert calls == [n * n + 1]
-        assert sorted(_NORMALISER_KERNELS) == list(UP_TO_THE_BOUND)
+        assert _NORMALISER[n] is _normalise_loop
+        assert all(_NORMALISER[k] is not _normalise_loop for k in UP_TO_THE_BOUND)
 
     @pytest.mark.parametrize("n", range(1, _UNROLL_MAX_N + 2))
     def test_berkowitz_is_the_loop_on_big_integers(self, n):
@@ -1205,31 +1201,32 @@ class TestGeneratedKernels:
             assert all(0 <= c < modulus for c in got)
 
     def test_up_to_the_bound_the_loop_never_runs_once_a_kernel_exists(self, monkeypatch):
+        # A table whose loop counts its calls: _berkowitz reaches it only
+        # above the bound, and the module's table holds the loop itself there.
         rows = {n: [[(3 * i + j) % 7 - 3 for j in range(n)] for i in range(n)]
                 for n in range(1, _UNROLL_MAX_N + 2)}
-        for n in UP_TO_THE_BOUND:
-            _berkowitz(rows[n])
-        loop, calls = _berkowitz_loop, []
+        calls = []
 
         def counted(rows, m=None):
             calls.append((len(rows), m))
-            return loop(rows, m)
+            return _berkowitz_loop(rows, m)
 
-        monkeypatch.setattr(matrix_rings, "_berkowitz_loop", counted)
+        monkeypatch.setattr(matrix_rings, "_CHI", _Table(_chi_source, counted))
         for n in rows:
             for modulus in (None, 5):
-                assert _berkowitz(rows[n], modulus) == loop(rows[n], modulus)
+                assert _berkowitz(rows[n], modulus) == _berkowitz_loop(rows[n], modulus)
         assert calls == [(_UNROLL_MAX_N + 1, None), (_UNROLL_MAX_N + 1, 5)]
+        assert _CHI[_UNROLL_MAX_N + 1] is _berkowitz_loop
 
     def test_a_patched_berkowitz_leaves_the_cached_kernels_alone(self, monkeypatch):
         for n in UP_TO_THE_BOUND:
             _berkowitz([[1] * n] * n)
-        cached = dict(_CHI_KERNELS)
+        cached = dict(_CHI)
         monkeypatch.setattr(matrix_rings, "_berkowitz", lambda rows, m=None: [7] * 5)
         for n in UP_TO_THE_BOUND:
             assert _chi(_square(RING_Q, n, seed=n)) == (7,) * 5
-        assert _CHI_KERNELS == cached
-        assert all(_CHI_KERNELS[n] is kernel for n, kernel in cached.items())
+        assert _CHI == cached
+        assert all(_CHI[n] is kernel for n, kernel in cached.items())
 
     def test_kernels_built_while_berkowitz_is_patched_trace_the_loop(self, monkeypatch):
         # _chi reaches the dispatcher through a patched name that bumps its
@@ -1241,13 +1238,36 @@ class TestGeneratedKernels:
             cs[-1] += 1
             return cs
 
-        monkeypatch.setattr(matrix_rings, "_CHI_KERNELS", {})
+        kernels = _Table(_chi_source, _berkowitz_loop)
+        monkeypatch.setattr(matrix_rings, "_CHI", kernels)
         monkeypatch.setattr(matrix_rings, "_berkowitz", bumped)
         for n in UP_TO_THE_BOUND:
             a = _square(RING_Z, n, seed=20 + n)
             assert _chi(a) == (*_berkowitz_loop(a.num)[:-1], _berkowitz_loop(a.num)[-1] + 1)
-        kernels = matrix_rings._CHI_KERNELS
         assert sorted(kernels) == list(UP_TO_THE_BOUND)
         for n, kernel in kernels.items():
             x = symbols("x", n)
             assert kernel(x, None) == _berkowitz_loop(x)
+
+    @pytest.mark.parametrize("table,source,loop", [
+        (_PRODUCT, _product_source, _rows_mul_loop),
+        (_CHI, _chi_source, _berkowitz_loop),
+        (_NORMALISER, _normaliser_source, _normalise_loop),
+    ], ids=["product", "chi", "normaliser"])
+    def test_each_table_holds_a_kernel_up_to_the_bound_and_the_loop_above(
+        self, table, source, loop
+    ):
+        # The package's table and a fresh one: a kernel compiled from the
+        # source for every n up to the bound, the loop object above it, and
+        # the same object again on a second lookup.
+        fresh = _Table(source, loop)
+        for n in range(1, _UNROLL_MAX_N + 3):
+            for kernels in (table, fresh):
+                kernel = kernels[n]
+                assert kernels[n] is kernel
+                if n <= _UNROLL_MAX_N:
+                    assert kernel is not loop and kernel.__name__ == "kernel"
+                    assert kernel.__code__.co_filename == f"<{source.__name__} n={n}>"
+                else:
+                    assert kernel is loop
+        assert sorted(fresh) == list(range(1, _UNROLL_MAX_N + 3))

@@ -74,8 +74,9 @@ def verdict(
 
 def summarize(
     before: list[str], after: list[str], metrics: list[dict]
-) -> list[str]:
-    """The report lines for paired result lines of bench/run.py.
+) -> tuple[list[str], list[str]]:
+    """The report lines for paired result lines of bench/run.py, and the
+    verdict of each metric, in the order of metrics.
 
     before[i] and after[i] are the last stdout lines (JSON objects) of pair
     i's two runs; metrics are the end-to-end entries of BENCHMARK.json,
@@ -87,6 +88,7 @@ def summarize(
     runs = {"before": [json.loads(line) for line in before],
             "after": [json.loads(line) for line in after]}
     pairs = len(before)
+    verdicts: list[str] = []
     lines = [
         f"{'metric':18s} {'better':6s} {'before q1 / median / q3':>32s} "
         f"{'after q1 / median / q3':>32s} {'median':>8s} {'won':>7s} {'verdict':>10s}"
@@ -101,6 +103,7 @@ def summarize(
         sign = 1 if direction == "higher" else -1
         won = sum(sign * (y - x) > 0 for x, y in zip(side["before"], side["after"]))
         outcome = verdict(side["before"], side["after"], direction, metric["bound"], won)
+        verdicts.append(outcome)
         base = q_before[1]
         change = f"{(q_after[1] - base) / base:+.1%}" if base else "n/a"
         lines.append(
@@ -108,7 +111,7 @@ def summarize(
             f"{' / '.join(f'{v:.4g}' for v in q_after):>32s} {change:>8s} "
             f"{f'{won}/{pairs}':>7s} {outcome:>10s}"
         )
-    return lines
+    return lines, verdicts
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int | None) -> str:
@@ -159,11 +162,9 @@ def main(argv: list[str] | None = None) -> int:
     regressed = False
     for workload, runs in sides.items():
         print(f"{workload}: {args.pairs} pairs of {args.seconds:g} s runs")
-        lines = summarize(runs["before"], runs["after"], spec["end_to_end"])
+        lines, verdicts = summarize(runs["before"], runs["after"], spec["end_to_end"])
         print("\n".join(lines))
-        # Lines 1..len(metrics) are the metric rows, each ending in its verdict.
-        metric_rows = lines[1:len(spec["end_to_end"]) + 1]
-        regressed |= any(row.split()[-1] == "regressed" for row in metric_rows)
+        regressed |= "regressed" in verdicts
     return 1 if regressed else 0
 
 

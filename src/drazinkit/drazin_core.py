@@ -26,16 +26,16 @@ from .errors import (
     FormulaViolation,
     NoGroupInverse,
     NotAField,
+    NotInvertible,
     RelationViolation,
     UnsupportedRing,
     ZeroLambda,
 )
-from .exact_arith import _shifted_det
+from .exact_arith import _shifted_det, format_rational
 from .matrix_rings import (
     Scalar,
     SquareMatrix,
     _chi,
-    _chi_at,
     _equal_over,
     _first_power,
     _from_rows,
@@ -44,6 +44,7 @@ from .matrix_rings import (
     _poly_at,
     _products_equal,
     _rows_mul,
+    det,
     in_radical,
     inverse,
     is_nilpotent,
@@ -530,7 +531,7 @@ class _Resolvent:
 
     At lambda = p / s the integers W_0 = 1, W_k = p alpha W_(k-1) + c_k s^k
     are (alpha s)^k times the Horner partial sums of chi at lambda, and
-    X = W_n = (alpha s)^n chi(lambda) = matrix_rings._chi_at(cs, alpha, p, s),
+    X = W_n = (alpha s)^n chi(lambda) = exact_arith._shifted_det(cs, p alpha, s),
     with cs = _chi(ac) read once, when the resolvent is made. The
     closure makes lambda - ac a unit when X is one. The identity then gives
     (lambda - bd) r = lambda at every such lambda, with r = R / (X eps^n),
@@ -540,6 +541,16 @@ class _Resolvent:
     lambda - ac must be singular, and inverse(lambda - ac) is asked to
     confirm it by raising NotInvertible. Any other outcome raises
     FormulaViolation.
+
+    verdict(lambda) decides both sides without assembling r. The bd side is
+    the same evaluation on _chi(bd), the polynomial spectral.char_poly(bd)
+    reads too: (eps s)^n det(lambda - bd) = _shifted_det(_chi(bd), p eps, s),
+    unreduced, since a unit test mod m reads it mod m. Each bd verdict
+    rests on two routes. Where lambda - ac is a unit, the identity has
+    proven lambda - bd one, and a chi(bd) that finds no unit raises
+    FormulaViolation. Where lambda - ac is singular nothing is proven, so
+    det(lambda - bd), an independent elimination, must give the same
+    verdict, or FormulaViolation is raised.
     """
 
     __slots__ = ("q", "e", "cs", "proven")
@@ -579,9 +590,9 @@ class _Resolvent:
         r; raises NotInvertible, from inverse, when lambda - ac is
         singular."""
         q = self.q
-        x = _chi_at(self.cs, q.ac.den, p, s)
+        x = _shifted_det(self.cs, p * q.ac.den, s)
         if not q.ring.is_unit_scalar(x):
-            inverse(SquareMatrix.identity(q.ring, q.n).scalar_mul(lam) - q.ac)
+            inverse(self._shifted(lam, q.ac))
             raise FormulaViolation(
                 "lambda - ac inverted although its resolvent determinant is no unit"
             )
@@ -598,6 +609,33 @@ class _Resolvent:
                 )
             self.proven = True
         return x
+
+    def _shifted(self, lam: Fraction, m: SquareMatrix) -> SquareMatrix:
+        """lambda I - m, for the elimination cross-checks."""
+        return SquareMatrix.identity(self.q.ring, self.q.n).scalar_mul(lam) - m
+
+    def verdict(self, lam: Scalar | float | str) -> tuple[Fraction, bool, bool]:
+        """(lambda, whether lambda - ac is a unit, whether lambda - bd is),
+        both cross-checked."""
+        lam, p, s = self._split(lam)
+        try:
+            self.unit_numerator(lam, p, s)
+            ac_ok = True
+        except NotInvertible:
+            ac_ok = False
+        q = self.q
+        bd_ok = q.ring.is_unit_scalar(_shifted_det(_chi(q.bd), p * q.bd.den, s))
+        if ac_ok and not bd_ok:
+            raise FormulaViolation(
+                "lambda - ac is a unit but lambda - bd is not at lambda = "
+                + format_rational(lam)
+            )
+        if not ac_ok and bd_ok != q.ring.is_unit_scalar(det(self._shifted(lam, q.bd))):
+            raise FormulaViolation(
+                "the characteristic polynomial and the determinant of "
+                "lambda - bd disagree on a unit at lambda = " + format_rational(lam)
+            )
+        return lam, ac_ok, bd_ok
 
     def inverse_at(self, lam: Scalar | float | str) -> SquareMatrix:
         """r = R / (X eps^n), proven by unit_numerator; n - 1 products."""

@@ -80,7 +80,7 @@ from .errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from .exact_arith import _shifted_det, format_rational, int_literal, parse_rational
+from .exact_arith import format_rational, int_literal, parse_rational
 
 Scalar = Fraction | int
 
@@ -167,7 +167,7 @@ class RingSpec:
             return Fraction(x)
         if isinstance(x, Fraction):
             if x.denominator != 1:
-                raise DrazinkitError(f"{x} is not an element of {self}")
+                raise DrazinkitError(f"{format_rational(x)} is not an element of {self}")
             x = x.numerator
         if self.kind == "Z":
             return int(x)
@@ -200,9 +200,7 @@ class RingSpec:
         return v
 
     def format_scalar(self, x: Scalar) -> str:
-        if self.kind in ("Q", "Z"):
-            return format_rational(x)  # type: ignore[arg-type]
-        return str(x)
+        return format_rational(x)
 
     def to_json(self) -> str | dict[str, int]:
         if self.kind in ("Q", "Z"):
@@ -225,7 +223,7 @@ class RingSpec:
     def __str__(self) -> str:
         if self.kind in ("Q", "Z"):
             return self.kind
-        return f"{self.kind}({self.modulus})"
+        return f"{self.kind}({format_rational(self.modulus)})"  # type: ignore[arg-type]
 
 
 RING_Q = RingSpec("Q")
@@ -665,9 +663,9 @@ def _products_equal(
 
 def _not_a_unit(x: int, m: int) -> NotInvertible:
     """The refusal for an x with no inverse mod m, naming gcd(x, m)."""
+    xs, ms, gs = map(format_rational, (x, m, gcd(x, m)))
     return NotInvertible(
-        f"{x} is not a unit mod {m}: gcd({x}, {m}) = {gcd(x, m)}",
-        reason="not a unit mod m",
+        f"{xs} is not a unit mod {ms}: gcd({xs}, {ms}) = {gs}", reason="not a unit mod m"
     )
 
 
@@ -1060,15 +1058,6 @@ def _chi(a: SquareMatrix) -> tuple[int, ...]:
         cs = tuple(_berkowitz(a.num, a.ring.modulus))
         _set_chi(a, cs)
         return cs
-
-
-def _chi_at(cs: Sequence[int], den: int, p: int, s: int) -> int:
-    """(s den)^n det(p / s - a) for a = N / den with cs = _chi(a), which
-    the caller reads once for all its lambdas: det(p den I - s N), the one
-    verdict on whether lambda - a is a unit at lambda = p / s. It is not
-    reduced mod m: is_unit_scalar reads x mod m over GF(m) and gcd(x, m)
-    over Z/m, which reduction leaves alone."""
-    return _shifted_det(cs, p * den, s)
 
 
 def _numerators(a: SquareMatrix) -> SquareMatrix:

@@ -39,6 +39,7 @@ from .errors import (
     RelationViolation,
     UnsupportedRing,
 )
+from .exact_arith import format_rational
 from .matrix_rings import (
     RING_Q,
     RingSpec,
@@ -118,14 +119,15 @@ def _product_table(m: int, n: int) -> list[list[int]]:
 def _space_refusal(ring: RingSpec, n: int) -> str | None:
     """Why M_n over a finite ring is over MAX_SPACE_ELEMENTS, or None when it
     fits. Past n * n = 9, where every m >= 2 is over, or past m = 512, the
-    count is written m^(n^2), never computed: str() may not print it."""
+    count is written m^(n^2), never computed, and m by format_rational:
+    str() refuses an int over 4300 digits."""
     m, cells = ring.modulus, n * n
     if cells <= 9 and m <= MAX_SPACE_ELEMENTS:
         count = m**cells
         if count <= MAX_SPACE_ELEMENTS:
             return None
     else:
-        count = m if cells == 1 else f"{m}^{cells}"
+        count = format_rational(m) if cells == 1 else f"{format_rational(m)}^{cells}"
     return (
         f"{ring} dimension {n} has {count} matrices, over the "
         f"{MAX_SPACE_ELEMENTS}-element enumeration budget"

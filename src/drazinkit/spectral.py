@@ -13,7 +13,7 @@ sets agree iff those tuples are identical (primitive forms are canonical, so
 equal tuples are equal monic polynomials). Monic rational coefficients
 appear only in the JSON reports. Pointwise unit transfer at sampled nonzero
 lambda complements the set comparison (invertibility_transfer; the
-argument is drazin_core._Resolvent's).
+verdicts, both cross-checks and the argument are drazin_core._Resolvent's).
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .drazin_core import Quadruple, _Resolvent, drazin_inverse, quadruple_over_q
-from .errors import FormulaViolation, NotInvertible
 from .exact_arith import format_rational, primitive, rational_roots, squarefree_part
-from .matrix_rings import SquareMatrix, _chi, _chi_at, det, matrix_to_json, over_q
+from .matrix_rings import SquareMatrix, _chi, matrix_to_json, over_q
 
 DEFAULT_LAMBDAS: tuple[Fraction, ...] = (
     Fraction(1),
@@ -143,13 +142,16 @@ class TransferRow:
     lam: Fraction
     ac_side_invertible: bool
     bd_side_invertible: bool
-    formula_verified: Optional[bool]
+
+    @property
+    def formula_verified(self) -> Optional[bool]:
+        """True where lambda - ac is a unit, since the resolvent proved the
+        formula there, and None where it has no formula to verify."""
+        return True if self.ac_side_invertible else None
 
     @property
     def holds(self) -> bool:
-        if not self.ac_side_invertible:
-            return True
-        return self.bd_side_invertible and bool(self.formula_verified)
+        return not self.ac_side_invertible or self.bd_side_invertible
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -176,54 +178,14 @@ class TransferReport:
 def invertibility_transfer(
     q: Quadruple, lambdas: Sequence[Fraction | int | float | str]
 ) -> TransferReport:
-    """Pointwise unit transfer at each sampled nonzero lambda.
-
-    Whenever lambda - ac is invertible, 1 + b (lambda - ac)^(-1) d must
-    invert 1 - bd/lambda, which is the statement that lambda - bd is a
-    unit whenever lambda - ac is. One drazin_core._Resolvent, the route of
-    jacobson_inverse and the home of the argument, serves every lambda:
-    its unit_numerator decides the ac side, proving the formula once per
-    quadruple in 2n - 1 products at the first lambda where lambda - ac is
-    a unit, and asking inverse(lambda - ac) to confirm each lambda where
-    it is not; the formula itself is never assembled. Its _split reads
-    each lambda, anything Fraction accepts, once, as p / s in lowest terms.
-
-    The bd side is decided at every lambda by matrix_rings._chi_at, the
-    Horner evaluation the ac side takes, on the one characteristic
-    polynomial of bd that char_poly(q.bd) reads too, read once per
-    quadruple as the resolvent reads that of ac. Each verdict rests on
-    two routes. Where lambda - ac is proven a unit, the formula has proven
-    lambda - bd one, and a characteristic polynomial that finds no unit
-    raises FormulaViolation (a bug), so every row holds. Where lambda - ac
-    is singular, det(lambda - bd), an independent elimination, must return
-    the same verdict, or FormulaViolation is raised; both side verdicts
-    are recorded.
+    """Pointwise unit transfer at each sampled nonzero lambda, anything
+    Fraction accepts: whether lambda - ac and lambda - bd are units, the
+    latter whenever the former is. One drazin_core._Resolvent serves every
+    lambda; its docstring holds the argument, the cost and both
+    cross-checks, which raise FormulaViolation (a bug) rather than report.
     """
-    rows: list[TransferRow] = []
     resolvent = _Resolvent(q)
-    chi_bd, eps = _chi(q.bd), q.bd.den
-    for lam in lambdas:
-        lam, p, s = resolvent._split(lam)
-        try:
-            resolvent.unit_numerator(lam, p, s)
-            ac_ok = True
-        except NotInvertible:
-            ac_ok = False
-        bd_ok = q.ring.is_unit_scalar(_chi_at(chi_bd, eps, p, s))
-        if ac_ok and not bd_ok:
-            raise FormulaViolation(
-                "lambda - ac is a unit but lambda - bd is not at lambda = "
-                + format_rational(lam)
-            )
-        if not ac_ok:
-            shifted = SquareMatrix.identity(q.ring, q.n).scalar_mul(lam) - q.bd
-            if bd_ok != q.ring.is_unit_scalar(det(shifted)):
-                raise FormulaViolation(
-                    "the characteristic polynomial and the determinant of "
-                    "lambda - bd disagree on a unit at lambda = " + format_rational(lam)
-                )
-        rows.append(TransferRow(lam, ac_ok, bd_ok, True if ac_ok else None))
-    return TransferReport(tuple(rows))
+    return TransferReport(tuple(TransferRow(*resolvent.verdict(lam)) for lam in lambdas))
 
 
 def transfer_lambdas(q: Quadruple) -> tuple[Fraction, ...]:

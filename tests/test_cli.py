@@ -435,7 +435,7 @@ INTERNAL_FAULTS = {
     # lambda - ac is proven a unit at every lambda but the eigenvalue 1, so
     # a singular lambda - bd there contradicts the unit transfer.
     "spectrum-det": (
-        "drazinkit.spectral.det", lambda v: 0,
+        "drazinkit.drazin_core.det", lambda v: 0,
         lambda tmp: ["spectrum", "--in", quad_file(tmp, "2.5")],
     ),
 }

@@ -279,6 +279,13 @@ class TestGroupInverse:
         reason = no_group_inverse_reason(m(RING_Z, [[0, 2], [0, 0]]))
         assert "nilpotent" in reason
 
+    @pytest.mark.parametrize(
+        "a", [SquareMatrix.zeros(RING_Z, 2), m(RING_Z, [[1, 2], [0, 0]])],
+        ids=["zero", "not-nilpotent"],
+    )
+    def test_no_reason_where_the_criterion_does_not_apply(self, a):
+        assert no_group_inverse_reason(a) is None
+
 
 class TestVerifyAxioms:
     def test_nilpotent_zero_pair(self):
@@ -727,6 +734,14 @@ class TestQuadruple:
             Quadruple(*mats)
         assert type(exc.value) is error and str(exc.value) == text
 
+    def test_equal_quadruples_hash_and_print_alike(self):
+        q, again = example_quadruple("2.5"), example_quadruple("2.5")
+        assert q is not again and q == again
+        assert hash(q) == hash(again) and len({q, again}) == 1
+        assert repr(q) == repr(again) == (
+            f"Quadruple(a={q.a!r}, b={q.b!r}, c={q.c!r}, d={q.d!r})"
+        )
+
     def test_c_is_checked_before_d(self):
         zero = SquareMatrix.zeros(RING_Q, 2)
         ring_off, dim_off = SquareMatrix.zeros(zmod(4), 2), SquareMatrix.zeros(RING_Q, 3)
@@ -969,3 +984,19 @@ class TestCertificateSerialization:
         for entry in blob["transcript"]:
             assert set(entry) == {"check", "pass", "witness"}
         assert blob["flavor"] == "drazin"
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: Quadruple.matrices_from_json([]),
+         "quadruple JSON must be an object with keys a, b, c, d"),
+        (lambda: example_matrices("9.9"),
+         "unknown example '9.9'; choose from ('2.4', '2.5', '3.6')"),
+    ],
+    ids=["quadruple-json-not-an-object", "unknown-example"],
+)
+def test_library_refusals(call, text):
+    with pytest.raises(DrazinkitError) as exc:
+        call()
+    assert type(exc.value) is DrazinkitError and str(exc.value) == text

@@ -336,3 +336,17 @@ class TestRationalRoots:
         with pytest.raises(BudgetExceeded) as got:
             rational_roots(tuple(6 * c for c in base))
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda: parse_rational("1/-2"), DrazinkitError, "denominator must be positive in '1/-2'"),
+        (lambda: rational_roots(()), ZeroPolynomial, "root search on the zero polynomial"),
+    ],
+    ids=["negative-denominator", "zero-polynomial-roots"],
+)
+def test_library_refusals(call, error, text):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == text

@@ -1003,6 +1003,23 @@ class TestMatrixJson:
         a = m(zmod(4), [[7]])
         assert matrix_to_json(a)["rows"] == [["3"]]
 
+    def test_a_modulus_past_the_digit_limit_is_written_in_full(self):
+        # 10^5000 + 1 has 5001 digits, past the 4300 that str() writes; 17
+        # divides it.
+        big = 10**5000 + 1
+        digits = "1" + "0" * 4999 + "1"
+        ring = zmod(big)
+        assert str(ring) == f"Zmod({digits})"
+        assert matrix_to_json(m(ring, [[7, 10**5000], [0, big]])) == {
+            "ring": {"Zmod": big}, "rows": [["7", "1" + "0" * 5000], ["0", "0"]],
+        }
+        with pytest.raises(NotInvertible) as exc:
+            matrix_rings._echelon([[17, 1], [1, 1]], 2, big)
+        assert str(exc.value) == f"17 is not a unit mod {digits}: gcd(17, {digits}) = 17"
+        with pytest.raises(DrazinkitError) as exc:
+            m(RING_Z, [[Fraction(big, 2)]])
+        assert str(exc.value) == f"{digits}/2 is not an element of Z"
+
 
 class Poly:
     """A polynomial with integer coefficients in symbols such as ("x", i, j):
@@ -1271,3 +1288,26 @@ class TestGeneratedKernels:
                 else:
                     assert kernel is loop
         assert sorted(fresh) == list(range(1, _UNROLL_MAX_N + 3))
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda: RingSpec("Q", 5), DrazinkitError, "Q takes no modulus"),
+        (lambda: RingSpec.from_json("R"), DrazinkitError, "not a ring descriptor: 'R'"),
+        (lambda: SquareMatrix(RING_Q, []), DimensionMismatch,
+         "matrices must have dimension >= 1"),
+        (lambda: SquareMatrix(RING_Q, [[1, 2], [3]]), DimensionMismatch,
+         "expected 2 columns, got 1"),
+        (lambda: SquareMatrix.identity(RING_Q, 2).power(-1), DrazinkitError,
+         "power exponent must be >= 0"),
+        (lambda: next(all_matrices(RING_Q, 1)), DrazinkitError,
+         "cannot enumerate matrices over Q"),
+    ],
+    ids=["modulus-on-Q", "unknown-descriptor", "empty", "ragged", "negative-power",
+         "enumerate-Q"],
+)
+def test_library_refusals(call, error, text):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == text

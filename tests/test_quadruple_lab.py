@@ -636,14 +636,19 @@ class TestPackedSpace:
                 "512-element enumeration budget"
             )
 
-    def test_huge_modulus_refused_without_its_power(self):
-        # m^4 has 6004 digits, past the 4300 that str() prints; m has 1501.
-        big = 10**1500 + 1
-        assert quadruple_lab._space_refusal(zmod(big), 2) == (
-            f"Zmod({big}) dimension 2 has {big}^4 matrices, over the "
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("k", [1500, 5000])
+    def test_huge_modulus_refused_without_its_power(self, k, n):
+        # m = 10^k + 1: m^4 has over 6000 digits, past the 4300 that str()
+        # prints, and at k = 5000 so does m; both are written in full.
+        digits = "1" + "0" * (k - 1) + "1"
+        with pytest.raises(BudgetExceeded) as exc:
+            get_space(zmod(10**k + 1), n)
+        count = digits if n == 1 else f"{digits}^4"
+        assert str(exc.value) == (
+            f"Zmod({digits}) dimension {n} has {count} matrices, over the "
             "512-element enumeration budget"
         )
-        assert f"has {big} matrices" in quadruple_lab._space_refusal(zmod(big), 1)
 
     def test_infinite_ring_rejected(self):
         with pytest.raises(DrazinkitError):
@@ -864,3 +869,22 @@ class TestDrawStream:
         got = [seeded_rational_suite(50, seed) for seed in seeds]
         monkeypatch.setattr(quadruple_lab, "random_matrix", reference_random_matrix)
         assert got == [seeded_rational_suite(50, seed) for seed in seeds]
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: solve_for_d(*[SquareMatrix.identity(RING_Q, 2)] * 3, budget=0),
+         "budget must be >= 1"),
+        (lambda: SearchSpace(GF2, 1, Strategy.EXHAUSTIVE, 0), "budget must be >= 1"),
+        (lambda: SearchSpace(RING_Q, 1, Strategy.EXHAUSTIVE, 5),
+         "exhaustive enumeration requires a finite ring"),
+        (lambda: SearchSpace(RING_Z, 1, Strategy.LINEAR_SOLVE, 5),
+         "linear-solve requires a field or a residue ring"),
+    ],
+    ids=["solve-budget-0", "space-budget-0", "exhaustive-over-Q", "linear-solve-over-Z"],
+)
+def test_library_refusals(call, text):
+    with pytest.raises(DrazinkitError) as exc:
+        call()
+    assert type(exc.value) is DrazinkitError and str(exc.value) == text
